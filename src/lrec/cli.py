@@ -11,10 +11,12 @@ digest, outcome, fuel used, wall time. difftest streams them to
 stdout; the other commands append to --report PATH. Identical inputs
 give byte-identical reports except the wall-time field.
 
-The default fuel is 10^5 rule instances, overridable with LREC_FUEL.
-difftest gives the compiled side of PCF comparisons 100x the fuel: the
-encodings spend a recursor loop per source step, so equal budgets
-would misreport slow-but-sound compilations as divergent.
+The default fuel is 10^5 rule instances, overridable with LREC_FUEL;
+a negative or malformed budget is bad input. Every engine outcome is
+turned into its record, exit code and message by one function,
+`_settle`. difftest gives the compiled side of PCF comparisons 100x the
+fuel: the encodings spend a recursor loop per source step, so equal
+budgets would misreport slow-but-sound compilations as divergent.
 """
 
 from __future__ import annotations
@@ -27,25 +29,34 @@ import random
 import sys
 import time
 
-from .evaluation import (Stuck, Val, eval_report, force_numeral)
+from .evaluation import Val, eval_report, force_numeral
 from .gen import random_closed
-from .machine import FuelExhausted as MachineFuel
-from .machine import Halted, machine_force_numeral, run
-from .machine import Stuck as MachineStuck
+from .machine import Halted, MachineConfig, machine_force_numeral, run
 from .minext import mtype, normalize_m
 from .parser import LinearityError, ParseError, parse_defs, parse_type
 from .pcf import (NumConst, compile_pcf, parse_pcf_defs, pcf_check, pcf_eval,
                   pcf_fv, pcf_pretty, pcf_type_pretty, PNat)
-from .reduction import FuelExhausted, normalize
+from .reduction import normalize
 from .stdlib import catalog_lookup, catalog_names
-from .terms import (ContractViolation, Term, alpha_eq, is_value,
+from .terms import (ContractViolation, FuelExhausted, Stuck, Term, alpha_eq,
                     numeral_value, pretty)
 from .types import (EnvDomainError, Lolli, MetaVar, Nat, Tensor, TypingError,
                     infer, type_pretty)
 
 
-def _default_fuel() -> int:
-    return int(os.environ.get("LREC_FUEL", 100_000))
+def _fuel(flag: int | None) -> int:
+    """The budget: --fuel, else LREC_FUEL, else 10^5."""
+    where, value = "--fuel", flag
+    if flag is None:
+        where, value = "LREC_FUEL", os.environ.get("LREC_FUEL", "100000")
+    try:
+        fuel = int(value)
+    except ValueError:
+        fuel = -1
+    if fuel < 0:
+        raise ContractViolation(
+            f"{where} must be a non-negative integer, got {value!r}")
+    return fuel
 
 
 def _fail(msg: str, code: int) -> int:
@@ -84,20 +95,70 @@ def _load(path: str, calculus: str) -> tuple[Term, str]:
     return prog, _digest(data)
 
 
-def _path_str(path: str) -> str:
-    return path or "root"
+def _load_pcf(path: str):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    _, prog = parse_pcf_defs(data.decode())
+    return prog, data
+
+
+def _timed(fn, *args, **kwargs):
+    """fn's result and its wall time in ms."""
+    t0 = time.perf_counter()
+    out = fn(*args, **kwargs)
+    return out, (time.perf_counter() - t0) * 1000
+
+
+class _Steps:
+    """An on_step hook for normalize and run: keeps the last step number
+    and, given a formatter, prints one trace line per step."""
+
+    def __init__(self, show=None):
+        self.n = 0
+        self.show = show
+
+    def __call__(self, i, rule, *at):
+        self.n = i
+        if self.show is not None:
+            print(self.show(i, rule, *at))
+
+
+def _settle(out, fuel: int, used: int | None, word: str,
+            noun: str = "value") -> tuple[str, int | None, int, str]:
+    """An engine outcome as (record text, fuel_used, exit code, message).
+    The message is the result on exit 0 and the diagnostic otherwise.
+    `word` names a success in the record: value, halted or normal-form.
+    A readback's None (not a number) is stuck; `noun` names its result."""
+    if isinstance(out, FuelExhausted):
+        return "fuel-exhausted", fuel, 2, f"fuel exhausted after {fuel}"
+    if isinstance(out, Stuck):
+        if isinstance(out.at, MachineConfig):
+            return ("stuck", used, 3, f"stuck at {pretty(out.at.code)} with "
+                                      f"|stack|={len(out.at.stack)}")
+        return (f"stuck: {out.reason}", used, 3,
+                f"stuck: {out.reason}: {pretty(out.at)}")
+    if out is None:
+        return "stuck", None, 3, f"the {noun} is not a number"
+    if isinstance(out, (Val, Halted)):
+        out = out.value
+    text = str(out) if isinstance(out, int) else pretty(out)
+    return f"{word} {text}", used, 0, text
+
+
+def _finish(args, digest: str, wall: float, out, used: int | None,
+            word: str, noun: str = "value") -> int:
+    """Print an engine's result or diagnostic and append its report."""
+    record, fuel_used, code, text = _settle(out, args.fuel, used, word, noun)
+    print(text, file=sys.stdout if code == 0 else sys.stderr)
+    _report(args, record, fuel_used, wall, digest)
+    return code
 
 
 # ------------------------------------------------------------- commands
 
 def cmd_check(args) -> int:
     t, digest = _load(args.file, args.calculus)
-    t0 = time.perf_counter()
-    if args.calculus == "llcim":
-        a = mtype(t, [])
-    else:
-        a = infer(t, [])
-    wall = (time.perf_counter() - t0) * 1000
+    a, wall = _timed(mtype if args.calculus == "llcim" else infer, t, [])
     out = type_pretty(a, ground=args.ground)
     print(out)
     _report(args, f"type {out}", None, wall, digest)
@@ -107,96 +168,34 @@ def cmd_check(args) -> int:
 def cmd_eval(args) -> int:
     t, digest = _load(args.file, "lrec")
     cbv = args.strategy == "cbv"
-    t0 = time.perf_counter()
     if args.force_nat:
-        got = force_numeral(t, args.fuel, cbv=cbv)
-        wall = (time.perf_counter() - t0) * 1000
-        if isinstance(got, FuelExhausted):
-            _report(args, "fuel-exhausted", args.fuel, wall, digest)
-            return _fail(f"fuel exhausted after {args.fuel}", 2)
-        if got is None:
-            _report(args, "stuck", None, wall, digest)
-            return _fail("the value is not a number", 3)
-        print(got)
-        _report(args, f"value {got}", None, wall, digest)
-        return 0
-    outcome, used = eval_report(t, args.fuel, cbv=cbv,
-                                literal_let=args.literal_let)
-    wall = (time.perf_counter() - t0) * 1000
-    if isinstance(outcome, FuelExhausted):
-        _report(args, "fuel-exhausted", used, wall, digest)
-        return _fail(f"fuel exhausted after {args.fuel}", 2)
-    if isinstance(outcome, Stuck):
-        _report(args, f"stuck: {outcome.reason}", used, wall, digest)
-        return _fail(f"stuck: {outcome.reason}: {pretty(outcome.subterm)}", 3)
-    out = pretty(outcome.value)
-    print(out)
-    _report(args, f"value {out}", used, wall, digest)
-    return 0
+        got, wall = _timed(force_numeral, t, args.fuel, cbv=cbv)
+        return _finish(args, digest, wall, got, None, "value")
+    (out, used), wall = _timed(eval_report, t, args.fuel, cbv=cbv,
+                               literal_let=args.literal_let)
+    return _finish(args, digest, wall, out, used, "value")
 
 
 def cmd_machine(args) -> int:
     t, digest = _load(args.file, "lrec")
-    steps = 0
-
-    def trace(i, rule, config):
-        nonlocal steps
-        steps = i
-        if args.trace:
-            print(f"{i} {rule} |stack|={len(config.stack)} "
-                  f"{pretty(config.code)}")
-
-    t0 = time.perf_counter()
     if args.force_nat:
-        got = machine_force_numeral(t, args.fuel)
-        wall = (time.perf_counter() - t0) * 1000
-        if isinstance(got, MachineFuel):
-            _report(args, "fuel-exhausted", args.fuel, wall, digest)
-            return _fail(f"fuel exhausted after {args.fuel}", 2)
-        if got is None:
-            _report(args, "stuck", None, wall, digest)
-            return _fail("the machine value is not a number", 3)
-        print(got)
-        _report(args, f"value {got}", None, wall, digest)
-        return 0
-    out = run(t, args.fuel, on_step=trace)
-    wall = (time.perf_counter() - t0) * 1000
-    if isinstance(out, MachineFuel):
-        _report(args, "fuel-exhausted", args.fuel, wall, digest)
-        return _fail(f"fuel exhausted after {args.fuel}", 2)
-    if isinstance(out, MachineStuck):
-        _report(args, "stuck", steps, wall, digest)
-        return _fail(f"stuck at {pretty(out.config.code)} with "
-                     f"|stack|={len(out.config.stack)}", 3)
-    res = pretty(out.value)
-    print(res)
-    _report(args, f"halted {res}", steps, wall, digest)
-    return 0
+        got, wall = _timed(machine_force_numeral, t, args.fuel)
+        return _finish(args, digest, wall, got, None, "value", "machine value")
+    steps = _Steps((lambda i, rule, config:
+                    f"{i} {rule} |stack|={len(config.stack)} "
+                    f"{pretty(config.code)}") if args.trace else None)
+    out, wall = _timed(run, t, args.fuel, on_step=steps)
+    return _finish(args, digest, wall, out, steps.n, "halted")
 
 
 def cmd_normalize(args) -> int:
     t, digest = _load(args.file, args.calculus)
-    steps = 0
-
-    def trace(i, rule, path, term):
-        nonlocal steps
-        steps = i
-        if args.trace:
-            print(f"{i} {rule} {_path_str(path)} {pretty(term)}")
-
-    t0 = time.perf_counter()
-    if args.calculus == "llcim":
-        out = normalize_m(t, args.fuel, on_step=trace)
-    else:
-        out = normalize(t, args.fuel, on_step=trace)
-    wall = (time.perf_counter() - t0) * 1000
-    if isinstance(out, FuelExhausted):
-        _report(args, "fuel-exhausted", args.fuel, wall, digest)
-        return _fail(f"fuel exhausted after {args.fuel}", 2)
-    res = pretty(out)
-    print(res)
-    _report(args, f"normal-form {res}", steps, wall, digest)
-    return 0
+    steps = _Steps((lambda i, rule, path, term:
+                    f"{i} {rule} {path or 'root'} {pretty(term)}")
+                   if args.trace else None)
+    engine = normalize_m if args.calculus == "llcim" else normalize
+    out, wall = _timed(engine, t, args.fuel, on_step=steps)
+    return _finish(args, digest, wall, out, steps.n, "normal-form")
 
 
 def cmd_stdlib(args) -> int:
@@ -213,18 +212,13 @@ def cmd_stdlib(args) -> int:
 
 
 def cmd_pcf_check(args) -> int:
-    with open(args.file, "rb") as fh:
-        data = fh.read()
-    _, prog = parse_pcf_defs(data.decode())
-    a = pcf_check(prog, {})
-    print(pcf_type_pretty(a))
+    prog, _ = _load_pcf(args.file)
+    print(pcf_type_pretty(pcf_check(prog, {})))
     return 0
 
 
 def cmd_pcf_eval(args) -> int:
-    with open(args.file, "rb") as fh:
-        data = fh.read()
-    _, prog = parse_pcf_defs(data.decode())
+    prog, _ = _load_pcf(args.file)
     pcf_check(prog, {})
     v = pcf_eval(prog, args.fuel)
     if isinstance(v, FuelExhausted):
@@ -234,9 +228,7 @@ def cmd_pcf_eval(args) -> int:
 
 
 def cmd_pcf_compile(args) -> int:
-    with open(args.file, "rb") as fh:
-        data = fh.read()
-    _, prog = parse_pcf_defs(data.decode())
+    prog, _ = _load_pcf(args.file)
     print(pretty(compile_pcf(prog, [])))
     return 0
 
@@ -262,42 +254,16 @@ def _shape_ok(t: Term, a) -> bool:
 def _difftest_term(t: Term, a, fuel: int, digest: str,
                    emit) -> str | None:
     """Run the three engines; None when they agree, else a complaint."""
-    steps = 0
-
-    def count_norm(i, rule, path, term):
-        nonlocal steps
-        steps = i
-
-    t0 = time.perf_counter()
-    nf = normalize(t, fuel, on_step=count_norm)
-    norm_wall = (time.perf_counter() - t0) * 1000
-    if isinstance(nf, FuelExhausted):
-        emit("difftest/normalize", digest, "fuel-exhausted", fuel, norm_wall)
-    else:
-        emit("difftest/normalize", digest, f"normal-form {pretty(nf)}",
-             steps, norm_wall)
-
-    t0 = time.perf_counter()
-    ev, used = eval_report(t, fuel)
-    ev_wall = (time.perf_counter() - t0) * 1000
-    emit("difftest/eval", digest,
-         "fuel-exhausted" if isinstance(ev, FuelExhausted)
-         else f"stuck: {ev.reason}" if isinstance(ev, Stuck)
-         else f"value {pretty(ev.value)}", used, ev_wall)
-
-    msteps = 0
-
-    def count_mach(i, rule, config):
-        nonlocal msteps
-        msteps = i
-
-    t0 = time.perf_counter()
-    mc = run(t, fuel, on_step=count_mach)
-    m_wall = (time.perf_counter() - t0) * 1000
+    steps = _Steps()
+    nf, wall = _timed(normalize, t, fuel, on_step=steps)
+    emit("difftest/normalize", digest,
+         *_settle(nf, fuel, steps.n, "normal-form")[:2], wall)
+    (ev, used), wall = _timed(eval_report, t, fuel)
+    emit("difftest/eval", digest, *_settle(ev, fuel, used, "value")[:2], wall)
+    steps = _Steps()
+    mc, wall = _timed(run, t, fuel, on_step=steps)
     emit("difftest/machine", digest,
-         "fuel-exhausted" if isinstance(mc, MachineFuel)
-         else "stuck" if isinstance(mc, MachineStuck)
-         else f"halted {pretty(mc.value)}", msteps, m_wall)
+         *_settle(mc, fuel, steps.n, "halted")[:2], wall)
 
     if isinstance(ev, Val) != isinstance(mc, Halted):
         return "machine and eval_cbn disagree on convergence"
@@ -345,9 +311,7 @@ def cmd_difftest(args) -> int:
         elif name.endswith(".pcf"):
             entries += 1
             try:
-                with open(full, "rb") as fh:
-                    data = fh.read()
-                _, prog = parse_pcf_defs(data.decode())
+                prog, data = _load_pcf(full)
                 if pcf_fv(prog):
                     raise ParseError("program is open", 1, 1)
                 pa = pcf_check(prog, {})
@@ -364,21 +328,16 @@ def cmd_difftest(args) -> int:
                 skipped += 1
                 continue
             digest = _digest(data)
-            t0 = time.perf_counter()
-            ref = pcf_eval(prog, args.fuel)
-            ref_wall = (time.perf_counter() - t0) * 1000
+            ref, wall = _timed(pcf_eval, prog, args.fuel)
             ref_n = ref.n if isinstance(ref, NumConst) else None
             emit("difftest/pcf-ref", digest,
                  "fuel-exhausted" if ref_n is None else f"value {ref_n}",
-                 None, ref_wall)
-            t0 = time.perf_counter()
-            got = force_numeral(compile_pcf(prog, []), args.fuel * 100)
-            comp_wall = (time.perf_counter() - t0) * 1000
-            comp_n = None if isinstance(got, FuelExhausted) else got
+                 None, wall)
+            got, wall = _timed(lambda: force_numeral(compile_pcf(prog, []),
+                                                     args.fuel * 100))
             emit("difftest/pcf-compiled", digest,
-                 "fuel-exhausted" if isinstance(got, FuelExhausted)
-                 else "stuck" if got is None else f"value {got}",
-                 None, comp_wall)
+                 _settle(got, args.fuel * 100, None, "value")[0], None, wall)
+            comp_n = None if isinstance(got, FuelExhausted) else got
             if ref_n != comp_n:
                 src = data.decode().strip()
                 bad.append(f"{name}: reference {ref_n} vs compiled "
@@ -413,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, fuel=True, report=True):
         if fuel:
-            p.add_argument("--fuel", type=int, default=_default_fuel(),
+            p.add_argument("--fuel", type=int,
                            help="rule-instance budget (default 10^5, "
                                 "env LREC_FUEL)")
         if report:
@@ -492,6 +451,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if "fuel" in args:
+            args.fuel = _fuel(args.fuel)
         return args.func(args)
     except (ParseError, LinearityError) as e:
         return _fail(f"syntax: {e}", 1)

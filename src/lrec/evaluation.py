@@ -5,19 +5,20 @@ tail position (function bodies, chosen branches, the Rec continuation)
 are iterated rather than recursed, so Python stack depth tracks only
 the non-tail premises (evaluating heads and scrutinees).
 
-Fuel is one shared counter for the whole derivation, decremented once
+Fuel is one `terms.Fuel` cell for the whole derivation, ticked once
 per rule instance, including the axiom that returns a value unchanged.
 Constructor mismatches (applying a pair, splitting a number) are data
-errors reported as Stuck; an open input is a caller bug and faults.
+errors, reported as the shared `terms.Stuck` outcome; an open input is
+a caller bug and faults.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import (App, ContractViolation, Lam, LetPair, Pair, Rec, Suc,
-                    Term, Zero, is_value, subst)
-from .reduction import FuelExhausted
+from .terms import (App, ContractViolation, Fuel, FuelExhausted, Lam, LetPair,
+                    OutOfFuel, Pair, Rec, Stuck, Suc, Term, Zero, is_value,
+                    read_numeral, require_closed, subst)
 
 
 @dataclass(frozen=True)
@@ -25,38 +26,10 @@ class Val:
     value: Term
 
 
-@dataclass(frozen=True)
-class Stuck:
-    reason: str
-    subterm: Term
-
-
 EvalOutcome = Val | FuelExhausted | Stuck
 
 
-class _Fuel:
-    __slots__ = ("remaining",)
-
-    def __init__(self, remaining: int):
-        self.remaining = remaining
-
-    def tick(self):
-        if self.remaining == 0:
-            raise _OutOfFuel()
-        self.remaining -= 1
-
-
-class _OutOfFuel(Exception):
-    pass
-
-
-class _StuckErr(Exception):
-    def __init__(self, reason: str, subterm: Term):
-        self.reason = reason
-        self.subterm = subterm
-
-
-def _eval(t: Term, fuel: _Fuel, cbv: bool, literal_let: bool) -> Term:
+def _eval(t: Term, fuel: Fuel, cbv: bool, literal_let: bool) -> Term:
     while True:
         if is_value(t):
             fuel.tick()  # rule Val
@@ -65,7 +38,7 @@ def _eval(t: Term, fuel: _Fuel, cbv: bool, literal_let: bool) -> Term:
             case App(fun=f, arg=a):
                 fv = _eval(f, fuel, cbv, literal_let)
                 if not isinstance(fv, Lam):
-                    raise _StuckErr("applied a non-function", fv)
+                    raise Stuck("applied a non-function", fv)
                 fuel.tick()  # rule App
                 if cbv:
                     a = _eval(a, fuel, cbv, literal_let)
@@ -73,7 +46,7 @@ def _eval(t: Term, fuel: _Fuel, cbv: bool, literal_let: bool) -> Term:
             case LetPair(scrut=s, x=x, y=y, body=b):
                 sv = _eval(s, fuel, cbv, literal_let)
                 if not isinstance(sv, Pair):
-                    raise _StuckErr("split a non-pair", sv)
+                    raise Stuck("split a non-pair", sv)
                 fuel.tick()  # rule Let
                 if literal_let:
                     t = App(App(Lam(x, Lam(y, b)), sv.left), sv.right)
@@ -82,7 +55,7 @@ def _eval(t: Term, fuel: _Fuel, cbv: bool, literal_let: bool) -> Term:
             case Rec(scrut=s, base=u, step=v, update=w):
                 sv = _eval(s, fuel, cbv, literal_let)
                 if not isinstance(sv, Pair):
-                    raise _StuckErr("recursed on a non-pair", sv)
+                    raise Stuck("recursed on a non-pair", sv)
                 head = _eval(sv.left, fuel, cbv, literal_let)
                 if isinstance(head, Zero):
                     fuel.tick()  # rule Rec1
@@ -91,58 +64,37 @@ def _eval(t: Term, fuel: _Fuel, cbv: bool, literal_let: bool) -> Term:
                     fuel.tick()  # rule Rec2
                     t = App(v, Rec(App(w, Pair(head.body, sv.right)), u, v, w))
                 else:
-                    raise _StuckErr("recursed on a non-number", head)
+                    raise Stuck("recursed on a non-number", head)
             case _:
                 raise ContractViolation(
                     f"cannot evaluate a {type(t).__name__} node")
 
 
-def _outcome(t: Term, fuel: int, cbv: bool, literal_let: bool) -> EvalOutcome:
-    return eval_report(t, fuel, cbv, literal_let)[0]
-
-
 def eval_report(t: Term, fuel: int, cbv: bool = False,
                 literal_let: bool = False) -> tuple[EvalOutcome, int]:
     """Outcome plus the number of rule instances it took."""
-    if t.fv:
-        raise ContractViolation(f"input is open: free {sorted(t.fv)}")
-    cell = _Fuel(fuel)
+    require_closed(t)
+    cell = Fuel(fuel)
     try:
         return Val(_eval(t, cell, cbv, literal_let)), fuel - cell.remaining
-    except _OutOfFuel:
+    except OutOfFuel:
         return FuelExhausted(t), fuel
-    except _StuckErr as e:
-        return Stuck(e.reason, e.subterm), fuel - cell.remaining
+    except Stuck as e:
+        return e.with_traceback(None), fuel - cell.remaining
 
 
 def eval_cbn(t: Term, fuel: int, literal_let: bool = False) -> EvalOutcome:
     """Call by name: App substitutes the unevaluated argument."""
-    return _outcome(t, fuel, False, literal_let)
+    return eval_report(t, fuel, False, literal_let)[0]
 
 
 def eval_cbv(t: Term, fuel: int, literal_let: bool = False) -> EvalOutcome:
     """Call by value: App evaluates the argument before substituting.
     Everything else, including Rec, is unchanged from CBN."""
-    return _outcome(t, fuel, True, literal_let)
+    return eval_report(t, fuel, True, literal_let)[0]
 
 
 def force_numeral(t: Term, fuel: int, cbv: bool = False) -> int | FuelExhausted | None:
     """Evaluate hereditarily under S until 0: the numeral denoted by t.
     None when some whnf along the way is not a number."""
-    if t.fv:
-        raise ContractViolation(f"input is open: free {sorted(t.fv)}")
-    cell = _Fuel(fuel)
-    n = 0
-    try:
-        while True:
-            v = _eval(t, cell, cbv, False)
-            if isinstance(v, Zero):
-                return n
-            if not isinstance(v, Suc):
-                return None
-            n += 1
-            t = v.body
-    except _OutOfFuel:
-        return FuelExhausted(t)
-    except _StuckErr:
-        return None
+    return read_numeral(t, fuel, lambda u, cell: _eval(u, cell, cbv, False))

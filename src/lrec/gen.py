@@ -17,9 +17,8 @@ from __future__ import annotations
 import random
 
 from .stdlib import erase_term
-from .terms import (App, Lam, LetPair, Pair, Rec, Suc, Term, Var, Zero,
-                    numeral)
-from .types import LinType, Lolli, NAT, Nat, Tensor
+from .terms import App, Lam, LetPair, Pair, Rec, Suc, Term, Var, numeral
+from .types import LinType, Lolli, NAT, Tensor
 
 
 def random_type(rng: random.Random, depth: int = 2) -> LinType:

@@ -9,15 +9,17 @@ first to become a number.
 Closedness does the work an environment usually does: every term that
 reaches the stack is closed (a pending split body is closed up to its
 two pattern variables), so (abs) and (pair1) can substitute directly.
-One fuel unit per transition.
+One fuel unit per transition. Outcomes, fuel and numeral readback are
+the shared ones from `terms`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import (App, ContractViolation, Lam, LetPair, Pair, Rec, Suc,
-                    Term, Zero, is_value, subst)
+from .terms import (App, Fuel, FuelExhausted, Lam, LetPair, OutOfFuel, Pair,
+                    Rec, Stuck, Suc, Term, Zero, is_value, read_numeral,
+                    require_closed, subst)
 
 
 class ExtTerm:
@@ -63,17 +65,6 @@ class MachineConfig:
 @dataclass(frozen=True)
 class Halted:
     value: Term
-    residual_stack: list
-
-
-@dataclass(frozen=True)
-class FuelExhausted:
-    config: MachineConfig
-
-
-@dataclass(frozen=True)
-class Stuck:
-    config: MachineConfig
 
 
 MachineOutcome = Halted | FuelExhausted | Stuck
@@ -104,59 +95,42 @@ def _step(code: Term, stack: Stack) -> tuple[Term, Stack, str] | None:
     return None
 
 
-def machine_step(c: MachineConfig) -> tuple[MachineConfig, str] | None:
-    got = _step(c.code, c.stack)
-    if got is None:
-        return None
-    code, stack, rule = got
-    return MachineConfig(code, stack), rule
+def _run(code: Term, fuel: Fuel, on_step=None) -> Term:
+    """Drive (code, []) until it halts on a value with an empty stack.
+    Raises Stuck or OutOfFuel, both carrying the configuration reached.
+    The hot loop counts in a local and settles with the cell on exit."""
+    stack: Stack = ()
+    budget = remaining = fuel.remaining
+    try:
+        while True:
+            got = _step(code, stack)
+            if got is None:
+                if is_value(code) and not stack:
+                    return code
+                raise Stuck("no transition applies", MachineConfig(code, stack))
+            if remaining == 0:
+                raise OutOfFuel(MachineConfig(code, stack))
+            remaining -= 1
+            code, stack, rule = got
+            if on_step is not None:
+                on_step(budget - remaining, rule, MachineConfig(code, stack))
+    finally:
+        fuel.remaining = remaining
 
 
 def run(t: Term, fuel: int, on_step=None) -> MachineOutcome:
     """Drive (t, []) until no transition applies or fuel runs out.
     on_step(i, rule, config) observes each transition, for tracing."""
-    if t.fv:
-        raise ContractViolation(f"input is open: free {sorted(t.fv)}")
-    code: Term = t
-    stack: Stack = ()
-    remaining = fuel
-    count = 0
-    while True:
-        got = _step(code, stack)
-        if got is None:
-            if is_value(code) and not stack:
-                return Halted(code, [])
-            return Stuck(MachineConfig(code, stack))
-        if remaining == 0:
-            return FuelExhausted(MachineConfig(code, stack))
-        remaining -= 1
-        count += 1
-        code, stack, rule = got
-        if on_step is not None:
-            on_step(count, rule, MachineConfig(code, stack))
+    require_closed(t)
+    try:
+        return Halted(_run(t, Fuel(fuel), on_step))
+    except OutOfFuel as e:
+        return FuelExhausted(e.args[0])
+    except Stuck as e:
+        return e.with_traceback(None)
 
 
 def machine_force_numeral(t: Term, fuel: int) -> int | FuelExhausted | None:
     """Numeral readback: run, then keep running on the body of each S.
     Fuel is shared across the whole readback."""
-    if t.fv:
-        raise ContractViolation(f"input is open: free {sorted(t.fv)}")
-    code: Term = t
-    stack: Stack = ()
-    remaining = fuel
-    n = 0
-    while True:
-        got = _step(code, stack)
-        if got is None:
-            if not stack:
-                if isinstance(code, Zero):
-                    return n
-                if isinstance(code, Suc):
-                    n += 1
-                    code = code.body
-                    continue
-            return None
-        if remaining == 0:
-            return FuelExhausted(MachineConfig(code, stack))
-        remaining -= 1
-        code, stack, _ = got
+    return read_numeral(t, fuel, _run)

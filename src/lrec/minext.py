@@ -9,10 +9,9 @@ reduction; there is no dedicated big-step evaluator for this calculus.
 
 from __future__ import annotations
 
-from .reduction import (FuelExhausted, Stepped, _normalize_with, _step_lo,
-                        step_root)
-from .terms import (App, ContractViolation, Iter, Lam, LetPair, Min, Pair,
-                    Rec, Suc, Term, Var, Zero, children, numeral)
+from .reduction import Stepped, _normalize_with, _step_lo, step_root
+from .terms import (App, ContractViolation, FuelExhausted, Iter, Lam, LetPair,
+                    Min, Pair, Rec, Suc, Term, Var, Zero, children)
 from .types import LinType, infer
 
 

@@ -12,9 +12,9 @@ against its own earlier definitions first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
-from .terms import (App, Iter, Lam, LetPair, Min, Pair, Rec, Suc, Term, Var,
+from .terms import (App, Iter, Lam, LetPair, Min, Rec, Suc, Term, Var,
                     Violation, check_linear, freshen, mk_tuple, numeral)
 from .types import LinType, Lolli, NAT, Tensor
 
@@ -115,15 +115,15 @@ _KEYWORDS = {"let", "in", "rec", "iter", "min", "S"}
 
 # resolver: (name, type-argument text or None) -> Term, or None when unknown
 Resolver = Callable[[str, Optional[str]], Optional[Term]]
+T = TypeVar("T")
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token], calculus: str, resolve: Resolver | None):
-        if calculus not in ("lrec", "llcim"):
-            raise ValueError(f"unknown calculus {calculus!r}")
+class TokenStream:
+    """Cursor over a token list, shared by the term, type and PCF parsers."""
+
+    def __init__(self, tokens: list[Token], resolve=None):
         self.toks = tokens
         self.pos = 0
-        self.calculus = calculus
         self.resolve = resolve
 
     def peek(self, ahead: int = 0) -> Token:
@@ -145,6 +145,14 @@ class _Parser:
     def fail(self, msg: str):
         t = self.peek()
         raise ParseError(msg, t.line, t.col)
+
+
+class _Parser(TokenStream):
+    def __init__(self, tokens: list[Token], calculus: str, resolve: Resolver | None):
+        if calculus not in ("lrec", "llcim"):
+            raise ValueError(f"unknown calculus {calculus!r}")
+        super().__init__(tokens, resolve)
+        self.calculus = calculus
 
     # -- terms -------------------------------------------------------------
 
@@ -322,6 +330,30 @@ def parse_type(text: str) -> LinType:
     return a
 
 
+def definitions(p: TokenStream, term: Callable[[], T],
+                local: dict[str, T]) -> T:
+    """The definition-file loop shared by both languages: `name = term;`
+    entries, stored in order in `local` (which the caller's resolver
+    reads, so later entries can refer to earlier ones), the last one
+    being the program; or else a single bare term."""
+    if not (p.peek().kind == "ident" and p.peek(1).kind == "eq"):
+        t = term()
+        p.expect("eof", "end of input")
+        return t
+    while p.peek().kind != "eof":
+        name = p.expect("ident", "a definition name").text
+        p.expect("eq", "'='")
+        t = term()
+        if p.peek().kind == "semi":
+            p.next()
+        elif p.peek().kind != "eof":
+            p.expect("semi", "';'")
+        if name in local:
+            p.fail(f"duplicate definition {name}")
+        local[name] = t
+    return t
+
+
 def parse_defs(text: str, calculus: str = "lrec",
                resolve: Resolver | None = None) -> tuple[list[tuple[str, Term]], Term]:
     """Parse a definition file: `name = term;` entries, the last one being
@@ -335,22 +367,5 @@ def parse_defs(text: str, calculus: str = "lrec",
         return resolve(name, arg) if resolve else None
 
     p = _Parser(lex(text), calculus, chained)
-    defs: list[tuple[str, Term]] = []
-    if p.peek().kind == "ident" and p.peek(1).kind == "eq":
-        while p.peek().kind != "eof":
-            name = p.expect("ident", "a definition name").text
-            p.expect("eq", "'='")
-            body = _finish(p.term())
-            if p.peek().kind == "semi":
-                p.next()
-            elif p.peek().kind != "eof":
-                p.expect("semi", "';'")
-            if name in local:
-                tok = p.peek()
-                raise ParseError(f"duplicate definition {name}", tok.line, tok.col)
-            local[name] = body
-            defs.append((name, body))
-        return defs, defs[-1][1]
-    t = _finish(p.term())
-    p.expect("eof", "end of input")
-    return [], t
+    program = definitions(p, lambda: _finish(p.term()), local)
+    return list(local.items()), program

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .parser import ParseError, Token, lex
-from .reduction import FuelExhausted
+from .parser import ParseError, TokenStream, definitions, lex
 from .stdlib import cond_enc, dup, erase_term, fix, fst_enc, identity, snd_enc
-from .terms import (App, ContractViolation, Lam, LetPair, Pair, Rec, Suc,
-                    Term, Var, Zero, fresh_name, numeral, rename)
+from .terms import (App, ContractViolation, Fuel, FuelExhausted, Lam, LetPair,
+                    OutOfFuel, Pair, Rec, Suc, Term, Var, Zero, children,
+                    fresh_name, numeral, rename)
 from .types import LinType, Lolli, NAT, TypingError
 
 
@@ -222,29 +222,13 @@ def pcf_subst(t: PcfTerm, x: str, s: PcfTerm) -> PcfTerm:
     return go(t)
 
 
-class _Fuel:
-    __slots__ = ("remaining",)
-
-    def __init__(self, remaining: int):
-        self.remaining = remaining
-
-    def tick(self):
-        if self.remaining == 0:
-            raise _OutOfFuel()
-        self.remaining -= 1
-
-
-class _OutOfFuel(Exception):
-    pass
-
-
 def _num_of(v: PcfTerm, who: str) -> int:
     if not isinstance(v, NumConst):
         raise ContractViolation(f"{who} applied to a non-number value")
     return v.n
 
 
-def _peval(t: PcfTerm, fuel: _Fuel) -> PcfTerm:
+def _peval(t: PcfTerm, fuel: Fuel) -> PcfTerm:
     while True:
         if pcf_is_value(t):
             fuel.tick()
@@ -290,8 +274,8 @@ def pcf_eval(t: PcfTerm, fuel: int) -> PcfTerm | FuelExhausted:
     if pcf_fv(t):
         raise ContractViolation(f"input is open: free {sorted(pcf_fv(t))}")
     try:
-        return _peval(t, _Fuel(fuel))
-    except _OutOfFuel:
+        return _peval(t, Fuel(fuel))
+    except OutOfFuel:
         return FuelExhausted(t)
 
 
@@ -303,10 +287,6 @@ def type_trans(a: PcfType) -> LinType:
     return Lolli(type_trans(a.dom), type_trans(a.cod))
 
 
-def env_trans(env: list[tuple[str, PcfType]]) -> list[tuple[str, LinType]]:
-    return [(x, type_trans(a)) for x, a in env]
-
-
 def _all_names(t: Term) -> set[str]:
     out: set[str] = set()
     stack = [t]
@@ -316,29 +296,10 @@ def _all_names(t: Term) -> set[str]:
             out.add(cur.name)
         elif isinstance(cur, Lam):
             out.add(cur.binder)
-            stack.append(cur.body)
         elif isinstance(cur, LetPair):
-            out.add(cur.x)
-            out.add(cur.y)
-            stack.append(cur.scrut)
-            stack.append(cur.body)
-        else:
-            stack.extend(c for c in _kids(cur))
+            out.update((cur.x, cur.y))
+        stack.extend(children(cur))
     return out
-
-
-def _kids(t: Term) -> tuple[Term, ...]:
-    match t:
-        case Suc(body=b):
-            return (b,)
-        case App(fun=f, arg=a):
-            return (f, a)
-        case Pair(left=l, right=r):
-            return (l, r)
-        case Rec(scrut=s, base=u, step=v, update=w):
-            return (s, u, v, w)
-        case _:
-            return ()
 
 
 def close_var(x: str, t: Term, a: LinType) -> Term:
@@ -458,27 +419,7 @@ def compile_pcf(t: PcfTerm, env: list[tuple[str, PcfType]]) -> Term:
 _RESERVED = {"fun", "succ", "pred", "iszero", "cond", "Y", "Nat"}
 
 
-class _PcfParser:
-    def __init__(self, toks: list[Token], resolve=None):
-        self.toks = toks
-        self.pos = 0
-        self.resolve = resolve
-
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
-    def next(self) -> Token:
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.text!r}",
-                             tok.line, tok.col)
-        return tok
-
+class _PcfParser(TokenStream):
     def term(self) -> PcfTerm:
         tok = self.peek()
         if tok.kind == "ident" and tok.text == "fun":
@@ -557,10 +498,7 @@ class _PcfParser:
 def parse_pcf(text: str, resolve=None) -> PcfTerm:
     p = _PcfParser(lex(text), resolve)
     t = p.term()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected {tok.text!r} after the term",
-                         tok.line, tok.col)
+    p.expect("eof", "end of input")
     return t
 
 
@@ -577,33 +515,4 @@ def parse_pcf_defs(text: str, resolve=None) \
         return resolve(name) if resolve else None
 
     p = _PcfParser(lex(text), chained)
-    first = p.peek()
-    is_defs = (first.kind == "ident" and first.text not in _RESERVED
-               and p.toks[p.pos + 1].kind == "eq")
-    if not is_defs:
-        t = p.term()
-        tok = p.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected {tok.text!r} after the term",
-                             tok.line, tok.col)
-        return {}, t
-
-    last: PcfTerm | None = None
-    while p.peek().kind != "eof":
-        name = p.expect("ident", "a definition name")
-        if name.text in defs:
-            raise ParseError(f"duplicate definition {name.text!r}",
-                             name.line, name.col)
-        p.expect("eq", "'='")
-        body = p.term()
-        defs[name.text] = body
-        last = body
-        if p.peek().kind == "semi":
-            p.next()
-        elif p.peek().kind != "eof":
-            tok = p.peek()
-            raise ParseError(f"expected ';', found {tok.text!r}",
-                             tok.line, tok.col)
-    if last is None:
-        raise ParseError("empty file", 1, 1)
-    return defs, last
+    return defs, definitions(p, p.term, defs)

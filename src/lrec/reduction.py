@@ -17,8 +17,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .terms import (App, ContractViolation, Iter, Lam, LetPair, Min, Pair,
-                    Rec, Suc, Term, Zero, children, is_value, subst)
+from .terms import (App, ContractViolation, Fuel, FuelExhausted, Iter, Lam,
+                    LetPair, Min, OutOfFuel, Pair, Rec, Suc, Term, Zero,
+                    children, subst)
 
 
 @dataclass(frozen=True)
@@ -26,16 +27,6 @@ class Stepped:
     next: Term
     rule: str
     path: str  # dot-separated child indices, "" for the root
-
-
-@dataclass(frozen=True)
-class NormalForm:
-    pass
-
-
-@dataclass(frozen=True)
-class FuelExhausted:
-    last: Term
 
 
 RootStep = Callable[[Term], Optional[tuple[Term, str]]]
@@ -143,65 +134,23 @@ OnStep = Callable[[int, str, str, Term], None]
 
 def _normalize_with(t: Term, fuel: int, root_fn: RootStep, flag: str,
                     on_step: OnStep | None) -> Term | FuelExhausted:
-    remaining = fuel
-    count = 0
-    while True:
-        s = _step_lo(t, root_fn, flag)
-        if s is None:
-            return t
-        if remaining == 0:
-            return FuelExhausted(t)
-        remaining -= 1
-        count += 1
-        t = s.next
-        if on_step is not None:
-            on_step(count, s.rule, s.path, t)
+    cell = Fuel(fuel)
+    try:
+        while True:
+            s = _step_lo(t, root_fn, flag)
+            if s is None:
+                return t
+            cell.tick()
+            t = s.next
+            if on_step is not None:
+                on_step(fuel - cell.remaining, s.rule, s.path, t)
+    except OutOfFuel:
+        return FuelExhausted(t)
 
 
 def normalize(t: Term, fuel: int, on_step: OnStep | None = None) -> Term | FuelExhausted:
     """Leftmost-outermost reduction to normal form, at most fuel steps."""
     return _normalize_with(t, fuel, step_root, "nf", on_step)
-
-
-def _head_step(t: Term) -> Term | None:
-    """One root-rule application in head position (under App funs and
-    scrutinees), or None when the head is finished or blocked."""
-    rebuilds: list[Callable[[Term], Term]] = []
-    cur = t
-    while True:
-        r = step_root(cur)
-        if r is not None:
-            new = r[0]
-            for f in reversed(rebuilds):
-                new = f(new)
-            return new
-        match cur:
-            case App(fun=f, arg=a) if not is_value(f):
-                rebuilds.append(lambda x, a=a: App(x, a))
-                cur = f
-            case LetPair(scrut=s, x=x, y=y, body=b) if not is_value(s):
-                rebuilds.append(lambda z, x=x, y=y, b=b: LetPair(z, x, y, b))
-                cur = s
-            case Rec(scrut=s, base=u, step=v, update=w) if not is_value(s):
-                rebuilds.append(lambda z, u=u, v=v, w=w: Rec(z, u, v, w))
-                cur = s
-            case _:
-                return None
-
-
-def reduce_whnf(t: Term, fuel: int) -> Term | FuelExhausted:
-    """Head reduction until the root is a value (0, S, lambda, pair) or
-    no head step applies (the result is then returned as is)."""
-    remaining = fuel
-    while not is_value(t):
-        new = _head_step(t)
-        if new is None:
-            return t
-        if remaining == 0:
-            return FuelExhausted(t)
-        remaining -= 1
-        t = new
-    return t
 
 
 def enumerate_redexes(t: Term, root_fn: RootStep = step_root,

@@ -9,13 +9,16 @@ produce terms for which check_linear returns no violations.
 
 The same node classes serve both calculi: Rec belongs to the recursor
 calculus, Iter and Min to the minimiser calculus. Engines guard the
-constructor set they accept.
+constructor set they accept. The engines also share their outcomes
+(FuelExhausted, Stuck), their fuel cell and the numeral readback loop,
+defined here.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 # Deep chains of S constructors are the only tall structures around;
 # most traversals peel them iteratively, the rest need headroom.
@@ -26,6 +29,55 @@ EMPTY: frozenset[str] = frozenset()
 
 class ContractViolation(Exception):
     """A caller broke a documented precondition (a bug, not bad data)."""
+
+
+def require_closed(t: Term):
+    if t.fv:
+        raise ContractViolation(f"input is open: free {sorted(t.fv)}")
+
+
+# --------------------------------------------------------------------------
+# engine outcomes and fuel, shared by every engine
+
+
+@dataclass(frozen=True)
+class FuelExhausted:
+    """The budget ran out; `at` is where the engine stopped: a term, or a
+    machine configuration."""
+    at: object
+
+
+class Stuck(Exception):
+    """No rule applies and `at` (a term, or a machine configuration) is
+    not a value: applying a pair, splitting a number. Raised inside an
+    engine to unwind its derivation, and returned as its outcome."""
+
+    def __init__(self, reason: str, at: object):
+        super().__init__(reason)
+        self.reason = reason
+        self.at = at
+
+
+class OutOfFuel(Exception):
+    """The budget is spent: raised by Fuel.tick, or by an engine loop that
+    counts locally with where it stopped as the argument. Each engine
+    turns it into FuelExhausted."""
+
+
+class Fuel:
+    """A rule-instance budget, one per engine run."""
+
+    __slots__ = ("remaining",)
+
+    def __init__(self, budget: int):
+        if budget < 0:
+            raise ContractViolation(f"fuel must be non-negative, got {budget}")
+        self.remaining = budget
+
+    def tick(self):
+        if self.remaining == 0:
+            raise OutOfFuel()
+        self.remaining -= 1
 
 
 class Term:
@@ -137,10 +189,6 @@ class Min(Term):
         self.counter = counter
         self.fn = fn
         self.fv = scrut.fv | counter.fv | fn.fv
-
-
-def free_vars(t: Term) -> frozenset[str]:
-    return t.fv
 
 
 def is_value(t: Term) -> bool:
@@ -409,6 +457,30 @@ def numeral_value(t: Term) -> int | None:
     return n if isinstance(t, Zero) else None
 
 
+def read_numeral(t: Term, fuel: int,
+                 whnf: Callable[[Term, Fuel], Term]) -> int | FuelExhausted | None:
+    """Numeral readback: reduce t to weak head normal form with an
+    engine's whnf step, then again under each S, until 0. One budget
+    serves the whole readback. None when some whnf is not a number or
+    the engine is stuck."""
+    require_closed(t)
+    cell = Fuel(fuel)
+    n = 0
+    try:
+        while True:
+            v = whnf(t, cell)
+            if isinstance(v, Zero):
+                return n
+            if not isinstance(v, Suc):
+                return None
+            n += 1
+            t = v.body
+    except OutOfFuel:
+        return FuelExhausted(t)
+    except Stuck:
+        return None
+
+
 def fresh_name(avoid: set[str] | frozenset[str], base: str = "p") -> str:
     if base not in avoid:
         return base
@@ -425,25 +497,6 @@ def mk_tuple(ts: list[Term]) -> Term:
     out = ts[-1]
     for part in reversed(ts[:-1]):
         out = Pair(part, out)
-    return out
-
-
-def let_tuple(scrut: Term, vs: list[str], body: Term) -> Term:
-    """let <v1, ..., vn> = scrut in body, as nested pair splits."""
-    if len(vs) < 2:
-        raise ContractViolation("tuple patterns have at least two variables")
-    avoid = set(scrut.fv) | set(body.fv) | set(vs)
-    scruts: list[Term] = [scrut]
-    links: list[str] = []
-    for _ in range(len(vs) - 2):
-        link = fresh_name(avoid, "t")
-        avoid.add(link)
-        links.append(link)
-        scruts.append(Var(link))
-    out = body
-    for i in range(len(vs) - 2, -1, -1):
-        second = vs[i + 1] if i == len(vs) - 2 else links[i]
-        out = LetPair(scruts[i], vs[i], second, out)
     return out
 
 

@@ -92,19 +92,6 @@ def type_pretty(a: LinType, ground: bool = False) -> str:
     return go(a, 0)
 
 
-def ground_type(a: LinType) -> LinType:
-    """Instantiate every MetaVar to Nat."""
-    match a:
-        case MetaVar():
-            return NAT
-        case Lolli(dom=d, cod=c):
-            return Lolli(ground_type(d), ground_type(c))
-        case Tensor(left=l, right=r):
-            return Tensor(ground_type(l), ground_type(r))
-        case _:
-            return a
-
-
 # --------------------------------------------------------------------------
 # unification
 

@@ -1,12 +1,14 @@
 """CLI behavior: exit codes, printed results, reports, difftest."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import lrec.cli
 from lrec.cli import main
 from lrec.machine import Halted
 from lrec.parser import parse, parse_type
@@ -116,6 +118,31 @@ def test_fuel_env_override(capsys, monkeypatch):
     monkeypatch.setenv("LREC_FUEL", "3")
     code, _, err = run_cli(capsys, "eval", str(CORPUS / "add23.lrec"))
     assert code == 2 and "3" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "--fuel", "-1", str(CORPUS / "delta.lrec")],
+    ["eval", "--fuel", "-1", str(CORPUS / "delta.lrec")],
+    ["machine", "--force-nat", "--fuel", "-5", str(CORPUS / "fix_id.lrec")],
+    ["difftest", "--fuel", "-1", str(CORPUS)],
+])
+def test_negative_fuel_is_bad_input(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "--fuel" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", ""])
+def test_bad_fuel_env_is_bad_input(capsys, monkeypatch, value):
+    monkeypatch.setenv("LREC_FUEL", value)
+    code, out, err = run_cli(capsys, "eval", str(CORPUS / "add23.lrec"))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "LREC_FUEL" in err
+    # commands without a budget never read it
+    assert run_cli(capsys, "check", str(CORPUS / "add23.lrec"))[0] == 0
+    # an explicit budget wins over it
+    assert run_cli(capsys, "eval", "--fuel", "50",
+                   str(CORPUS / "add23.lrec"))[0] == 0
 
 
 # ---------------------------------------------------------------- machine
@@ -291,7 +318,7 @@ def test_difftest_names_the_counterexample(capsys, tmp_path, monkeypatch):
     d.mkdir()
     (d / "one.lrec").write_text("(\\x. x) 0")
     monkeypatch.setattr("lrec.cli.run",
-                        lambda t, fuel, on_step=None: Halted(numeral(9), []))
+                        lambda t, fuel, on_step=None: Halted(numeral(9)))
     code, _, err = run_cli(capsys, "difftest", str(d), "--n", "0")
     assert code == 1
     assert "disagreement" in err
@@ -306,9 +333,12 @@ def test_difftest_missing_dir_exits_1(capsys, tmp_path):
 # ---------------------------------------------------------------- entry
 
 def test_console_entry_point():
+    # the child imports lrec from where this test did, installed or not
+    src = str(Path(lrec.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-m", "lrec.cli", "eval", "--force-nat",
          str(CORPUS / "add23.lrec")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert out.returncode == 0
     assert out.stdout == "5\n"

@@ -2,7 +2,7 @@ import random
 
 from lrec.gen import random_closed, random_type
 from lrec.reduction import FuelExhausted, normalize, step_lo
-from lrec.terms import check_linear, free_vars
+from lrec.terms import check_linear
 from lrec.types import check
 
 
@@ -10,7 +10,7 @@ def test_samples_are_closed_linear_well_typed():
     rng = random.Random(7)
     for _ in range(200):
         t, a = random_closed(rng)
-        assert free_vars(t) == frozenset()
+        assert t.fv == frozenset()
         assert check_linear(t) == []
         assert check(t, [], a) == a
 

@@ -7,8 +7,8 @@ import pytest
 
 from lrec.evaluation import Val, eval_cbn
 from lrec.machine import (ExtTerm, FuelExhausted, Halted, LetK, MachineConfig,
-                          Plain, RecK, RecK2, Stuck, machine_force_numeral,
-                          machine_step, run)
+                          Plain, RecK, RecK2, Stuck, _step,
+                          machine_force_numeral, run)
 from lrec.parser import parse
 from lrec.terms import (ContractViolation, Lam, Pair, Rec, App, Suc, Var,
                         Zero, alpha_eq, numeral)
@@ -24,7 +24,7 @@ def test_identity_program_transitions():
     got = run(parse("(\\x. x) 0"), 10, on_step=lambda i, r, c: rules.append(r))
     assert rules == ["app", "abs"]
     assert isinstance(got, Halted)
-    assert alpha_eq(got.value, Zero()) and got.residual_stack == []
+    assert alpha_eq(got.value, Zero())
 
 
 def test_rec_zero_transitions():
@@ -37,14 +37,13 @@ def test_rec_zero_transitions():
 
 def test_succ_transition_shape():
     u, v, w = numeral(0), parse("\\x. S x"), parse("\\p. p")
-    config = MachineConfig(Suc(Zero()), (RecK2(Zero(), u, v, w),))
-    got = machine_step(config)
+    got = _step(Suc(Zero()), (RecK2(Zero(), u, v, w),))
     assert got is not None
-    after, rule = got
+    code, stack, rule = got
     assert rule == "succ"
-    assert after.code is v
-    assert len(after.stack) == 1 and isinstance(after.stack[0], Plain)
-    pending = after.stack[0].term
+    assert code is v
+    assert len(stack) == 1 and isinstance(stack[0], Plain)
+    pending = stack[0].term
     assert isinstance(pending, Rec)
     assert alpha_eq(pending.scrut, App(w, Pair(Zero(), Zero())))
 
@@ -66,13 +65,13 @@ def test_machine_arithmetic_oracle():
 def test_machine_fuel_exhaustion():
     got = run(parse(LOOP), 100)
     assert isinstance(got, FuelExhausted)
-    assert got.config.code is not None
+    assert got.at.code is not None
 
 
 def test_machine_stuck_on_ill_typed():
     got = run(parse("<0, 0> 1"), 100)
     assert isinstance(got, Stuck)
-    assert isinstance(got.config.code, Pair)
+    assert isinstance(got.at.code, Pair)
 
 
 def test_open_input_faults():
@@ -122,21 +121,20 @@ def test_stack_append_property():
     for src in (f"{ADD} 2 3", "let <a, b> = <1, 2> in <b, a>", f"{MULT} 2 2"):
         code, stack = parse(src), ()
         for _ in range(200):
-            before = MachineConfig(code, stack)
-            got = machine_step(before)
+            got = _step(code, stack)
             if got is None:
                 break
-            after, rule = got
+            after, after_stack, rule = got
             junk = tuple(rng.choices(junk_pool, k=rng.randrange(1, 3)))
-            ext = machine_step(MachineConfig(code, stack + junk))
+            ext = _step(code, stack + junk)
             assert ext is not None
-            ext_after, ext_rule = ext
+            ext_code, ext_stack, ext_rule = ext
             assert ext_rule == rule
-            assert alpha_eq(ext_after.code, after.code)
-            want = after.stack + junk
-            assert len(ext_after.stack) == len(want)
-            assert all(_ext_eq(p, q) for p, q in zip(ext_after.stack, want))
-            code, stack = after.code, after.stack
+            assert alpha_eq(ext_code, after)
+            want = after_stack + junk
+            assert len(ext_stack) == len(want)
+            assert all(_ext_eq(p, q) for p, q in zip(ext_stack, want))
+            code, stack = after, after_stack
 
 
 def test_no_environment_in_data_model():

@@ -6,7 +6,7 @@ import pytest
 from lrec.evaluation import Val, eval_cbn, force_numeral
 from lrec.pcf import (Arrow, Cond, IsZero, NumConst, PApp, PLam, PNAT, PVar,
                       PcfTypeError, Pred, Succ, YComb, close_var, compile_body,
-                      compile_pcf, env_trans, parse_pcf, parse_pcf_defs,
+                      compile_pcf, parse_pcf, parse_pcf_defs,
                       pcf_check, pcf_eval, pcf_fv, pcf_is_value, pcf_pretty,
                       pcf_subst, type_trans)
 from lrec.parser import ParseError
@@ -200,8 +200,6 @@ def test_type_translation():
     assert type_trans(PNAT) == NAT
     assert type_trans(Arrow(Arrow(PNAT, PNAT), PNAT)) == \
         Lolli(Lolli(NAT, NAT), NAT)
-    assert env_trans([("x", PNAT), ("f", Arrow(PNAT, PNAT))]) == \
-        [("x", NAT), ("f", Lolli(NAT, NAT))]
 
 
 def test_compile_numeral_and_succ_shape():
@@ -291,7 +289,7 @@ def test_compile_open_term_stays_open_and_linear():
     out = compile_pcf(t, env)
     assert out.fv == frozenset({"f"})
     assert check_linear(out) == []
-    a = check(out, env_trans(env), NAT)
+    a = check(out, [(x, type_trans(b)) for x, b in env], NAT)
     assert a == NAT
     # plugging a real function in gives the right number
     closed = subst(out, "f", compile_pcf(parse_pcf("succ"), []))
@@ -308,7 +306,8 @@ def test_compile_body_nonlinear_image_check():
     for src, env, want in cases:
         t = parse_pcf(src)
         body = compile_body(t, dict(env))
-        got = check_nonlinear(body, env_trans(env), pcf_fv(t))
+        tenv = [(x, type_trans(a)) for x, a in env]
+        got = check_nonlinear(body, tenv, pcf_fv(t))
         assert got == type_trans(want)
 
 

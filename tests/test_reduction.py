@@ -6,8 +6,7 @@ import pytest
 
 from lrec.parser import parse
 from lrec.reduction import (FuelExhausted, enumerate_redexes, normalize,
-                            reduce_whnf, step_at, step_lo, step_random,
-                            step_root)
+                            step_at, step_lo, step_random, step_root)
 from lrec.terms import (App, Lam, LetPair, Pair, Rec, Suc, Var, Zero,
                         alpha_eq, check_linear, is_value, numeral, subst)
 
@@ -111,7 +110,7 @@ def test_normalize_fuel_exhaustion_on_loop():
     t = App(d, _delta())
     got = normalize(t, 100)
     assert isinstance(got, FuelExhausted)
-    assert got.last.fv == frozenset()
+    assert got.at.fv == frozenset()
 
 
 def test_linearity_preserved_along_reduction():
@@ -131,37 +130,6 @@ def test_trace_callback():
     normalize(t, 10, on_step=lambda i, rule, path, term: lines.append((i, rule, path)))
     assert lines[0][0] == 1 and lines[0][1] == "Beta"
     assert len(lines) == 2
-
-
-def test_reduce_whnf_stops_at_suc():
-    t = Suc(parse("(\\x. x) 0"))
-    assert reduce_whnf(t, 100) is t
-
-
-def test_reduce_whnf_beta():
-    t = parse("(\\x. x) (\\y. y)")
-    got = reduce_whnf(t, 100)
-    assert alpha_eq(got, parse("\\y. y"))
-
-
-def test_reduce_whnf_recsuc_head():
-    t = parse("rec(<S 0, 0>, 0, \\x. S x, \\p. p)")
-    got = reduce_whnf(t, 100)
-    assert isinstance(got, Suc)
-    assert alpha_eq(normalize(got, 100), numeral(1))
-
-
-def test_reduce_whnf_head_blocked():
-    t = Lam("x", Var("x"))
-    assert reduce_whnf(t, 10) is t
-    blocked = App(Lam("x", Var("x")), Var("y"))
-    assert reduce_whnf(blocked, 10) is blocked
-
-
-def test_reduce_whnf_fuel():
-    d = _delta()
-    got = reduce_whnf(App(d, _delta()), 50)
-    assert isinstance(got, FuelExhausted)
 
 
 def test_enumerate_and_step_at():

@@ -3,10 +3,10 @@ alpha equivalence, numerals, tuple sugar."""
 
 import pytest
 
-from lrec.terms import (App, ContractViolation, Lam, LetPair, Pair, Rec, Suc,
-                        Term, Var, Zero, alpha_eq, check_linear, free_vars,
-                        freshen, let_tuple, mk_tuple, numeral, numeral_value,
-                        pretty, rename, subst)
+from lrec.terms import (App, ContractViolation, Fuel, Lam, LetPair, Pair,
+                        Rec, Suc, Term, Var, Zero, alpha_eq, check_linear,
+                        freshen, mk_tuple, numeral, numeral_value, pretty,
+                        rename, subst)
 
 
 def lam(x, b):
@@ -14,13 +14,13 @@ def lam(x, b):
 
 
 def test_free_vars():
-    assert free_vars(Var("x")) == {"x"}
-    assert free_vars(lam("x", Var("x"))) == set()
-    assert free_vars(lam("x", App(Var("x"), Var("y")))) == {"y"}
+    assert Var("x").fv == {"x"}
+    assert lam("x", Var("x")).fv == set()
+    assert lam("x", App(Var("x"), Var("y"))).fv == {"y"}
     t = LetPair(Var("p"), "a", "b", Pair(Var("a"), Var("b")))
-    assert free_vars(t) == {"p"}
+    assert t.fv == {"p"}
     r = Rec(Var("s"), Var("u"), Var("v"), Var("w"))
-    assert free_vars(r) == {"s", "u", "v", "w"}
+    assert r.fv == {"s", "u", "v", "w"}
 
 
 def test_check_linear_accepts():
@@ -64,7 +64,7 @@ def test_subst_closed_payload():
     t = App(Var("f"), numeral(2))
     got = subst(t, "f", lam("x", Suc(Var("x"))))
     assert alpha_eq(got, App(lam("x", Suc(Var("x"))), numeral(2)))
-    assert free_vars(got) == set()
+    assert got.fv == set()
 
 
 def test_subst_variable_payload():
@@ -86,13 +86,13 @@ def test_subst_fv_identity():
     t = App(Var("x"), Var("y"))
     s = numeral(4)
     got = subst(t, "x", s)
-    assert free_vars(got) == (free_vars(t) - {"x"}) | free_vars(s)
+    assert got.fv == (t.fv - {"x"}) | s.fv
 
 
 def test_rename():
     t = App(Var("x"), lam("z", Var("z")))
     got = rename(t, "x", "w")
-    assert free_vars(got) == {"w"}
+    assert got.fv == {"w"}
     with pytest.raises(ContractViolation):
         rename(t, "x", "z")  # z occurs as a binder
 
@@ -151,27 +151,6 @@ def test_mk_tuple_shape():
         mk_tuple([a])
 
 
-def test_let_tuple_shape():
-    u = Var("u")
-    body = Pair(Var("x1"), Pair(Var("x2"), Var("x3")))
-    t = let_tuple(u, ["x1", "x2", "x3"], body)
-    assert isinstance(t, LetPair) and t.scrut is u and t.x == "x1"
-    inner = t.body
-    assert isinstance(inner, LetPair) and inner.x == "x2" and inner.y == "x3"
-    assert inner.scrut == Var(t.y) or alpha_eq(inner.scrut, Var(t.y))
-    assert check_linear(t) == []
-    with pytest.raises(ContractViolation):
-        let_tuple(u, ["x"], body)
-
-
-def test_let_tuple_intermediate_is_fresh():
-    # names that would clash with the default intermediate
-    body = Pair(Var("t"), Pair(Var("x2"), Var("x3")))
-    t = let_tuple(Var("u"), ["t", "x2", "x3"], body)
-    assert t.x == "t" and t.y != "t"
-    assert check_linear(t) == []
-
-
 def test_freshen_distinct_binders():
     t = App(lam("x", Var("x")), lam("x", Var("x")))
     f = freshen(t)
@@ -193,3 +172,19 @@ def test_pretty_numerals_and_sucs():
     assert pretty(Suc(Suc(Var("x")))) == "S S x"
     assert pretty(lam("x", Suc(Var("x")))) == "\\x. S x"
     assert pretty(App(Var("f"), Suc(Var("x")))) == "f S x"
+
+
+def test_every_engine_rejects_a_negative_budget():
+    from lrec.evaluation import eval_report, force_numeral
+    from lrec.machine import machine_force_numeral, run
+    from lrec.minext import normalize_m
+    from lrec.pcf import NumConst, pcf_eval
+    from lrec.reduction import normalize
+    with pytest.raises(ContractViolation):
+        Fuel(-1)
+    for engine in (normalize, normalize_m, eval_report, force_numeral, run,
+                   machine_force_numeral):
+        with pytest.raises(ContractViolation):
+            engine(numeral(1), -1)
+    with pytest.raises(ContractViolation):
+        pcf_eval(NumConst(1), -1)

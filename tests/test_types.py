@@ -5,7 +5,7 @@ import pytest
 from lrec.parser import parse
 from lrec.terms import App, Lam, Pair, Var, numeral
 from lrec.types import (EnvDomainError, Lolli, MetaVar, NAT, Tensor,
-                        TypingError, check, check_nonlinear, ground_type,
+                        TypingError, check, check_nonlinear,
                         infer, type_pretty)
 
 
@@ -79,7 +79,6 @@ def test_type_pretty():
     assert type_pretty(a) == "?a -o ?a"
     assert type_pretty(Lolli(MetaVar(7), MetaVar(3))) == "?a -o ?b"
     assert type_pretty(a, ground=True) == "Nat -o Nat"
-    assert ground_type(a) == Lolli(NAT, NAT)
 
 
 def test_check_nonlinear_contraction():
