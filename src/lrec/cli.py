@@ -38,8 +38,8 @@ from .pcf import (NumConst, compile_pcf, parse_pcf_defs, pcf_check, pcf_eval,
                   pcf_fv, pcf_pretty, pcf_type_pretty, PNat)
 from .reduction import normalize
 from .stdlib import catalog_lookup, catalog_names
-from .terms import (ContractViolation, FuelExhausted, Stuck, Term, alpha_eq,
-                    numeral_value, pretty)
+from .terms import (ContractViolation, Fuel, FuelExhausted, Stuck, Term,
+                    alpha_eq, numeral_value, pretty)
 from .types import (EnvDomainError, Lolli, MetaVar, Nat, Tensor, TypingError,
                     infer, type_pretty)
 
@@ -110,8 +110,8 @@ def _timed(fn, *args, **kwargs):
 
 
 class _Steps:
-    """An on_step hook for normalize and run: keeps the last step number
-    and, given a formatter, prints one trace line per step."""
+    """An on_step hook for run: keeps the last step number and, given a
+    formatter, prints one trace line per step."""
 
     def __init__(self, show=None):
         self.n = 0
@@ -190,12 +190,14 @@ def cmd_machine(args) -> int:
 
 def cmd_normalize(args) -> int:
     t, digest = _load(args.file, args.calculus)
-    steps = _Steps((lambda i, rule, path, term:
-                    f"{i} {rule} {path or 'root'} {pretty(term)}")
-                   if args.trace else None)
+    trace = ((lambda i, rule, path, term:
+              print(f"{i} {rule} {path or 'root'} {pretty(term)}"))
+             if args.trace else None)
     engine = normalize_m if args.calculus == "llcim" else normalize
-    out, wall = _timed(engine, t, args.fuel, on_step=steps)
-    return _finish(args, digest, wall, out, steps.n, "normal-form")
+    cell = Fuel(args.fuel)
+    out, wall = _timed(engine, t, cell, on_step=trace)
+    return _finish(args, digest, wall, out, args.fuel - cell.remaining,
+                   "normal-form")
 
 
 def cmd_stdlib(args) -> int:
@@ -254,10 +256,10 @@ def _shape_ok(t: Term, a) -> bool:
 def _difftest_term(t: Term, a, fuel: int, digest: str,
                    emit) -> str | None:
     """Run the three engines; None when they agree, else a complaint."""
-    steps = _Steps()
-    nf, wall = _timed(normalize, t, fuel, on_step=steps)
+    cell = Fuel(fuel)
+    nf, wall = _timed(normalize, t, cell)
     emit("difftest/normalize", digest,
-         *_settle(nf, fuel, steps.n, "normal-form")[:2], wall)
+         *_settle(nf, fuel, fuel - cell.remaining, "normal-form")[:2], wall)
     (ev, used), wall = _timed(eval_report, t, fuel)
     emit("difftest/eval", digest, *_settle(ev, fuel, used, "value")[:2], wall)
     steps = _Steps()

@@ -9,9 +9,9 @@ reduction; there is no dedicated big-step evaluator for this calculus.
 
 from __future__ import annotations
 
-from .reduction import Stepped, _normalize_with, _step_lo, step_root
-from .terms import (App, ContractViolation, FuelExhausted, Iter, Lam, LetPair,
-                    Min, Pair, Rec, Suc, Term, Var, Zero, children)
+from .reduction import Stepped, _normalize_with, step_lo, step_root
+from .terms import (App, ContractViolation, Fuel, FuelExhausted, Iter, Lam,
+                    LetPair, Min, Pair, Rec, Suc, Term, Var, Zero, children)
 from .types import LinType, infer
 
 
@@ -52,10 +52,11 @@ def mstep_root(t: Term) -> tuple[Term, str] | None:
 
 def mstep_lo(t: Term) -> Stepped | None:
     check_mterm(t)
-    return _step_lo(t, _mroot, "nfm")
+    return step_lo(t, _mroot, "nfm")
 
 
-def normalize_m(t: Term, fuel: int, on_step=None) -> Term | FuelExhausted:
+def normalize_m(t: Term, fuel: int | Fuel,
+                on_step=None) -> Term | FuelExhausted:
     check_mterm(t)
     return _normalize_with(t, fuel, _mroot, "nfm", on_step)
 

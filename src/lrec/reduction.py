@@ -6,9 +6,26 @@ redex: leftmost-outermost search skips it and keeps going.
 
 Reduction is allowed under binders, so normal forms are genuine normal
 forms, not weak ones. Fuel counts root-rule applications; traversal is
-free. Subterms proved redex-free are flagged (terms are immutable, and
-reducibility of a subterm does not depend on its context), which keeps
-repeated leftmost searches from rescanning finished regions.
+free.
+
+The leftmost-outermost redex is the first one in pre-order. The
+normaliser finds it with a zipper (Huet, "The Zipper", JFP 1997): a
+focus and a stack of frames (parent, focused child's index, the
+parent's children), so the walk is iterative and a parent is rebuilt
+only when the walk leaves it with a changed child. After a contraction
+the walk does not restart at the root. It moves up at most two frames
+and goes on from there, because closed contraction keeps the free
+variables of the contracted subterm (Fernández, Mackie and Sinot,
+"Closed reduction", MSCS 2005), and every rule reads its redex at most
+two levels deep: App(Lam), LetPair(Pair), Iter and Min on a numeral,
+and Rec(Pair) look at a child, Rec(Pair(0 | S _, _)) at a grandchild;
+deeper down a rule reads only free-variable sets. So a contraction can
+make only its parent or its grandparent a new redex, higher ancestors
+stay non-redexes, and everything to the left of the focus stays
+redex-free. A debug-mode assertion checks that each contraction keeps
+the free variables. Subterms the walk leaves redex-free are flagged
+(terms are immutable, and reducibility of a subterm does not depend on
+its context), so the walk skips them when it passes them again.
 """
 
 from __future__ import annotations
@@ -17,9 +34,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .terms import (App, ContractViolation, Fuel, FuelExhausted, Iter, Lam,
-                    LetPair, Min, OutOfFuel, Pair, Rec, Suc, Term, Zero,
-                    children, subst)
+from .terms import (App, ContractViolation, Fuel, FuelExhausted, Lam,
+                    LetPair, OutOfFuel, Pair, Rec, Suc, Term, Zero, children,
+                    pretty, subst)
 
 
 @dataclass(frozen=True)
@@ -50,106 +67,123 @@ def step_root(t: Term) -> tuple[Term, str] | None:
     return None
 
 
-def _replace(t: Term, i: int, new: Term) -> Term:
-    match t, i:
-        case Suc(), 0:
-            return Suc(new)
-        case App(arg=a), 0:
-            return App(new, a)
-        case App(fun=f), 1:
-            return App(f, new)
-        case Lam(binder=x), 0:
-            return Lam(x, new)
-        case Pair(right=r), 0:
-            return Pair(new, r)
-        case Pair(left=l), 1:
-            return Pair(l, new)
-        case LetPair(x=x, y=y, body=b), 0:
-            return LetPair(new, x, y, b)
-        case LetPair(scrut=s, x=x, y=y), 1:
-            return LetPair(s, x, y, new)
-        case Rec(base=u, step=v, update=w), 0:
-            return Rec(new, u, v, w)
-        case Rec(scrut=s, step=v, update=w), 1:
-            return Rec(s, new, v, w)
-        case Rec(scrut=s, base=u, update=w), 2:
-            return Rec(s, u, new, w)
-        case Rec(scrut=s, base=u, step=v), 3:
-            return Rec(s, u, v, new)
-        case Iter(base=u, step=v), 0:
-            return Iter(new, u, v)
-        case Iter(count=c, step=v), 1:
-            return Iter(c, new, v)
-        case Iter(count=c, base=u), 2:
-            return Iter(c, u, new)
-        case Min(counter=u, fn=f), 0:
-            return Min(new, u, f)
-        case Min(scrut=s, fn=f), 1:
-            return Min(s, new, f)
-        case Min(scrut=s, counter=u), 2:
-            return Min(s, u, new)
-    raise ContractViolation(f"no child {i} in {type(t).__name__}")
+Frame = list  # [node, index of the focused child, its children, changed]
 
 
-def _step_lo(t: Term, root_fn: RootStep, flag: str) -> Stepped | None:
-    if getattr(t, flag, False):
-        return None
-    r = root_fn(t)
-    if r is not None:
-        return Stepped(r[0], r[1], "")
-    if isinstance(t, Suc):
-        # S chains can be very tall; peel them without recursing
-        chain: list[Term] = []
-        inner: Term = t
-        while isinstance(inner, Suc) and not getattr(inner, flag, False):
-            chain.append(inner)
-            inner = inner.body
-        sub = None if isinstance(inner, Suc) else _step_lo(inner, root_fn, flag)
-        if sub is None:
-            for node in chain:
-                setattr(node, flag, True)
-            return None
-        nt = sub.next
-        for _ in range(len(chain)):
-            nt = Suc(nt)
-        path = ("0." * len(chain) + sub.path).rstrip(".")
-        return Stepped(nt, sub.rule, path)
-    for i, kid in enumerate(children(t)):
-        sub = _step_lo(kid, root_fn, flag)
-        if sub is not None:
-            path = f"{i}.{sub.path}" if sub.path else str(i)
-            return Stepped(_replace(t, i, sub.next), sub.rule, path)
-    setattr(t, flag, True)
-    return None
+def _rebuild(t: Term, kids: list[Term]) -> Term:
+    """t with its children, in textual order, replaced by kids."""
+    cls = type(t)
+    if cls is Lam:
+        return Lam(t.binder, kids[0])
+    if cls is LetPair:
+        return LetPair(kids[0], t.x, t.y, kids[1])
+    return cls(*kids)
 
 
-def step_lo(t: Term) -> Stepped | None:
+def _up(stack: list[Frame], focus: Term) -> Term:
+    """Pop a frame: its node with focus in the focused child's place,
+    rebuilt only when some child changed."""
+    node, i, kids, changed = stack.pop()
+    if kids[i] is not focus:
+        kids[i] = focus
+        changed = True
+    return _rebuild(node, kids) if changed else node
+
+
+def _plug(stack: list[Frame], focus: Term) -> Term:
+    """The whole term, focus in place; the frames are left as they are."""
+    for node, i, kids, _ in reversed(stack):
+        focus = _rebuild(node, kids[:i] + [focus] + kids[i + 1:])
+    return focus
+
+
+def _path(stack: list[Frame]) -> str:
+    return ".".join(str(frame[1]) for frame in stack)
+
+
+def _seek(stack: list[Frame], focus: Term, root_fn: RootStep,
+          flag: str) -> tuple[Term, tuple[Term, str] | None]:
+    """Walk on in pre-order from focus, which the frames place in the
+    whole term, to the next redex: return it and its contraction. On
+    reaching the end, return the whole term (the frames are used up)
+    and None. Every subterm the walk leaves redex-free gets the flag."""
+    while True:
+        if not getattr(focus, flag, False):
+            r = root_fn(focus)
+            if r is not None:
+                assert r[0].fv == focus.fv, \
+                    f"{r[1]} changed the free variables of {pretty(focus)}"
+                return focus, r
+            kids = children(focus)
+            if kids:
+                stack.append([focus, 0, list(kids), False])
+                focus = kids[0]
+                continue
+            setattr(focus, flag, True)
+        # focus is finished: enter its next sibling, or finish its parent
+        while stack:
+            frame = stack[-1]
+            _, i, kids, _ = frame
+            if i + 1 == len(kids):
+                focus = _up(stack, focus)
+                setattr(focus, flag, True)
+                continue
+            if kids[i] is not focus:
+                kids[i] = focus
+                frame[3] = True
+            frame[1] = i + 1
+            focus = kids[i + 1]
+            break
+        else:
+            return focus, None
+
+
+def step_lo(t: Term, root_fn: RootStep = step_root,
+            flag: str = "nf") -> Stepped | None:
     """The leftmost-outermost step: the root first, then children in
-    textual order, reducing under binders."""
-    return _step_lo(t, step_root, "nf")
+    textual order, reducing under binders. root_fn and flag choose the
+    rule set, as in enumerate_redexes."""
+    stack: list[Frame] = []
+    _, r = _seek(stack, t, root_fn, flag)
+    if r is None:
+        return None
+    return Stepped(_plug(stack, r[0]), r[1], _path(stack))
 
 
 OnStep = Callable[[int, str, str, Term], None]
 
 
-def _normalize_with(t: Term, fuel: int, root_fn: RootStep, flag: str,
+def _normalize_with(t: Term, fuel: int | Fuel, root_fn: RootStep, flag: str,
                     on_step: OnStep | None) -> Term | FuelExhausted:
-    cell = Fuel(fuel)
+    cell = fuel if isinstance(fuel, Fuel) else Fuel(fuel)
+    budget = cell.remaining
+    stack: list[Frame] = []
+    focus = t
     try:
         while True:
-            s = _step_lo(t, root_fn, flag)
-            if s is None:
-                return t
+            focus, r = _seek(stack, focus, root_fn, flag)
+            if r is None:
+                return focus
             cell.tick()
-            t = s.next
+            focus = r[0]
             if on_step is not None:
-                on_step(fuel - cell.remaining, s.rule, s.path, t)
+                on_step(budget - cell.remaining, r[1], _path(stack),
+                        _plug(stack, focus))
+            # only the parent and the grandparent can have become redexes
+            if stack:
+                focus = _up(stack, focus)
+                if stack:
+                    focus = _up(stack, focus)
     except OutOfFuel:
-        return FuelExhausted(t)
+        return FuelExhausted(_plug(stack, focus))
 
 
-def normalize(t: Term, fuel: int, on_step: OnStep | None = None) -> Term | FuelExhausted:
-    """Leftmost-outermost reduction to normal form, at most fuel steps."""
+def normalize(t: Term, fuel: int | Fuel,
+              on_step: OnStep | None = None) -> Term | FuelExhausted:
+    """Leftmost-outermost reduction to normal form, at most fuel steps.
+    fuel is a budget, or a Fuel cell that is left holding what remains.
+    on_step(i, rule, path, term) observes each step, for tracing; the
+    path and the whole term are built only for it."""
     return _normalize_with(t, fuel, step_root, "nf", on_step)
 
 
@@ -173,13 +207,17 @@ def enumerate_redexes(t: Term, root_fn: RootStep = step_root,
 
 def step_at(t: Term, path: tuple[int, ...],
             root_fn: RootStep = step_root) -> tuple[Term, str]:
-    if not path:
-        r = root_fn(t)
-        if r is None:
-            raise ContractViolation("no redex at the given position")
-        return r
-    new, rule = step_at(children(t)[path[0]], path[1:], root_fn)
-    return _replace(t, path[0], new), rule
+    """Contract the redex at path (child indices from the root)."""
+    stack: list[Frame] = []
+    focus = t
+    for i in path:
+        kids = list(children(focus))
+        stack.append([focus, i, kids, False])
+        focus = kids[i]
+    r = root_fn(focus)
+    if r is None:
+        raise ContractViolation("no redex at the given position")
+    return _plug(stack, r[0]), r[1]
 
 
 def step_random(t: Term, rng: random.Random | int) -> Stepped | None:

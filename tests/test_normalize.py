@@ -1,0 +1,135 @@
+"""The zipper normaliser against an oracle that does not use its walk.
+
+`normalize` resumes at the grandparent of each contracted redex instead
+of searching again from the root. These tests pin down that it still
+fires the first redex in pre-order at every step, that it needs no
+recursion, that it does a bounded number of root-rule checks per step,
+and that the invariant which makes the resumption sound is checked.
+"""
+
+import random
+from pathlib import Path
+
+import pytest
+
+from lrec import reduction
+from lrec.cli import _load
+from lrec.gen import random_closed
+from lrec.minext import _mroot, lin_pred, normalize_m
+from lrec.parser import parse
+from lrec.reduction import (FuelExhausted, _normalize_with, enumerate_redexes,
+                            normalize, step_at, step_lo, step_root)
+from lrec.stdlib import catalog_lookup
+from lrec.terms import App, Fuel, Lam, Pair, Var, Zero, numeral, pretty
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def _pred(n: int):
+    return parse(f"@pred {n}", resolve=lambda name, arg: catalog_lookup(name))
+
+
+def _oracle(t, fuel: int, root_fn=step_root, flag="nf"):
+    """(i, rule, path, term) per step and the outcome, by contracting
+    the smallest redex position in pre-order, found afresh each step."""
+    lines = []
+    for i in range(1, fuel + 2):
+        paths = enumerate_redexes(t, root_fn, flag)
+        if not paths:
+            return lines, ("normal-form", pretty(t))
+        if i > fuel:
+            return lines, ("fuel-exhausted", pretty(t))
+        t, rule = step_at(t, paths[0], root_fn)
+        lines.append((i, rule, ".".join(map(str, paths[0])), pretty(t)))
+
+
+def _zipper(engine, t, fuel: int):
+    lines = []
+    out = engine(t, fuel, on_step=lambda i, rule, path, term:
+                 lines.append((i, rule, path, pretty(term))))
+    if isinstance(out, FuelExhausted):
+        return lines, ("fuel-exhausted", pretty(out.at))
+    return lines, ("normal-form", pretty(out))
+
+
+def _inputs():
+    # each maker builds a fresh term, so the oracle sees no flag the
+    # normaliser set
+    for path in sorted(CORPUS.glob("*.lrec")):
+        yield path.name, (lambda p=path: _load(str(p), "lrec")[0]), 400, "lrec"
+    for n in range(3, 13):
+        yield f"@pred {n}", (lambda n=n: _pred(n)), 10_000, "lrec"
+    for n in range(4, 11):
+        yield (f"lin_pred {n}", (lambda n=n: App(lin_pred(), numeral(n))),
+               10_000, "llcim")
+    rng = random.Random(2005)
+    for k in range(300):
+        t = random_closed(rng)[0]
+        yield f"generated #{k}", (lambda t=pretty(t): parse(t)), 300, "lrec"
+
+
+def test_normalize_matches_the_first_redex_oracle():
+    checked, exhausted = 0, set()
+    for name, make, fuel, calculus in _inputs():
+        if calculus == "llcim":
+            want = _oracle(make(), fuel, _mroot, "nfm")
+            got = _zipper(normalize_m, make(), fuel)
+        else:
+            want = _oracle(make(), fuel)
+            got = _zipper(normalize, make(), fuel)
+        assert got == want, name
+        checked += 1
+        if want[1][0] == "fuel-exhausted":
+            exhausted.add(name)
+    assert checked == len(list(CORPUS.glob("*.lrec"))) + 10 + 7 + 300
+    assert {"delta.lrec", "fix_id.lrec"} <= exhausted  # they never finish
+
+
+def test_deep_spine_normalizes_without_recursion():
+    depth = 50_000
+    t = App(Lam("x", Var("x")), Zero())
+    for _ in range(depth):
+        t = Pair(Zero(), t)
+    got = normalize(t, 10)
+    for _ in range(depth):
+        assert isinstance(got, Pair) and isinstance(got.left, Zero)
+        got = got.right
+    assert isinstance(got, Zero)
+
+
+def test_root_rule_checks_per_step_are_bounded(monkeypatch):
+    calls = 0
+
+    def counting(t):
+        nonlocal calls
+        calls += 1
+        return step_root(t)
+
+    t = _pred(60)
+    cell = Fuel(100_000)
+    monkeypatch.setattr(reduction, "step_root", counting)
+    got = normalize(t, cell)
+    assert pretty(got) == "59"
+    # a restart from the root costs about 92 checks per step here
+    assert calls / (100_000 - cell.remaining) <= 4
+
+
+def test_fuel_cell_holds_the_steps_taken():
+    cell = Fuel(1000)
+    assert pretty(normalize(_pred(3), cell)) == "2"
+    steps = []
+    normalize(_pred(3), 1000, on_step=lambda i, *rest: steps.append(i))
+    assert 1000 - cell.remaining == steps[-1] == len(steps)
+
+
+@pytest.mark.skipif(not __debug__, reason="the guard is a debug assertion")
+def test_a_contraction_that_changes_free_variables_trips_the_guard():
+    def leaky(t):
+        # contracts an identity application to a free variable
+        r = step_root(t)
+        return (Var("y"), "Leak") if r is not None else None
+
+    with pytest.raises(AssertionError, match="Leak changed the free variables"):
+        _normalize_with(parse("<0, (\\x. x) 0>"), 10, leaky, "nf", None)
+    with pytest.raises(AssertionError, match="Leak changed the free variables"):
+        step_lo(parse("(\\x. x) 0"), leaky)
