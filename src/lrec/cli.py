@@ -12,16 +12,19 @@ stdout; the other commands append to --report PATH. Identical inputs
 give byte-identical reports except the wall-time field.
 
 The default fuel is 10^5 rule instances, overridable with LREC_FUEL;
-a negative or malformed budget is bad input. Every engine outcome is
-turned into its record, exit code and message by one function,
-`_settle`. difftest gives the compiled side of PCF comparisons 100x the
-fuel: the encodings spend a recursor loop per source step, so equal
-budgets would misreport slow-but-sound compilations as divergent.
+a negative or malformed budget is bad input. Every engine runs through
+`_engine`, which reads the count from a fresh `Fuel` cell, and every
+outcome but PCF's reference value is turned into its record, exit code
+and message by one function, `_settle`. difftest gives the compiled
+side of PCF comparisons 100x the fuel: the encodings spend a recursor
+loop per source step, so equal budgets would misreport slow-but-sound
+compilations as divergent.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -29,17 +32,17 @@ import random
 import sys
 import time
 
-from .evaluation import Val, eval_report, force_numeral
+from .evaluation import eval_report, force_numeral
 from .gen import random_closed
-from .machine import Halted, MachineConfig, machine_force_numeral, run
+from .machine import MachineConfig, machine_force_numeral, run
 from .minext import mtype, normalize_m
 from .parser import LinearityError, ParseError, parse_defs, parse_type
 from .pcf import (NumConst, compile_pcf, parse_pcf_defs, pcf_check, pcf_eval,
                   pcf_fv, pcf_pretty, pcf_type_pretty, PNat)
 from .reduction import normalize
 from .stdlib import catalog_lookup, catalog_names
-from .terms import (ContractViolation, Fuel, FuelExhausted, Stuck, Term,
-                    alpha_eq, numeral_value, pretty)
+from .terms import (ContractViolation, Fuel, FuelExhausted, Lam, Pair, Stuck,
+                    Term, alpha_eq, numeral_value, pretty)
 from .types import (EnvDomainError, Lolli, MetaVar, Nat, Tensor, TypingError,
                     infer, type_pretty)
 
@@ -88,17 +91,27 @@ def _resolver(name: str, arg: str | None) -> Term | None:
     return catalog_lookup(name, parse_type(arg) if arg is not None else None)
 
 
+def _text(data: bytes) -> str:
+    """Source bytes as text; a byte that is not UTF-8 is a syntax error."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"input is not UTF-8 ({e.reason})",
+                         data.count(b"\n", 0, e.start) + 1,
+                         e.start - data.rfind(b"\n", 0, e.start)) from None
+
+
 def _load(path: str, calculus: str) -> tuple[Term, str]:
     with open(path, "rb") as fh:
         data = fh.read()
-    _, prog = parse_defs(data.decode(), calculus, _resolver)
+    _, prog = parse_defs(_text(data), calculus, _resolver)
     return prog, _digest(data)
 
 
 def _load_pcf(path: str):
     with open(path, "rb") as fh:
         data = fh.read()
-    _, prog = parse_pcf_defs(data.decode())
+    _, prog = parse_pcf_defs(_text(data))
     return prog, data
 
 
@@ -109,18 +122,12 @@ def _timed(fn, *args, **kwargs):
     return out, (time.perf_counter() - t0) * 1000
 
 
-class _Steps:
-    """An on_step hook for run: keeps the last step number and, given a
-    formatter, prints one trace line per step."""
-
-    def __init__(self, show=None):
-        self.n = 0
-        self.show = show
-
-    def __call__(self, i, rule, *at):
-        self.n = i
-        if self.show is not None:
-            print(self.show(i, rule, *at))
+def _engine(fn, t, fuel: int, *args, **kwargs):
+    """(outcome, fuel used, wall ms) of fn on a fresh cell. Callers name
+    fn at call time, so a wrapper installed on this module sees it."""
+    cell = Fuel(fuel)
+    out, wall = _timed(fn, t, cell, *args, **kwargs)
+    return out, fuel - cell.remaining, wall
 
 
 def _settle(out, fuel: int, used: int | None, word: str,
@@ -139,8 +146,6 @@ def _settle(out, fuel: int, used: int | None, word: str,
                 f"stuck: {out.reason}: {pretty(out.at)}")
     if out is None:
         return "stuck", None, 3, f"the {noun} is not a number"
-    if isinstance(out, (Val, Halted)):
-        out = out.value
     text = str(out) if isinstance(out, int) else pretty(out)
     return f"{word} {text}", used, 0, text
 
@@ -169,23 +174,24 @@ def cmd_eval(args) -> int:
     t, digest = _load(args.file, "lrec")
     cbv = args.strategy == "cbv"
     if args.force_nat:
-        got, wall = _timed(force_numeral, t, args.fuel, cbv=cbv)
+        got, _, wall = _engine(force_numeral, t, args.fuel, cbv=cbv)
         return _finish(args, digest, wall, got, None, "value")
-    (out, used), wall = _timed(eval_report, t, args.fuel, cbv=cbv,
-                               literal_let=args.literal_let)
+    out, used, wall = _engine(eval_report, t, args.fuel, cbv=cbv,
+                              literal_let=args.literal_let)
     return _finish(args, digest, wall, out, used, "value")
 
 
 def cmd_machine(args) -> int:
     t, digest = _load(args.file, "lrec")
     if args.force_nat:
-        got, wall = _timed(machine_force_numeral, t, args.fuel)
+        got, _, wall = _engine(machine_force_numeral, t, args.fuel)
         return _finish(args, digest, wall, got, None, "value", "machine value")
-    steps = _Steps((lambda i, rule, config:
-                    f"{i} {rule} |stack|={len(config.stack)} "
-                    f"{pretty(config.code)}") if args.trace else None)
-    out, wall = _timed(run, t, args.fuel, on_step=steps)
-    return _finish(args, digest, wall, out, steps.n, "halted")
+    trace = ((lambda i, rule, config:
+              print(f"{i} {rule} |stack|={len(config.stack)} "
+                    f"{pretty(config.code)}"))
+             if args.trace else None)
+    out, used, wall = _engine(run, t, args.fuel, on_step=trace)
+    return _finish(args, digest, wall, out, used, "halted")
 
 
 def cmd_normalize(args) -> int:
@@ -194,10 +200,8 @@ def cmd_normalize(args) -> int:
               print(f"{i} {rule} {path or 'root'} {pretty(term)}"))
              if args.trace else None)
     engine = normalize_m if args.calculus == "llcim" else normalize
-    cell = Fuel(args.fuel)
-    out, wall = _timed(engine, t, cell, on_step=trace)
-    return _finish(args, digest, wall, out, args.fuel - cell.remaining,
-                   "normal-form")
+    out, used, wall = _engine(engine, t, args.fuel, on_step=trace)
+    return _finish(args, digest, wall, out, used, "normal-form")
 
 
 def cmd_stdlib(args) -> int:
@@ -222,7 +226,7 @@ def cmd_pcf_check(args) -> int:
 def cmd_pcf_eval(args) -> int:
     prog, _ = _load_pcf(args.file)
     pcf_check(prog, {})
-    v = pcf_eval(prog, args.fuel)
+    v = _engine(pcf_eval, prog, args.fuel)[0]
     if isinstance(v, FuelExhausted):
         return _fail(f"fuel exhausted after {args.fuel}", 2)
     print(pcf_pretty(v))
@@ -244,10 +248,8 @@ def _shape_ok(t: Term, a) -> bool:
     if isinstance(a, Nat):
         return numeral_value(t) is not None
     if isinstance(a, Lolli):
-        from .terms import Lam
         return isinstance(t, Lam)
     if isinstance(a, Tensor):
-        from .terms import Pair
         return (isinstance(t, Pair) and _shape_ok(t.left, a.left)
                 and _shape_ok(t.right, a.right))
     return False
@@ -256,27 +258,25 @@ def _shape_ok(t: Term, a) -> bool:
 def _difftest_term(t: Term, a, fuel: int, digest: str,
                    emit) -> str | None:
     """Run the three engines; None when they agree, else a complaint."""
-    cell = Fuel(fuel)
-    nf, wall = _timed(normalize, t, cell)
+    nf, used, wall = _engine(normalize, t, fuel)
     emit("difftest/normalize", digest,
-         *_settle(nf, fuel, fuel - cell.remaining, "normal-form")[:2], wall)
-    (ev, used), wall = _timed(eval_report, t, fuel)
+         *_settle(nf, fuel, used, "normal-form")[:2], wall)
+    ev, used, wall = _engine(eval_report, t, fuel)
     emit("difftest/eval", digest, *_settle(ev, fuel, used, "value")[:2], wall)
-    steps = _Steps()
-    mc, wall = _timed(run, t, fuel, on_step=steps)
+    mc, used, wall = _engine(run, t, fuel)
     emit("difftest/machine", digest,
-         *_settle(mc, fuel, steps.n, "halted")[:2], wall)
+         *_settle(mc, fuel, used, "halted")[:2], wall)
 
-    if isinstance(ev, Val) != isinstance(mc, Halted):
+    if isinstance(ev, Term) != isinstance(mc, Term):
         return "machine and eval_cbn disagree on convergence"
-    if isinstance(ev, Val) and not alpha_eq(ev.value, mc.value):
+    if isinstance(ev, Term) and not alpha_eq(ev, mc):
         return "machine and eval_cbn values differ"
     if not isinstance(nf, FuelExhausted):
         if not _shape_ok(nf, a):
             return (f"normal form {pretty(nf)} does not match the shape "
                     f"of type {type_pretty(a)}")
-        if isinstance(ev, Val):
-            joined = normalize(ev.value, fuel)
+        if isinstance(ev, Term):
+            joined = _engine(normalize, ev, fuel)[0]
             if isinstance(joined, FuelExhausted) or not alpha_eq(joined, nf):
                 return "eval_cbn value does not rejoin the normal form"
     return None
@@ -286,6 +286,13 @@ def cmd_difftest(args) -> int:
     def emit(command, digest, outcome, fuel_used, wall_ms):
         line = _record(command, digest, outcome, fuel_used, wall_ms)
         print(line)
+
+    def skip(name, reason):
+        nonlocal skipped
+        print(f"skipped {name}: {reason}", file=sys.stderr)
+        emit("difftest/skip", _digest(name.encode()), f"skipped: {reason}",
+             None, 0.0)
+        skipped += 1
 
     bad: list[str] = []
     skipped = 0
@@ -302,10 +309,7 @@ def cmd_difftest(args) -> int:
                 t, digest = _load(full, "lrec")
                 a = infer(t, [])
             except (ParseError, LinearityError, TypingError, OSError) as e:
-                print(f"skipped {name}: {e}", file=sys.stderr)
-                emit("difftest/skip", _digest(name.encode()),
-                     f"skipped: {e}", None, 0.0)
-                skipped += 1
+                skip(name, e)
                 continue
             complaint = _difftest_term(t, a, args.fuel, digest, emit)
             if complaint:
@@ -318,25 +322,19 @@ def cmd_difftest(args) -> int:
                     raise ParseError("program is open", 1, 1)
                 pa = pcf_check(prog, {})
             except (ParseError, TypingError, OSError) as e:
-                print(f"skipped {name}: {e}", file=sys.stderr)
-                emit("difftest/skip", _digest(name.encode()),
-                     f"skipped: {e}", None, 0.0)
-                skipped += 1
+                skip(name, e)
                 continue
             if not isinstance(pa, PNat):
-                print(f"skipped {name}: not of ground type", file=sys.stderr)
-                emit("difftest/skip", _digest(name.encode()),
-                     "skipped: not of ground type", None, 0.0)
-                skipped += 1
+                skip(name, "not of ground type")
                 continue
             digest = _digest(data)
-            ref, wall = _timed(pcf_eval, prog, args.fuel)
+            ref, _, wall = _engine(pcf_eval, prog, args.fuel)
             ref_n = ref.n if isinstance(ref, NumConst) else None
             emit("difftest/pcf-ref", digest,
                  "fuel-exhausted" if ref_n is None else f"value {ref_n}",
                  None, wall)
-            got, wall = _timed(lambda: force_numeral(compile_pcf(prog, []),
-                                                     args.fuel * 100))
+            got, _, wall = _engine(force_numeral, compile_pcf(prog, []),
+                                   args.fuel * 100)
             emit("difftest/pcf-compiled", digest,
                  _settle(got, args.fuel * 100, None, "value")[0], None, wall)
             comp_n = None if isinstance(got, FuelExhausted) else got
@@ -364,6 +362,7 @@ def cmd_difftest(args) -> int:
 
 # ----------------------------------------------------------------- main
 
+@functools.cache  # built on first use, not at import
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="lrec",

@@ -9,24 +9,15 @@ Fuel is one `terms.Fuel` cell for the whole derivation, ticked once
 per rule instance, including the axiom that returns a value unchanged.
 Constructor mismatches (applying a pair, splitting a number) are data
 errors, reported as the shared `terms.Stuck` outcome; an open input is
-a caller bug and faults.
+a caller bug and faults. The entry points follow the engines' contract
+(see `terms`): a budget or a cell in, the bare value or the outcome out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .terms import (App, ContractViolation, Fuel, FuelExhausted, Lam, LetPair,
-                    OutOfFuel, Pair, Rec, Stuck, Suc, Term, Zero, is_value,
-                    read_numeral, require_closed, subst)
-
-
-@dataclass(frozen=True)
-class Val:
-    value: Term
-
-
-EvalOutcome = Val | FuelExhausted | Stuck
+                    Outcome, Pair, Rec, Stuck, Suc, Term, Zero, drive,
+                    is_value, read_numeral, require_closed, subst)
 
 
 def _eval(t: Term, fuel: Fuel, cbv: bool, literal_let: bool) -> Term:
@@ -70,31 +61,27 @@ def _eval(t: Term, fuel: Fuel, cbv: bool, literal_let: bool) -> Term:
                     f"cannot evaluate a {type(t).__name__} node")
 
 
-def eval_report(t: Term, fuel: int, cbv: bool = False,
-                literal_let: bool = False) -> tuple[EvalOutcome, int]:
-    """Outcome plus the number of rule instances it took."""
+def eval_report(t: Term, fuel: int | Fuel, cbv: bool = False,
+                literal_let: bool = False) -> Outcome:
+    """The value of t, or where it ran out of fuel or got stuck. Given a
+    Fuel cell, the cell is left holding what remains."""
     require_closed(t)
-    cell = Fuel(fuel)
-    try:
-        return Val(_eval(t, cell, cbv, literal_let)), fuel - cell.remaining
-    except OutOfFuel:
-        return FuelExhausted(t), fuel
-    except Stuck as e:
-        return e.with_traceback(None), fuel - cell.remaining
+    return drive(_eval, t, fuel, cbv, literal_let)
 
 
-def eval_cbn(t: Term, fuel: int, literal_let: bool = False) -> EvalOutcome:
+def eval_cbn(t: Term, fuel: int | Fuel, literal_let: bool = False) -> Outcome:
     """Call by name: App substitutes the unevaluated argument."""
-    return eval_report(t, fuel, False, literal_let)[0]
+    return eval_report(t, fuel, False, literal_let)
 
 
-def eval_cbv(t: Term, fuel: int, literal_let: bool = False) -> EvalOutcome:
+def eval_cbv(t: Term, fuel: int | Fuel, literal_let: bool = False) -> Outcome:
     """Call by value: App evaluates the argument before substituting.
     Everything else, including Rec, is unchanged from CBN."""
-    return eval_report(t, fuel, True, literal_let)[0]
+    return eval_report(t, fuel, True, literal_let)
 
 
-def force_numeral(t: Term, fuel: int, cbv: bool = False) -> int | FuelExhausted | None:
+def force_numeral(t: Term, fuel: int | Fuel,
+                  cbv: bool = False) -> int | FuelExhausted | None:
     """Evaluate hereditarily under S until 0: the numeral denoted by t.
     None when some whnf along the way is not a number."""
     return read_numeral(t, fuel, lambda u, cell: _eval(u, cell, cbv, False))

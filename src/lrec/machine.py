@@ -9,17 +9,17 @@ first to become a number.
 Closedness does the work an environment usually does: every term that
 reaches the stack is closed (a pending split body is closed up to its
 two pattern variables), so (abs) and (pair1) can substitute directly.
-One fuel unit per transition. Outcomes, fuel and numeral readback are
-the shared ones from `terms`.
+One fuel unit per transition. The outcomes, the fuel cell, the engine
+contract (`terms.drive`) and numeral readback are the shared ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import (App, Fuel, FuelExhausted, Lam, LetPair, OutOfFuel, Pair,
-                    Rec, Stuck, Suc, Term, Zero, is_value, read_numeral,
-                    require_closed, subst)
+from .terms import (App, Fuel, FuelExhausted, Lam, LetPair, OutOfFuel,
+                    Outcome, Pair, Rec, Stuck, Suc, Term, Zero, drive,
+                    is_value, read_numeral, require_closed, subst)
 
 
 class ExtTerm:
@@ -60,14 +60,6 @@ Stack = tuple  # of ExtTerm, top first
 class MachineConfig:
     code: Term
     stack: Stack
-
-
-@dataclass(frozen=True)
-class Halted:
-    value: Term
-
-
-MachineOutcome = Halted | FuelExhausted | Stuck
 
 
 def _step(code: Term, stack: Stack) -> tuple[Term, Stack, str] | None:
@@ -118,19 +110,14 @@ def _run(code: Term, fuel: Fuel, on_step=None) -> Term:
         fuel.remaining = remaining
 
 
-def run(t: Term, fuel: int, on_step=None) -> MachineOutcome:
+def run(t: Term, fuel: int | Fuel, on_step=None) -> Outcome:
     """Drive (t, []) until no transition applies or fuel runs out.
     on_step(i, rule, config) observes each transition, for tracing."""
     require_closed(t)
-    try:
-        return Halted(_run(t, Fuel(fuel), on_step))
-    except OutOfFuel as e:
-        return FuelExhausted(e.args[0])
-    except Stuck as e:
-        return e.with_traceback(None)
+    return drive(_run, t, fuel, on_step)
 
 
-def machine_force_numeral(t: Term, fuel: int) -> int | FuelExhausted | None:
+def machine_force_numeral(t: Term, fuel: int | Fuel) -> int | FuelExhausted | None:
     """Numeral readback: run, then keep running on the body of each S.
     Fuel is shared across the whole readback."""
     return read_numeral(t, fuel, _run)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .parser import ParseError, TokenStream, definitions, lex
 from .stdlib import cond_enc, dup, erase_term, fix, fst_enc, identity, snd_enc
 from .terms import (App, ContractViolation, Fuel, FuelExhausted, Lam, LetPair,
-                    OutOfFuel, Pair, Rec, Suc, Term, Var, Zero, children,
+                    Pair, Rec, Suc, Term, Var, Zero, children, drive,
                     fresh_name, numeral, rename)
 from .types import LinType, Lolli, NAT, TypingError
 
@@ -269,14 +269,11 @@ def _peval(t: PcfTerm, fuel: Fuel) -> PcfTerm:
                 raise ContractViolation(f"not a PCF term: {t!r}")
 
 
-def pcf_eval(t: PcfTerm, fuel: int) -> PcfTerm | FuelExhausted:
+def pcf_eval(t: PcfTerm, fuel: int | Fuel) -> PcfTerm | FuelExhausted:
     """Big-step CBN value of a closed well-typed term, fueled per rule."""
     if pcf_fv(t):
         raise ContractViolation(f"input is open: free {sorted(pcf_fv(t))}")
-    try:
-        return _peval(t, Fuel(fuel))
-    except OutOfFuel:
-        return FuelExhausted(t)
+    return drive(_peval, t, fuel)
 
 
 # ----------------------------------------------------------- compilation

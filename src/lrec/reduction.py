@@ -155,7 +155,7 @@ OnStep = Callable[[int, str, str, Term], None]
 
 def _normalize_with(t: Term, fuel: int | Fuel, root_fn: RootStep, flag: str,
                     on_step: OnStep | None) -> Term | FuelExhausted:
-    cell = fuel if isinstance(fuel, Fuel) else Fuel(fuel)
+    cell = Fuel.of(fuel)
     budget = cell.remaining
     stack: list[Frame] = []
     focus = t
@@ -189,19 +189,26 @@ def normalize(t: Term, fuel: int | Fuel,
 
 def enumerate_redexes(t: Term, root_fn: RootStep = step_root,
                       flag: str = "nf") -> list[tuple[int, ...]]:
-    """Positions (as child-index paths) of every enabled redex."""
+    """Positions (as child-index paths) of every enabled redex, in
+    pre-order, which is also their lexicographic order. Every subterm
+    the walk finds redex-free gets the flag."""
     out: list[tuple[int, ...]] = []
-    work: list[tuple[Term, tuple[int, ...]]] = [(t, ())]
+    # (node, path, -1) enters node; (node, path, len(out) then) leaves it
+    work: list[tuple[Term, tuple[int, ...], int]] = [(t, (), -1)]
     while work:
-        node, path = work.pop()
+        node, path, found = work.pop()
+        if found >= 0:
+            if len(out) == found:
+                setattr(node, flag, True)
+            continue
         if getattr(node, flag, False):
             continue
+        work.append((node, path, len(out)))
         if root_fn(node) is not None:
             out.append(path)
         kids = children(node)
         for i in range(len(kids) - 1, -1, -1):
-            work.append((kids[i], path + (i,)))
-    out.sort()
+            work.append((kids[i], path + (i,), -1))
     return out
 
 

@@ -9,9 +9,11 @@ produce terms for which check_linear returns no violations.
 
 The same node classes serve both calculi: Rec belongs to the recursor
 calculus, Iter and Min to the minimiser calculus. Engines guard the
-constructor set they accept. The engines also share their outcomes
-(FuelExhausted, Stuck), their fuel cell and the numeral readback loop,
-defined here.
+constructor set they accept. The engines share one contract, defined
+here: an engine takes a budget or a `Fuel` cell, which it leaves holding
+what remains, and returns its bare result (a term, a number, a PCF
+value), a `FuelExhausted` or a `Stuck`. `drive` runs an engine's loop
+that way; `read_numeral` is the one numeral readback loop.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ class Stuck(Exception):
 
 class OutOfFuel(Exception):
     """The budget is spent: raised by Fuel.tick, or by an engine loop that
-    counts locally with where it stopped as the argument. Each engine
-    turns it into FuelExhausted."""
+    counts locally with where it stopped as the argument. `drive` turns
+    it into FuelExhausted."""
 
 
 class Fuel:
@@ -78,6 +80,23 @@ class Fuel:
         if self.remaining == 0:
             raise OutOfFuel()
         self.remaining -= 1
+
+    @staticmethod
+    def of(fuel: int | Fuel) -> Fuel:
+        return fuel if isinstance(fuel, Fuel) else Fuel(fuel)
+
+
+def drive(loop: Callable, t, fuel: int | Fuel, *args):
+    """An engine run: loop(t, cell, *args) on one budget. Returns the
+    loop's bare result, FuelExhausted where the loop stopped (the
+    OutOfFuel argument, else t), or the Stuck it raised."""
+    cell = Fuel.of(fuel)
+    try:
+        return loop(t, cell, *args)
+    except OutOfFuel as e:
+        return FuelExhausted(e.args[0] if e.args else t)
+    except Stuck as e:
+        return e.with_traceback(None)
 
 
 class Term:
@@ -189,6 +208,9 @@ class Min(Term):
         self.counter = counter
         self.fn = fn
         self.fv = scrut.fv | counter.fv | fn.fv
+
+
+Outcome = Term | FuelExhausted | Stuck  # of an engine whose result is a term
 
 
 def is_value(t: Term) -> bool:
@@ -457,14 +479,14 @@ def numeral_value(t: Term) -> int | None:
     return n if isinstance(t, Zero) else None
 
 
-def read_numeral(t: Term, fuel: int,
+def read_numeral(t: Term, fuel: int | Fuel,
                  whnf: Callable[[Term, Fuel], Term]) -> int | FuelExhausted | None:
     """Numeral readback: reduce t to weak head normal form with an
-    engine's whnf step, then again under each S, until 0. One budget
-    serves the whole readback. None when some whnf is not a number or
-    the engine is stuck."""
+    engine's whnf step, then again under each S, until 0. One budget or
+    cell serves the whole readback. None when some whnf is not a number
+    or the engine is stuck; FuelExhausted at the term being read back."""
     require_closed(t)
-    cell = Fuel(fuel)
+    cell = Fuel.of(fuel)
     n = 0
     try:
         while True:

@@ -12,10 +12,9 @@ import sys
 from pathlib import Path
 
 from lrec import machine
-from lrec.evaluation import Val, eval_cbn, eval_cbv, eval_report, \
-    force_numeral
+from lrec.evaluation import eval_cbn, eval_cbv, eval_report, force_numeral
 from lrec.gen import _Gen, random_closed
-from lrec.machine import Halted, run
+from lrec.machine import run
 from lrec.minext import lin_pred, mu_enc, normalize_m
 from lrec.parser import parse_defs, parse_type
 from lrec.pcf import NumConst, compile_pcf, parse_pcf, parse_pcf_defs, \
@@ -177,11 +176,11 @@ def test_criterion_04_confluence_spot_check():
 def test_criterion_05_machine_agrees_with_cbn():
     with _gate(5, "machine == CBN on the corpus plus 300 generated terms"):
         def agree(t: Term):
-            ev, _ = eval_report(t, FUEL)
+            ev = eval_report(t, FUEL)
             mc = run(t, FUEL)
-            assert isinstance(ev, Val) == isinstance(mc, Halted)
-            if isinstance(ev, Val):
-                assert alpha_eq(ev.value, mc.value)
+            assert isinstance(ev, Term) == isinstance(mc, Term)
+            if isinstance(ev, Term):
+                assert alpha_eq(ev, mc)
 
         for name, t in _lrec_corpus():
             agree(t)
@@ -353,5 +352,5 @@ def test_criterion_13_cbn_cbv_separation():
                                   Var("y")))),
             App(fix(NAT), identity()))
         got = eval_cbn(sep, 1000)
-        assert isinstance(got, Val) and isinstance(got.value, Lam)
+        assert isinstance(got, Lam)
         assert isinstance(eval_cbv(sep, 1000), FuelExhausted)

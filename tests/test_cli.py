@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, printed results, reports, difftest."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,6 @@ import pytest
 
 import lrec.cli
 from lrec.cli import main
-from lrec.machine import Halted
 from lrec.parser import parse, parse_type
 from lrec.terms import numeral
 from lrec.types import NAT, check
@@ -318,7 +318,7 @@ def test_difftest_names_the_counterexample(capsys, tmp_path, monkeypatch):
     d.mkdir()
     (d / "one.lrec").write_text("(\\x. x) 0")
     monkeypatch.setattr("lrec.cli.run",
-                        lambda t, fuel, on_step=None: Halted(numeral(9)))
+                        lambda t, fuel, on_step=None: numeral(9))
     code, _, err = run_cli(capsys, "difftest", str(d), "--n", "0")
     assert code == 1
     assert "disagreement" in err
@@ -328,6 +328,56 @@ def test_difftest_names_the_counterexample(capsys, tmp_path, monkeypatch):
 def test_difftest_missing_dir_exits_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "difftest", str(tmp_path / "nope"))
     assert code == 1
+
+
+# ----------------------------------------------------------- bad bytes
+
+NOT_UTF8 = b"0 \n \xff\xfe0"   # the bad byte is line 2, col 2
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["check"], "bad.lrec"), (["eval"], "bad.lrec"),
+    (["pcf", "eval"], "bad.pcf"), (["pcf", "check"], "bad.pcf")])
+def test_non_utf8_input_exits_1(capsys, tmp_path, argv, name):
+    p = tmp_path / name
+    p.write_bytes(NOT_UTF8)
+    code, out, err = run_cli(capsys, *argv, str(p))
+    assert code == 1
+    assert out == ""
+    assert err == "syntax: line 2, col 2: input is not UTF-8 " \
+                  "(invalid start byte)\n"
+
+
+def test_difftest_skips_non_utf8_files(capsys, tmp_path):
+    d = _small_corpus(tmp_path)
+    (d / "f_bytes.lrec").write_bytes(NOT_UTF8)
+    (d / "g_bytes.pcf").write_bytes(NOT_UTF8)
+    code, out, err = run_cli(capsys, "difftest", str(d), "--n", "1")
+    assert code == 0
+    assert "skipped f_bytes.lrec: line 2, col 2: input is not UTF-8" in err
+    assert "skipped g_bytes.pcf: line 2, col 2: input is not UTF-8" in err
+    assert "7 corpus entries (4 skipped)" in err
+    skips = [json.loads(line) for line in out.splitlines()
+             if '"difftest/skip"' in line]
+    assert len(skips) == 4
+
+
+# ----------------------------------------------------------------- main
+
+def test_main_builds_the_parser_tree_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(3):
+        assert run_cli(capsys, "stdlib", "add")[0] == 0
+    # an earlier test may have built the tree already
+    assert built.count("lrec") <= 1
+    assert len(built) == len(set(built))     # each subcommand's at most once
 
 
 # ---------------------------------------------------------------- entry

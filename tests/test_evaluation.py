@@ -2,10 +2,11 @@
 
 import pytest
 
-from lrec.evaluation import Stuck, Val, eval_cbn, eval_cbv, force_numeral
+from lrec.evaluation import Stuck, eval_cbn, eval_cbv, force_numeral
 from lrec.parser import parse
 from lrec.reduction import FuelExhausted
-from lrec.terms import App, ContractViolation, Lam, Suc, Var, alpha_eq, numeral
+from lrec.terms import (App, ContractViolation, Lam, Suc, Term, Var, alpha_eq,
+                        numeral)
 
 ID = "(\\i. i)"
 ADD = "(\\m n. rec(<m, 0>, n, \\x. S x, \\p. p))"
@@ -16,16 +17,16 @@ LOOP = ("(\\x. rec(<2, 0>, \\a b. a b, \\y. y x, \\p. p))"
 
 def test_identity_application():
     got = eval_cbn(parse(f"{ID} 0"), 100)
-    assert isinstance(got, Val) and alpha_eq(got.value, numeral(0))
+    assert isinstance(got, Term) and alpha_eq(got, numeral(0))
     got = eval_cbv(parse(f"{ID} 0"), 100)
-    assert isinstance(got, Val) and alpha_eq(got.value, numeral(0))
+    assert isinstance(got, Term) and alpha_eq(got, numeral(0))
 
 
 def test_no_evaluation_under_suc():
     t = Suc(parse(f"{ID} 0"))
     for ev in (eval_cbn, eval_cbv):
         got = ev(t, 100)
-        assert isinstance(got, Val) and got.value is t
+        assert got is t
 
 
 def test_addition_oracle():
@@ -53,9 +54,9 @@ def test_fuel_exhaustion():
 def test_fuel_counts_rule_instances():
     # (\x.x) 0: premise Val, the App rule, then Val on the body
     t = parse(f"{ID} 0")
-    assert isinstance(eval_cbn(t, 3), Val)
+    assert isinstance(eval_cbn(t, 3), Term)
     assert isinstance(eval_cbn(t, 2), FuelExhausted)
-    assert isinstance(eval_cbn(numeral(0), 1), Val)
+    assert isinstance(eval_cbn(numeral(0), 1), Term)
     assert isinstance(eval_cbn(numeral(0), 0), FuelExhausted)
 
 
@@ -84,8 +85,8 @@ def test_literal_let_agrees():
     t = parse("let <a, b> = <1, 2> in rec(<a, 0>, b, \\x. S x, \\p. p)")
     d = eval_cbn(t, 1000)
     lit = eval_cbn(t, 1000, literal_let=True)
-    assert isinstance(d, Val) and isinstance(lit, Val)
-    assert alpha_eq(d.value, lit.value)
+    assert isinstance(d, Term) and isinstance(lit, Term)
+    assert alpha_eq(d, lit)
 
 
 def test_force_numeral_basics():
@@ -99,9 +100,9 @@ def test_cbn_defers_argument_work():
     # for it afterwards, so the value under S is still a redex
     t = parse(f"(\\n. S n) ({ADD} 1 1)")
     got = eval_cbn(t, 100)
-    assert isinstance(got, Val) and isinstance(got.value, Suc)
-    assert not alpha_eq(got.value, numeral(3))
+    assert isinstance(got, Suc)
+    assert not alpha_eq(got, numeral(3))
     assert force_numeral(t, 100) == 3
     # CBV evaluates it first
     got_v = eval_cbv(t, 100)
-    assert isinstance(got_v, Val) and alpha_eq(got_v.value, numeral(3))
+    assert isinstance(got_v, Term) and alpha_eq(got_v, numeral(3))

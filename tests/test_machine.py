@@ -5,13 +5,13 @@ import random
 
 import pytest
 
-from lrec.evaluation import Val, eval_cbn
-from lrec.machine import (ExtTerm, FuelExhausted, Halted, LetK, MachineConfig,
+from lrec.evaluation import eval_cbn
+from lrec.machine import (ExtTerm, FuelExhausted, LetK, MachineConfig,
                           Plain, RecK, RecK2, Stuck, _step,
                           machine_force_numeral, run)
 from lrec.parser import parse
-from lrec.terms import (ContractViolation, Lam, Pair, Rec, App, Suc, Var,
-                        Zero, alpha_eq, numeral)
+from lrec.terms import (ContractViolation, Lam, Pair, Rec, App, Suc, Term,
+                        Var, Zero, alpha_eq, numeral)
 
 ADD = "(\\m n. rec(<m, 0>, n, \\x. S x, \\p. p))"
 MULT = f"(\\m n. rec(<m, 0>, 0, {ADD} n, \\p. p))"
@@ -23,8 +23,8 @@ def test_identity_program_transitions():
     rules = []
     got = run(parse("(\\x. x) 0"), 10, on_step=lambda i, r, c: rules.append(r))
     assert rules == ["app", "abs"]
-    assert isinstance(got, Halted)
-    assert alpha_eq(got.value, Zero())
+    assert isinstance(got, Term)
+    assert alpha_eq(got, Zero())
 
 
 def test_rec_zero_transitions():
@@ -32,7 +32,7 @@ def test_rec_zero_transitions():
     got = run(parse("rec(<0, 0>, 0, \\x. S x, \\p. p)"), 10,
               on_step=lambda i, r, c: rules.append(r))
     assert rules == ["rec", "pair2", "zero"]
-    assert isinstance(got, Halted) and alpha_eq(got.value, Zero())
+    assert isinstance(got, Term) and alpha_eq(got, Zero())
 
 
 def test_succ_transition_shape():
@@ -52,7 +52,7 @@ def test_values_halt_immediately():
     steps = []
     got = run(numeral(3), 10, on_step=lambda i, r, c: steps.append(r))
     assert steps == []
-    assert isinstance(got, Halted) and alpha_eq(got.value, numeral(3))
+    assert isinstance(got, Term) and alpha_eq(got, numeral(3))
 
 
 def test_machine_arithmetic_oracle():
@@ -92,8 +92,8 @@ def test_machine_agrees_with_cbn_spot():
         t = parse(src)
         ev = eval_cbn(t, 10_000)
         mc = run(t, 10_000)
-        assert isinstance(ev, Val) and isinstance(mc, Halted), src
-        assert type(ev.value) is type(mc.value)
+        assert isinstance(ev, Term) and isinstance(mc, Term), src
+        assert type(ev) is type(mc)
 
 
 def _ext_eq(a: ExtTerm, b: ExtTerm) -> bool:

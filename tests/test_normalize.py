@@ -5,6 +5,8 @@ of searching again from the root. These tests pin down that it still
 fires the first redex in pre-order at every step, that it needs no
 recursion, that it does a bounded number of root-rule checks per step,
 and that the invariant which makes the resumption sound is checked.
+The oracle also checks that `enumerate_redexes`, which flags the
+subterms it finds redex-free, still lists every redex.
 """
 
 import random
@@ -20,7 +22,8 @@ from lrec.parser import parse
 from lrec.reduction import (FuelExhausted, _normalize_with, enumerate_redexes,
                             normalize, step_at, step_lo, step_root)
 from lrec.stdlib import catalog_lookup
-from lrec.terms import App, Fuel, Lam, Pair, Var, Zero, numeral, pretty
+from lrec.terms import (App, Fuel, Lam, Pair, Var, Zero, children, numeral,
+                        pretty)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -29,12 +32,28 @@ def _pred(n: int):
     return parse(f"@pred {n}", resolve=lambda name, arg: catalog_lookup(name))
 
 
+def _redexes(t, root_fn):
+    """Every redex position in pre-order, by a walk of the whole term
+    that reads no flag."""
+    out, work = [], [(t, ())]
+    while work:
+        node, path = work.pop()
+        if root_fn(node) is not None:
+            out.append(path)
+        kids = children(node)
+        work.extend((kids[i], path + (i,)) for i in reversed(range(len(kids))))
+    return out
+
+
 def _oracle(t, fuel: int, root_fn=step_root, flag="nf"):
     """(i, rule, path, term) per step and the outcome, by contracting
-    the smallest redex position in pre-order, found afresh each step."""
+    the first redex position in pre-order, found afresh each step.
+    enumerate_redexes, which skips and sets flags, must list the same
+    positions."""
     lines = []
     for i in range(1, fuel + 2):
-        paths = enumerate_redexes(t, root_fn, flag)
+        paths = _redexes(t, root_fn)
+        assert enumerate_redexes(t, root_fn, flag) == paths
         if not paths:
             return lines, ("normal-form", pretty(t))
         if i > fuel:

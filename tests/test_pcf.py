@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lrec.evaluation import Val, eval_cbn, force_numeral
+from lrec.evaluation import eval_cbn, force_numeral
 from lrec.pcf import (Arrow, Cond, IsZero, NumConst, PApp, PLam, PNAT, PVar,
                       PcfTypeError, Pred, Succ, YComb, close_var, compile_body,
                       compile_pcf, parse_pcf, parse_pcf_defs,

@@ -3,7 +3,7 @@ brute-force minimisation, structural laws)."""
 
 import pytest
 
-from lrec.evaluation import Val, eval_cbn, force_numeral
+from lrec.evaluation import eval_cbn, force_numeral
 from lrec.parser import parse_type
 from lrec.reduction import FuelExhausted, normalize, step_lo
 from lrec.stdlib import (add_enc, catalog_lookup, catalog_names, cond_enc,
@@ -219,7 +219,7 @@ def test_factorial_oracle():
 def test_cond_discards_untaken_branch():
     c = cond_enc(NAT)
     got = eval_cbn(ap(c, numeral(0), numeral(4), loop_term()), F)
-    assert isinstance(got, Val)
+    assert isinstance(got, Term)
     assert force_numeral(ap(cond_enc(NAT), numeral(0), numeral(4), loop_term()), F) == 4
     assert force_numeral(ap(cond_enc(NAT), numeral(3), loop_term(), numeral(9)), F) == 9
 

@@ -1,12 +1,20 @@
 """Tree-level operations: free variables, linearity, substitution,
-alpha equivalence, numerals, tuple sugar."""
+alpha equivalence, numerals, tuple sugar; and the contract every engine
+follows: a budget or a Fuel cell in, the bare result, FuelExhausted or
+Stuck out."""
 
 import pytest
 
-from lrec.terms import (App, ContractViolation, Fuel, Lam, LetPair, Pair,
-                        Rec, Suc, Term, Var, Zero, alpha_eq, check_linear,
-                        freshen, mk_tuple, numeral, numeral_value, pretty,
-                        rename, subst)
+from lrec.evaluation import eval_report, force_numeral
+from lrec.machine import machine_force_numeral, run
+from lrec.minext import lin_pred, normalize_m
+from lrec.parser import parse
+from lrec.pcf import NumConst, parse_pcf, pcf_eval
+from lrec.reduction import normalize
+from lrec.terms import (App, ContractViolation, Fuel, FuelExhausted, Lam,
+                        LetPair, Pair, Rec, Stuck, Suc, Term, Var, Zero,
+                        alpha_eq, check_linear, freshen, mk_tuple, numeral,
+                        numeral_value, pretty, rename, subst)
 
 
 def lam(x, b):
@@ -175,11 +183,6 @@ def test_pretty_numerals_and_sucs():
 
 
 def test_every_engine_rejects_a_negative_budget():
-    from lrec.evaluation import eval_report, force_numeral
-    from lrec.machine import machine_force_numeral, run
-    from lrec.minext import normalize_m
-    from lrec.pcf import NumConst, pcf_eval
-    from lrec.reduction import normalize
     with pytest.raises(ContractViolation):
         Fuel(-1)
     for engine in (normalize, normalize_m, eval_report, force_numeral, run,
@@ -188,3 +191,64 @@ def test_every_engine_rejects_a_negative_budget():
             engine(numeral(1), -1)
     with pytest.raises(ContractViolation):
         pcf_eval(NumConst(1), -1)
+
+
+ADD23 = "(\\m n. rec(<m, 0>, n, \\x. S x, \\p. p)) 2 3"
+
+
+def _cbv(t, fuel):
+    return eval_report(t, fuel, cbv=True)
+
+
+HOOKED = (run, normalize, normalize_m)  # they take on_step(i, ...)
+
+# (engine, input, its result, the count the engine reported when it
+# still counted for itself: eval_report's tuple, the last on_step index;
+# None where it reported none, as for readback)
+CONTRACT = [
+    ("eval cbn", eval_report, lambda: parse(ADD23),
+     "S rec((\\p. p) <1, 0>, 3, \\x. S x, \\p. p)", 10),
+    ("eval cbv", _cbv, lambda: parse(ADD23), "5", 28),
+    ("machine", run, lambda: parse(ADD23),
+     "S rec((\\p. p) <1, 0>, 3, \\x. S x, \\p. p)", 8),
+    ("normalize", normalize, lambda: parse(ADD23), "5", 9),
+    ("normalize_m", normalize_m, lambda: App(lin_pred(), numeral(2)), "1",
+     29),
+    ("force_numeral", force_numeral, lambda: parse(ADD23), 5, None),
+    ("machine_force_numeral", machine_force_numeral, lambda: parse(ADD23),
+     5, None),
+    ("pcf_eval", pcf_eval,
+     lambda: parse_pcf("(fun x : Nat . succ (succ x)) 3"), NumConst(5), None),
+]
+
+
+def _shown(out):
+    return pretty(out) if isinstance(out, Term) else out
+
+
+@pytest.mark.parametrize("name,engine,make,result,count", CONTRACT,
+                         ids=[c[0] for c in CONTRACT])
+def test_every_engine_leaves_its_count_in_the_cell(name, engine, make,
+                                                   result, count):
+    cell, seen = Fuel(1000), []
+    hook = ({"on_step": lambda i, *rest: seen.append(i)}
+            if engine in HOOKED else {})
+    assert _shown(engine(make(), cell, **hook)) == result
+    used = 1000 - cell.remaining
+    if count is not None:
+        assert used == count
+    if engine in HOOKED:
+        assert seen[-1] == len(seen) == used
+    # the count is the least budget that suffices
+    assert _shown(engine(make(), used)) == result
+    assert isinstance(engine(make(), used - 1), FuelExhausted)
+    assert isinstance(engine(make(), Fuel(0)), FuelExhausted)
+
+
+@pytest.mark.parametrize("engine", [eval_report, _cbv, run],
+                         ids=["eval cbn", "eval cbv", "machine"])
+def test_applying_a_number_is_stuck(engine):
+    # eval: rule Val on the head, then stuck; machine: app, then stuck
+    cell = Fuel(10)
+    assert isinstance(engine(parse("0 0"), cell), Stuck)
+    assert 10 - cell.remaining == 1
