@@ -145,7 +145,7 @@ def _settle(out, fuel: int, used: int | None, word: str,
         return (f"stuck: {out.reason}", used, 3,
                 f"stuck: {out.reason}: {pretty(out.at)}")
     if out is None:
-        return "stuck", None, 3, f"the {noun} is not a number"
+        return "stuck", used, 3, f"the {noun} is not a number"
     text = str(out) if isinstance(out, int) else pretty(out)
     return f"{word} {text}", used, 0, text
 
@@ -174,8 +174,8 @@ def cmd_eval(args) -> int:
     t, digest = _load(args.file, "lrec")
     cbv = args.strategy == "cbv"
     if args.force_nat:
-        got, _, wall = _engine(force_numeral, t, args.fuel, cbv=cbv)
-        return _finish(args, digest, wall, got, None, "value")
+        got, used, wall = _engine(force_numeral, t, args.fuel, cbv=cbv)
+        return _finish(args, digest, wall, got, used, "value")
     out, used, wall = _engine(eval_report, t, args.fuel, cbv=cbv,
                               literal_let=args.literal_let)
     return _finish(args, digest, wall, out, used, "value")
@@ -184,8 +184,8 @@ def cmd_eval(args) -> int:
 def cmd_machine(args) -> int:
     t, digest = _load(args.file, "lrec")
     if args.force_nat:
-        got, _, wall = _engine(machine_force_numeral, t, args.fuel)
-        return _finish(args, digest, wall, got, None, "value", "machine value")
+        got, used, wall = _engine(machine_force_numeral, t, args.fuel)
+        return _finish(args, digest, wall, got, used, "value", "machine value")
     trace = ((lambda i, rule, config:
               print(f"{i} {rule} |stack|={len(config.stack)} "
                     f"{pretty(config.code)}"))

@@ -8,7 +8,11 @@ numbers become Peano numerals, the constants map to the recursor
 encodings, and free variables of the nonlinear source are linearised
 afterwards by bracket abstraction (`close_var`), which splits shared
 variables with a duplicator and erases nothing — discarded binders are
-handled at the λ-clause itself.
+handled at the λ-clause itself. `close_var` names each duplicator's
+outputs apart from every name of the two sides it splits; it builds
+those name sets bottom-up, walking each node of its result at most once,
+so its walks are linear (up to a log factor for merging sets) in the
+size of the result, however many times the variable is used.
 
 `Succ` compiles to a recursor, not to λx.S x: S does not reduce under
 itself, so the literal abstraction would turn divergent arguments into
@@ -22,8 +26,8 @@ from dataclasses import dataclass
 from .parser import ParseError, TokenStream, definitions, lex
 from .stdlib import cond_enc, dup, erase_term, fix, fst_enc, identity, snd_enc
 from .terms import (App, ContractViolation, Fuel, FuelExhausted, Lam, LetPair,
-                    Pair, Rec, Suc, Term, Var, Zero, children, drive,
-                    fresh_name, numeral, rename)
+                    Pair, Rec, Suc, Term, Var, Zero, _subst, children,
+                    drive, fresh_name, numeral, rebuild)
 from .types import LinType, Lolli, NAT, TypingError
 
 
@@ -284,22 +288,32 @@ def type_trans(a: PcfType) -> LinType:
     return Lolli(type_trans(a.dom), type_trans(a.cod))
 
 
-def _all_names(t: Term) -> set[str]:
-    out: set[str] = set()
-    stack = [t]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Var):
-            out.add(cur.name)
-        elif isinstance(cur, Lam):
-            out.add(cur.binder)
-        elif isinstance(cur, LetPair):
-            out.update((cur.x, cur.y))
-        stack.extend(children(cur))
-    return out
+# what x is shared across when two parts of a non-application hold it
+_ACROSS = {Pair: "a pair", LetPair: "a let", Rec: "a recursor"}
 
 
-def close_var(x: str, t: Term, a: LinType) -> Term:
+def _own_names(t: Term) -> tuple[str, ...]:
+    """The names a node carries itself: a variable's, or its binders."""
+    if isinstance(t, Var):
+        return (t.name,)
+    if isinstance(t, Lam):
+        return (t.binder,)
+    if isinstance(t, LetPair):
+        return (t.x, t.y)
+    return ()
+
+
+def _add_names(out: set[str], parts: list[Term]) -> None:
+    """Add every name in parts, free, bound or pattern, to out; the list
+    is used up."""
+    while parts:
+        cur = parts.pop()
+        out.update(_own_names(cur))
+        parts.extend(children(cur))
+
+
+def close_var(x: str, t: Term, a: LinType,
+              names: list[set[str]] | None = None) -> Term:
     """Bracket abstraction [x]t: rebuild t so that x (of type a) occurs
     free exactly once, splitting shared uses with a duplicator.
 
@@ -307,51 +321,59 @@ def close_var(x: str, t: Term, a: LinType) -> Term:
     plus descent into other constructors when x sits in exactly one
     part, which is where compiled code can put it. Two parts sharing x
     outside an application cannot come from the compiler and fault.
+
+    A shared application names the duplicator's outputs x1 and x2
+    (`fresh_name` from the bases x+"1" and x+"2") outside every name of
+    both rebuilt sides, so renaming x on each side cannot capture.
+    Invariant: when `names` is given, the call pushes onto it the set of
+    all names in the term it returns, free, bound and pattern variables.
+    Only a shared application asks, for its two sides. The sets are
+    built bottom-up: a rebuilt part brings its own, the untouched parts
+    are walked once, and the two sides' sets merge smaller into larger.
+    So each node of the result is walked at most once and each name is
+    copied O(log n) times, where re-walking both sides at every shared
+    application was quadratic in the number of uses of x. (`fresh_name`
+    still probes x+"1", x+"11", x+"12", … from the start at each split,
+    a quadratic term with a small constant.)
     """
     if x not in t.fv:
         raise ContractViolation(f"{x} is not free in the term")
-    match t:
-        case Var():
-            return t
-        case Suc(body=u):
-            return Suc(close_var(x, u, a))
-        case Lam(binder=b, body=u):
-            return Lam(b, close_var(x, u, a))
-        case App(fun=s, arg=u):
-            in_s, in_u = x in s.fv, x in u.fv
-            if in_s and in_u:
-                left = close_var(x, s, a)
-                right = close_var(x, u, a)
-                names = _all_names(left) | _all_names(right) | {x}
-                x1 = fresh_name(names, x + "1")
-                x2 = fresh_name(names | {x1}, x + "2")
-                return LetPair(App(dup(a), Var(x)), x1, x2,
-                               App(rename(left, x, x1), rename(right, x, x2)))
-            if in_s:
-                return App(close_var(x, s, a), u)
-            return App(s, close_var(x, u, a))
-        case Pair(left=l, right=r):
-            if x in l.fv and x in r.fv:
-                raise ContractViolation(f"{x} shared across a pair")
-            if x in l.fv:
-                return Pair(close_var(x, l, a), r)
-            return Pair(l, close_var(x, r, a))
-        case LetPair(scrut=s, x=p, y=q, body=b):
-            in_b = x in b.fv and x not in (p, q)
-            if x in s.fv and in_b:
-                raise ContractViolation(f"{x} shared across a let")
-            if in_b:
-                return LetPair(s, p, q, close_var(x, b, a))
-            return LetPair(close_var(x, s, a), p, q, b)
-        case Rec(scrut=s, base=u, step=v, update=w):
-            parts = [s, u, v, w]
-            hits = [i for i, part in enumerate(parts) if x in part.fv]
-            if len(hits) != 1:
-                raise ContractViolation(f"{x} shared across a recursor")
-            parts[hits[0]] = close_var(x, parts[hits[0]], a)
-            return Rec(*parts)
-    raise ContractViolation(
-        f"cannot abstract {x} out of a {type(t).__name__} node")
+    if isinstance(t, Var):
+        if names is not None:
+            names.append({x})
+        return t
+    if not isinstance(t, (Suc, Lam, App, Pair, LetPair, Rec)):
+        raise ContractViolation(
+            f"cannot abstract {x} out of a {type(t).__name__} node")
+    kids = list(children(t))
+    hits = [i for i, part in enumerate(kids) if x in part.fv]
+    if isinstance(t, LetPair) and x in (t.x, t.y):
+        hits = [0]  # the body's x is the pattern's
+    if len(hits) == 2 and isinstance(t, App):
+        sides: list[set[str]] = []
+        left = close_var(x, t.fun, a, sides)
+        right = close_var(x, t.arg, a, sides)
+        small, seen = sorted(sides, key=len)
+        seen |= small  # every name of both sides, x among them
+        x1 = fresh_name(seen, x + "1")
+        seen.add(x1)
+        x2 = fresh_name(seen, x + "2")
+        seen.add(x2)
+        d = dup(a)
+        if names is not None:
+            _add_names(seen, [d])
+            names.append(seen)
+        return LetPair(App(d, Var(x)), x1, x2,
+                       App(_subst(left, x, Var(x1)),
+                           _subst(right, x, Var(x2))))
+    if len(hits) != 1:
+        raise ContractViolation(f"{x} shared across {_ACROSS[type(t)]}")
+    i = hits[0]
+    kids[i] = close_var(x, kids[i], a, names)
+    if names is not None:
+        names[-1].update(_own_names(t))
+        _add_names(names[-1], kids[:i] + kids[i + 1:])
+    return rebuild(t, kids)
 
 
 def compile_body(t: PcfTerm, tenv: dict[str, PcfType]) -> Term:

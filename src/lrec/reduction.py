@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 from .terms import (App, ContractViolation, Fuel, FuelExhausted, Lam,
                     LetPair, OutOfFuel, Pair, Rec, Suc, Term, Zero, children,
-                    pretty, subst)
+                    pretty, rebuild, subst)
 
 
 @dataclass(frozen=True)
@@ -70,16 +70,6 @@ def step_root(t: Term) -> tuple[Term, str] | None:
 Frame = list  # [node, index of the focused child, its children, changed]
 
 
-def _rebuild(t: Term, kids: list[Term]) -> Term:
-    """t with its children, in textual order, replaced by kids."""
-    cls = type(t)
-    if cls is Lam:
-        return Lam(t.binder, kids[0])
-    if cls is LetPair:
-        return LetPair(kids[0], t.x, t.y, kids[1])
-    return cls(*kids)
-
-
 def _up(stack: list[Frame], focus: Term) -> Term:
     """Pop a frame: its node with focus in the focused child's place,
     rebuilt only when some child changed."""
@@ -87,13 +77,13 @@ def _up(stack: list[Frame], focus: Term) -> Term:
     if kids[i] is not focus:
         kids[i] = focus
         changed = True
-    return _rebuild(node, kids) if changed else node
+    return rebuild(node, kids) if changed else node
 
 
 def _plug(stack: list[Frame], focus: Term) -> Term:
     """The whole term, focus in place; the frames are left as they are."""
     for node, i, kids, _ in reversed(stack):
-        focus = _rebuild(node, kids[:i] + [focus] + kids[i + 1:])
+        focus = rebuild(node, kids[:i] + [focus] + kids[i + 1:])
     return focus
 
 

@@ -241,6 +241,16 @@ def children(t: Term) -> tuple[Term, ...]:
             return ()
 
 
+def rebuild(t: Term, kids: list[Term]) -> Term:
+    """t with its children, in textual order, replaced by kids."""
+    cls = type(t)
+    if cls is Lam:
+        return Lam(t.binder, kids[0])
+    if cls is LetPair:
+        return LetPair(kids[0], t.x, t.y, kids[1])
+    return cls(*kids)
+
+
 # --------------------------------------------------------------------------
 # linearity
 
@@ -371,29 +381,6 @@ def _subst(t: Term, x: str, s: Term) -> Term:
             return Min(_subst(sc, x, s), _subst(u, x, s), _subst(f, x, s))
         case _:
             return t
-
-
-def occurs(t: Term, name: str) -> bool:
-    """Does name occur anywhere in t, free or as a binder?"""
-    work = [t]
-    while work:
-        node = work.pop()
-        match node:
-            case Var(name=n) if n == name:
-                return True
-            case Lam(binder=b) if b == name:
-                return True
-            case LetPair(x=x, y=y) if name in (x, y):
-                return True
-        work.extend(children(node))
-    return False
-
-
-def rename(t: Term, x: str, y: str) -> Term:
-    """subst(t, x, Var y) for a y that is fresh for t."""
-    if occurs(t, y):
-        raise ContractViolation(f"rename target {y} already occurs in the term")
-    return _subst(t, x, Var(y))
 
 
 # --------------------------------------------------------------------------
@@ -530,16 +517,19 @@ def freshen(t: Term) -> Term:
     """An alpha-variant whose binders are pairwise distinct and distinct
     from every free variable."""
     used = set(t.fv)
+    # `used` only grows, so a base's suffixes below its last pick stay taken
+    start: dict[str, int] = {}  # per base name, the next suffix to try
 
     def pick(name: str) -> str:
         if name not in used:
             used.add(name)
             return name
-        i = 1
+        i = start.get(name, 1)
         while f"{name}_{i}" in used:
             i += 1
         new = f"{name}_{i}"
         used.add(new)
+        start[name] = i + 1
         return new
 
     def go(node: Term, env: dict[str, str]) -> Term:

@@ -11,8 +11,10 @@ import pytest
 
 import lrec.cli
 from lrec.cli import main
+from lrec.evaluation import force_numeral
+from lrec.machine import machine_force_numeral
 from lrec.parser import parse, parse_type
-from lrec.terms import numeral
+from lrec.terms import Fuel, numeral
 from lrec.types import NAT, check
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -212,6 +214,27 @@ def test_report_file_has_fixed_fields(capsys, tmp_path):
     assert rec["command"] == "eval"
     assert rec["outcome"] == "value 5"
     assert len(rec["input"]) == 64
+
+
+def test_force_nat_reports_the_count(capsys, tmp_path):
+    """A readback's record holds the units its cell used, for a number
+    and for a value that is not one."""
+    rep = tmp_path / "runs.jsonl"
+    for name, code in (("add23.lrec", 0), ("letpair.lrec", 3)):
+        path = str(CORPUS / name)
+        t = lrec.cli._load(path, "lrec")[0]
+        for argv, fn in (
+                (["eval"], lambda c: force_numeral(t, c)),
+                (["eval", "--strategy", "cbv"],
+                 lambda c: force_numeral(t, c, cbv=True)),
+                (["machine"], lambda c: machine_force_numeral(t, c))):
+            cell = Fuel(4000)
+            fn(cell)
+            got = run_cli(capsys, *argv, "--force-nat", "--fuel", "4000",
+                          "--report", str(rep), path)[0]
+            rec = json.loads(rep.read_text().splitlines()[-1])
+            assert (got, rec["fuel_used"]) == (code, 4000 - cell.remaining)
+            assert rec["fuel_used"] > 0
 
 
 # ----------------------------------------------------------------- stdlib

@@ -274,6 +274,17 @@ def test_close_var_clauses():
         close_var("x", Pair(x, Var("x")), NAT)  # shared outside an App
 
 
+def test_close_var_renames_each_side_apart():
+    # x2 is a binder on the left and x1 one on the right, so the copies
+    # of x are x11 and x21, and each side has only its copy free
+    t = App(App(Var("x"), Lam("x2", Var("x2"))),
+            Lam("x1", App(Var("x1"), Var("x"))))
+    got = close_var("x", t, Lolli(NAT, NAT))
+    assert (got.x, got.y) == ("x11", "x21")
+    assert got.body.fun.fv == {"x11"}
+    assert got.body.arg.fv == {"x21"}
+
+
 def test_close_var_under_suc_and_lam():
     t = Suc(App(Var("f"), Zero()))
     got = close_var("f", t, Lolli(NAT, NAT))

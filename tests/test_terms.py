@@ -14,7 +14,7 @@ from lrec.reduction import normalize
 from lrec.terms import (App, ContractViolation, Fuel, FuelExhausted, Lam,
                         LetPair, Pair, Rec, Stuck, Suc, Term, Var, Zero,
                         alpha_eq, check_linear, freshen, mk_tuple, numeral,
-                        numeral_value, pretty, rename, subst)
+                        numeral_value, pretty, subst)
 
 
 def lam(x, b):
@@ -95,14 +95,6 @@ def test_subst_fv_identity():
     s = numeral(4)
     got = subst(t, "x", s)
     assert got.fv == (t.fv - {"x"}) | s.fv
-
-
-def test_rename():
-    t = App(Var("x"), lam("z", Var("z")))
-    got = rename(t, "x", "w")
-    assert got.fv == {"w"}
-    with pytest.raises(ContractViolation):
-        rename(t, "x", "z")  # z occurs as a binder
 
 
 def test_alpha_eq_basics():
