@@ -328,15 +328,15 @@ def cmd_difftest(args) -> int:
                 skip(name, "not of ground type")
                 continue
             digest = _digest(data)
-            ref, _, wall = _engine(pcf_eval, prog, args.fuel)
+            ref, used, wall = _engine(pcf_eval, prog, args.fuel)
             ref_n = ref.n if isinstance(ref, NumConst) else None
             emit("difftest/pcf-ref", digest,
                  "fuel-exhausted" if ref_n is None else f"value {ref_n}",
-                 None, wall)
-            got, _, wall = _engine(force_numeral, compile_pcf(prog, []),
-                                   args.fuel * 100)
+                 args.fuel if isinstance(ref, FuelExhausted) else used, wall)
+            got, used, wall = _engine(force_numeral, compile_pcf(prog, []),
+                                      args.fuel * 100)
             emit("difftest/pcf-compiled", digest,
-                 _settle(got, args.fuel * 100, None, "value")[0], None, wall)
+                 *_settle(got, args.fuel * 100, used, "value")[:2], wall)
             comp_n = None if isinstance(got, FuelExhausted) else got
             if ref_n != comp_n:
                 src = data.decode().strip()

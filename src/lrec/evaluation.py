@@ -1,64 +1,110 @@
 """Big-step evaluation of closed terms, CBN and CBV.
 
-Both evaluators share one derivation loop: the premises that occur in
-tail position (function bodies, chosen branches, the Rec continuation)
-are iterated rather than recursed, so Python stack depth tracks only
-the non-tail premises (evaluating heads and scrutinees).
+Both evaluators share one derivation loop, which needs no Python
+recursion. The premises in tail position (function bodies, chosen
+branches, the Rec continuation) are iterated; the others (an
+application's operator, CBV's argument, the scrutinee of a split or a
+recursor, and the number in a recursor's scrutinee) push a frame on an
+explicit stack, which their value pops. This is the evaluator
+defunctionalised (Ager, Biernacki, Danvy and Midtgaard, "A functional
+correspondence between evaluators and abstract machines", PPDP 2003),
+so derivation depth is bounded by memory, not by the interpreter stack.
 
-Fuel is one `terms.Fuel` cell for the whole derivation, ticked once
-per rule instance, including the axiom that returns a value unchanged.
-Constructor mismatches (applying a pair, splitting a number) are data
-errors, reported as the shared `terms.Stuck` outcome; an open input is
-a caller bug and faults. The entry points follow the engines' contract
-(see `terms`): a budget or a cell in, the bare value or the outcome out.
+Fuel is one `terms.Fuel` budget for the whole derivation, one unit per
+rule instance: Val when a value is reached, including one that a frame
+then consumes; App once the operator is a λ, before CBV evaluates the
+argument; Let once the scrutinee is a pair; Rec1 or Rec2 once the
+number is 0 or S. The loop counts in a local and leaves the rest in the
+cell when it returns or raises. Constructor mismatches (applying a
+pair, splitting a number) are data errors, reported as the shared
+`terms.Stuck` outcome; an open input is a caller bug and faults. The
+entry points follow the engines' contract (see `terms`): a budget or a
+cell in, the bare value or the outcome out.
 """
 
 from __future__ import annotations
 
-from .terms import (App, ContractViolation, Fuel, FuelExhausted, Lam, LetPair,
-                    Outcome, Pair, Rec, Stuck, Suc, Term, Zero, drive,
-                    is_value, read_numeral, require_closed, subst)
+from .terms import (VALUES, App, ContractViolation, Fuel, FuelExhausted, Lam,
+                    LetPair, OutOfFuel, Outcome, Pair, Rec, Stuck, Suc, Term,
+                    Zero, drive, read_numeral, require_closed, subst)
+
+
+# Frames of the premises that are not in tail position, on a cons list
+# of cells (kind, p, q, rest): an application's operator under way
+# (p: the argument), a CBV argument under way (p: the operator's value),
+# a split or a recursor's scrutinee under way (p: the node), and the
+# number in a recursor's scrutinee under way (p: the recursor, q: the
+# scrutinee's right component).
+_APP, _ARG, _LET, _REC, _HEAD = range(5)
 
 
 def _eval(t: Term, fuel: Fuel, cbv: bool, literal_let: bool) -> Term:
-    while True:
-        if is_value(t):
-            fuel.tick()  # rule Val
-            return t
-        match t:
-            case App(fun=f, arg=a):
-                fv = _eval(f, fuel, cbv, literal_let)
-                if not isinstance(fv, Lam):
-                    raise Stuck("applied a non-function", fv)
-                fuel.tick()  # rule App
-                if cbv:
-                    a = _eval(a, fuel, cbv, literal_let)
-                t = subst(fv.body, fv.binder, a)
-            case LetPair(scrut=s, x=x, y=y, body=b):
-                sv = _eval(s, fuel, cbv, literal_let)
-                if not isinstance(sv, Pair):
-                    raise Stuck("split a non-pair", sv)
-                fuel.tick()  # rule Let
-                if literal_let:
-                    t = App(App(Lam(x, Lam(y, b)), sv.left), sv.right)
+    frames = None
+    remaining = fuel.remaining
+    try:
+        while True:
+            cls = type(t)
+            if cls in VALUES:
+                if remaining == 0:
+                    raise OutOfFuel()
+                remaining -= 1  # rule Val
+                if frames is None:
+                    return t
+                kind, p, q, frames = frames
+                if kind == _APP:
+                    if cls is not Lam:
+                        raise Stuck("applied a non-function", t)
+                    if remaining == 0:
+                        raise OutOfFuel()
+                    remaining -= 1  # rule App
+                    if cbv:
+                        frames = (_ARG, t, None, frames)
+                        t = p
+                    else:
+                        t = subst(t.body, t.binder, p)
+                elif kind == _ARG:
+                    t = subst(p.body, p.binder, t)
+                elif kind == _LET:
+                    if cls is not Pair:
+                        raise Stuck("split a non-pair", t)
+                    if remaining == 0:
+                        raise OutOfFuel()
+                    remaining -= 1  # rule Let
+                    if literal_let:
+                        t = App(App(Lam(p.x, Lam(p.y, p.body)), t.left),
+                                t.right)
+                    else:
+                        t = subst(subst(p.body, p.x, t.left), p.y, t.right)
+                elif kind == _REC:
+                    if cls is not Pair:
+                        raise Stuck("recursed on a non-pair", t)
+                    frames = (_HEAD, p, t.right, frames)
+                    t = t.left
                 else:
-                    t = subst(subst(b, x, sv.left), y, sv.right)
-            case Rec(scrut=s, base=u, step=v, update=w):
-                sv = _eval(s, fuel, cbv, literal_let)
-                if not isinstance(sv, Pair):
-                    raise Stuck("recursed on a non-pair", sv)
-                head = _eval(sv.left, fuel, cbv, literal_let)
-                if isinstance(head, Zero):
-                    fuel.tick()  # rule Rec1
-                    t = u
-                elif isinstance(head, Suc):
-                    fuel.tick()  # rule Rec2
-                    t = App(v, Rec(App(w, Pair(head.body, sv.right)), u, v, w))
-                else:
-                    raise Stuck("recursed on a non-number", head)
-            case _:
+                    if cls is not Zero and cls is not Suc:
+                        raise Stuck("recursed on a non-number", t)
+                    if remaining == 0:
+                        raise OutOfFuel()
+                    remaining -= 1  # rule Rec1 or Rec2
+                    if cls is Zero:
+                        t = p.base
+                    else:
+                        t = App(p.step, Rec(App(p.update, Pair(t.body, q)),
+                                            p.base, p.step, p.update))
+            elif cls is App:
+                frames = (_APP, t.arg, None, frames)
+                t = t.fun
+            elif cls is LetPair:
+                frames = (_LET, t, None, frames)
+                t = t.scrut
+            elif cls is Rec:
+                frames = (_REC, t, None, frames)
+                t = t.scrut
+            else:
                 raise ContractViolation(
-                    f"cannot evaluate a {type(t).__name__} node")
+                    f"cannot evaluate a {cls.__name__} node")
+    finally:
+        fuel.remaining = remaining
 
 
 def eval_report(t: Term, fuel: int | Fuel, cbv: bool = False,

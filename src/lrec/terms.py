@@ -213,9 +213,12 @@ class Min(Term):
 Outcome = Term | FuelExhausted | Stuck  # of an engine whose result is a term
 
 
+VALUES = (Zero, Suc, Lam, Pair)  # weak head normal forms: 0, S t, λ, pair
+
+
 def is_value(t: Term) -> bool:
     """Weak head normal forms: 0, S t, a lambda, or a pair."""
-    return isinstance(t, (Zero, Suc, Lam, Pair))
+    return isinstance(t, VALUES)
 
 
 def children(t: Term) -> tuple[Term, ...]:
@@ -345,42 +348,48 @@ def subst(t: Term, x: str, s: Term) -> Term:
 
 
 def _subst(t: Term, x: str, s: Term) -> Term:
+    # descends only into the children that hold x: for a linear term,
+    # the one path down to its single occurrence
     if x not in t.fv:
         return t
-    match t:
-        case Var():
-            return s
-        case Suc():
-            # peel S chains iteratively, they can be very tall
-            depth = 0
-            inner = t
-            while isinstance(inner, Suc):
-                inner = inner.body
-                depth += 1
-            inner = _subst(inner, x, s)
-            for _ in range(depth):
-                inner = Suc(inner)
-            return inner
-        case App(fun=f, arg=a):
-            return App(_subst(f, x, s), _subst(a, x, s))
-        case Lam(binder=b, body=body):
-            # x in t.fv implies x != b
-            return Lam(b, _subst(body, x, s))
-        case Pair(left=l, right=r):
-            return Pair(_subst(l, x, s), _subst(r, x, s))
-        case LetPair(scrut=sc, x=px, y=py, body=b):
-            if x in sc.fv:
-                return LetPair(_subst(sc, x, s), px, py, b)
-            return LetPair(sc, px, py, _subst(b, x, s))
-        case Rec(scrut=sc, base=u, step=v, update=w):
-            return Rec(_subst(sc, x, s), _subst(u, x, s), _subst(v, x, s),
-                       _subst(w, x, s))
-        case Iter(count=c, base=u, step=v):
-            return Iter(_subst(c, x, s), _subst(u, x, s), _subst(v, x, s))
-        case Min(scrut=sc, counter=u, fn=f):
-            return Min(_subst(sc, x, s), _subst(u, x, s), _subst(f, x, s))
-        case _:
-            return t
+    cls = type(t)
+    if cls is Var:
+        return s
+    if cls is App:
+        f, a = t.fun, t.arg
+        return App(_subst(f, x, s) if x in f.fv else f,
+                   _subst(a, x, s) if x in a.fv else a)
+    if cls is Lam:
+        # x in t.fv implies x != the binder
+        return Lam(t.binder, _subst(t.body, x, s))
+    if cls is Suc:
+        # peel S chains iteratively, they can be very tall
+        depth = 0
+        inner = t
+        while type(inner) is Suc:
+            inner = inner.body
+            depth += 1
+        inner = _subst(inner, x, s)
+        for _ in range(depth):
+            inner = Suc(inner)
+        return inner
+    if cls is Pair:
+        l, r = t.left, t.right
+        return Pair(_subst(l, x, s) if x in l.fv else l,
+                    _subst(r, x, s) if x in r.fv else r)
+    if cls is LetPair:
+        sc = t.scrut
+        if x in sc.fv:
+            return LetPair(_subst(sc, x, s), t.x, t.y, t.body)
+        return LetPair(sc, t.x, t.y, _subst(t.body, x, s))
+    if cls is Rec:
+        sc, u, v, w = t.scrut, t.base, t.step, t.update
+        return Rec(_subst(sc, x, s) if x in sc.fv else sc,
+                   _subst(u, x, s) if x in u.fv else u,
+                   _subst(v, x, s) if x in v.fv else v,
+                   _subst(w, x, s) if x in w.fv else w)
+    return rebuild(t, [_subst(k, x, s) if x in k.fv else k
+                       for k in children(t)])
 
 
 # --------------------------------------------------------------------------

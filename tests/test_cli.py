@@ -11,10 +11,11 @@ import pytest
 
 import lrec.cli
 from lrec.cli import main
-from lrec.evaluation import force_numeral
-from lrec.machine import machine_force_numeral
+from lrec.evaluation import eval_cbn, eval_cbv, force_numeral
+from lrec.machine import machine_force_numeral, run
 from lrec.parser import parse, parse_type
-from lrec.terms import Fuel, numeral
+from lrec.terms import (App, Fuel, Lam, LetPair, Pair, Term, Var, alpha_eq,
+                        numeral)
 from lrec.types import NAT, check
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -176,6 +177,50 @@ def test_machine_stuck_exits_3(capsys, tmp_path):
     f = write(tmp_path, "stuck.lrec", "let <a, b> = \\x. x in <a, b>")
     code, out, err = run_cli(capsys, "machine", f)
     assert code == 3 and out == "" and "stuck" in err
+
+
+def test_cbv_on_the_compiled_y_runs_out_of_fuel(capsys, tmp_path):
+    """CBV unfolds the compiled fixpoint without end: with no Python
+    recursion left in the evaluator, that is a plain fuel exhaustion."""
+    code, out, _ = run_cli(capsys, "pcf", "compile",
+                           str(CORPUS / "fact3_plain.pcf"))
+    assert code == 0
+    f = write(tmp_path, "fact3.lrec", out)
+    code, out, err = run_cli(capsys, "eval", "--strategy", "cbv",
+                             "--force-nat", "--fuel", "1000000", f)
+    assert (code, out, err) == (2, "", "fuel exhausted after 1000000\n")
+
+
+def _deep_nest(levels: int) -> Term:
+    """<0, 1> under `levels` wrappers, cycling through a split of the
+    term (a Let premise), a split in the head of an application (App,
+    then Let) and an identity applied to it (CBV's argument premise).
+    Each split swaps the pair; an even number of swaps gives <0, 1>."""
+    t = Pair(numeral(0), numeral(1))
+    swapped = Pair(Var("b"), Var("a"))
+    for i in range(levels):
+        if i % 3 == 0:
+            t = LetPair(t, "a", "b", swapped)
+        elif i % 3 == 1:
+            t = App(LetPair(t, "a", "b", Lam("f", App(Var("f"), swapped))),
+                    Lam("q", Var("q")))
+        else:
+            t = App(Lam("p", Var("p")), t)
+    return t
+
+
+def test_engines_need_no_python_recursion_on_deep_derivations():
+    t = _deep_nest(6_000)  # 4,000 swaps
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)
+    try:
+        outs = [eval_cbn(t, 1_000_000), eval_cbv(t, 1_000_000),
+                run(t, 1_000_000)]
+    finally:
+        sys.setrecursionlimit(limit)
+    for got in outs:
+        assert isinstance(got, Pair)
+        assert alpha_eq(got, Pair(numeral(0), numeral(1)))
 
 
 # -------------------------------------------------------------- normalize
@@ -346,6 +391,30 @@ def test_difftest_names_the_counterexample(capsys, tmp_path, monkeypatch):
     assert code == 1
     assert "disagreement" in err
     assert "(\\x. x) 0" in err     # the offending term, verbatim
+
+
+def test_difftest_pcf_records_report_fuel(capsys, tmp_path):
+    """pcf-ref holds the reference's steps, pcf-compiled the readback's
+    rules (as `eval --force-nat` counts them), and a run out of fuel
+    holds its budget."""
+    d = tmp_path / "corpus"
+    d.mkdir()
+    (d / "beta.pcf").write_text((CORPUS / "beta.pcf").read_text())
+    compiled = write(tmp_path, "beta.lrec",
+                     run_cli(capsys, "pcf", "compile", str(d / "beta.pcf"))[1])
+    rep = tmp_path / "runs.jsonl"
+    run_cli(capsys, "eval", "--force-nat", "--report", str(rep), compiled)
+    rules = json.loads(rep.read_text())["fuel_used"]
+    assert rules == 41
+    for fuel, code, ref in (("1000", 0, ("value 5", 3)),
+                            ("2", 1, ("fuel-exhausted", 2))):
+        got, out, _ = run_cli(capsys, "difftest", str(d), "--n", "0",
+                              "--fuel", fuel)
+        records = {r["command"]: (r["outcome"], r["fuel_used"])
+                   for r in map(json.loads, out.splitlines())}
+        assert got == code
+        assert records == {"difftest/pcf-ref": ref,
+                           "difftest/pcf-compiled": ("value 5", rules)}
 
 
 def test_difftest_missing_dir_exits_1(capsys, tmp_path):

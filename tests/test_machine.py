@@ -7,10 +7,10 @@ import pytest
 
 from lrec.evaluation import eval_cbn
 from lrec.machine import (ExtTerm, FuelExhausted, LetK, MachineConfig,
-                          Plain, RecK, RecK2, Stuck, _step,
-                          machine_force_numeral, run)
+                          Plain, RecK, RecK2, Stuck, machine_force_numeral,
+                          run)
 from lrec.parser import parse
-from lrec.terms import (ContractViolation, Lam, Pair, Rec, App, Suc, Term,
+from lrec.terms import (ContractViolation, LetPair, Pair, Rec, App, Term,
                         Var, Zero, alpha_eq, numeral)
 
 ADD = "(\\m n. rec(<m, 0>, n, \\x. S x, \\p. p))"
@@ -36,15 +36,18 @@ def test_rec_zero_transitions():
 
 
 def test_succ_transition_shape():
-    u, v, w = numeral(0), parse("\\x. S x"), parse("\\p. p")
-    got = _step(Suc(Zero()), (RecK2(Zero(), u, v, w),))
-    assert got is not None
-    code, stack, rule = got
-    assert rule == "succ"
-    assert code is v
+    t = parse("rec(<1, 0>, 0, \\x. S x, \\p. p)")
+    u, v, w = t.base, t.step, t.update
+    seen = []
+    run(t, 10, on_step=lambda i, r, c: seen.append((r, c)))
+    assert [r for r, _ in seen[:3]] == ["rec", "pair2", "succ"]
+    config = seen[2][1]
+    assert config.code is v
+    stack = config.stack
     assert len(stack) == 1 and isinstance(stack[0], Plain)
     pending = stack[0].term
     assert isinstance(pending, Rec)
+    assert (pending.base, pending.step, pending.update) == (u, v, w)
     assert alpha_eq(pending.scrut, App(w, Pair(Zero(), Zero())))
 
 
@@ -109,32 +112,52 @@ def _ext_eq(a: ExtTerm, b: ExtTerm) -> bool:
     return True
 
 
+_V, _W = "\\x. S x", "\\p. p"
+
+# A context around m whose first transitions leave one frame below m's
+# run, that frame, and how many transitions it takes to get there.
+_CONTEXTS = [
+    (lambda m: App(m, numeral(9)), Plain(numeral(9)), 1),
+    (lambda m: LetPair(m, "a", "b", Pair(Var("b"), Var("a"))),
+     LetK("a", "b", Pair(Var("b"), Var("a"))), 1),
+    (lambda m: Rec(m, numeral(1), parse(_V), parse(_W)),
+     RecK(numeral(1), parse(_V), parse(_W)), 1),
+    (lambda m: Rec(Pair(m, numeral(2)), numeral(1), parse(_V), parse(_W)),
+     RecK2(numeral(2), numeral(1), parse(_V), parse(_W)), 2),
+]
+
+
+def _trace(t):
+    seen = []
+    run(t, 10_000, on_step=lambda i, r, c: seen.append((r, c)))
+    return seen
+
+
 def test_stack_append_property():
-    # a transition is insensitive to extra entries below the live stack
-    junk_pool = [
-        Plain(numeral(9)),
-        LetK("a", "b", Pair(Var("a"), Var("b"))),
-        RecK(numeral(1), parse("\\x. S x"), parse("\\p. p")),
-        RecK2(numeral(2), numeral(1), parse("\\x. S x"), parse("\\p. p")),
-    ]
+    # a transition is insensitive to extra entries below the live stack:
+    # run each program under random contexts that leave 1-3 frames below
+    # it, and compare every transition with the bare run's
     rng = random.Random(7)
     for src in (f"{ADD} 2 3", "let <a, b> = <1, 2> in <b, a>", f"{MULT} 2 2"):
-        code, stack = parse(src), ()
-        for _ in range(200):
-            got = _step(code, stack)
-            if got is None:
-                break
-            after, after_stack, rule = got
-            junk = tuple(rng.choices(junk_pool, k=rng.randrange(1, 3)))
-            ext = _step(code, stack + junk)
-            assert ext is not None
-            ext_code, ext_stack, ext_rule = ext
-            assert ext_rule == rule
-            assert alpha_eq(ext_code, after)
-            want = after_stack + junk
-            assert len(ext_stack) == len(want)
-            assert all(_ext_eq(p, q) for p, q in zip(ext_stack, want))
-            code, stack = after, after_stack
+        prog = parse(src)
+        bare = _trace(prog)
+        assert bare and not bare[-1][1].stack
+        for _ in range(8):
+            t, junk, skip = prog, (), 0
+            for wrap, frame, steps in rng.choices(_CONTEXTS,
+                                                  k=rng.randrange(1, 4)):
+                t, junk, skip = wrap(t), junk + (frame,), skip + steps
+            ext = _trace(t)
+            assert len(ext) >= skip + len(bare)
+            start = ext[skip - 1][1]
+            assert start.code is prog and len(start.stack) == len(junk)
+            assert all(_ext_eq(p, q) for p, q in zip(start.stack, junk))
+            for (rule, c), (ext_rule, e) in zip(bare, ext[skip:]):
+                assert ext_rule == rule
+                assert alpha_eq(e.code, c.code)
+                want = c.stack + junk
+                assert len(e.stack) == len(want)
+                assert all(_ext_eq(p, q) for p, q in zip(e.stack, want))
 
 
 def test_no_environment_in_data_model():

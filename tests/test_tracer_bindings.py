@@ -29,8 +29,11 @@ CASES = [
     (["eval", "{add23}"], ["evaluation.eval_report", "terms.subst",
                            "terms.pretty"]),
     (["eval", "--force-nat", "{add23}"], ["evaluation.force_numeral"]),
+    (["eval", "--strategy", "cbv", "--force-nat", "{add23}"],
+     ["evaluation.force_numeral", "terms.subst"]),
     (["machine", "{add23}"], ["machine.run"]),
-    (["machine", "--force-nat", "{add23}"], ["machine.force_numeral"]),
+    (["machine", "--force-nat", "{add23}"], ["machine.force_numeral",
+                                             "terms.subst"]),
     (["normalize", "{add23}"], ["reduction.normalize"]),
     (["normalize", "--calculus", "llcim", "{lin}"], ["minext.normalize_m"]),
     (["pcf", "eval", "{shared}"], ["pcf.parse", "pcf.check", "pcf.eval"]),
