@@ -9,7 +9,7 @@ reduction; there is no dedicated big-step evaluator for this calculus.
 
 from __future__ import annotations
 
-from .reduction import Stepped, _normalize_with, step_lo, step_root
+from .reduction import _normalize_with, step_root
 from .terms import (App, ContractViolation, Fuel, FuelExhausted, Iter, Lam,
                     LetPair, Min, Pair, Rec, Suc, Term, Var, Zero, children)
 from .types import LinType, infer
@@ -48,11 +48,6 @@ def _mroot(t: Term) -> tuple[Term, str] | None:
 def mstep_root(t: Term) -> tuple[Term, str] | None:
     check_mterm(t)
     return _mroot(t)
-
-
-def mstep_lo(t: Term) -> Stepped | None:
-    check_mterm(t)
-    return step_lo(t, _mroot, "nfm")
 
 
 def normalize_m(t: Term, fuel: int | Fuel,

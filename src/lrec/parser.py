@@ -11,8 +11,8 @@ against its own earlier definitions first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, TypeVar
+import re
+from typing import Callable, NamedTuple, Optional, TypeVar
 
 from .terms import (App, Iter, Lam, LetPair, Min, Rec, Suc, Term, Var,
                     Violation, check_linear, freshen, mk_tuple, numeral)
@@ -27,87 +27,80 @@ class ParseError(Exception):
 
 
 class LinearityError(Exception):
+    # the message names the first few violations; .violations has them all
+    SHOWN = 3
+
     def __init__(self, violations: list[Violation]):
-        super().__init__("; ".join(str(v) for v in violations))
+        msg = "; ".join(str(v) for v in violations[:self.SHOWN])
+        if len(violations) > self.SHOWN:
+            msg += f" (and {len(violations) - self.SHOWN} more)"
+        super().__init__(msg)
         self.violations = violations
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
     col: int
 
 
-_PUNCT = {
-    "\\": "lambda", "λ": "lambda", ".": "dot", "<": "langle", ">": "rangle",
-    ",": "comma", "(": "lparen", ")": "rparen", "=": "eq", ";": "semi",
-    "@": "at", "[": "lbracket", "]": "rbracket", ":": "colon", "*": "star",
-    "⊗": "star", "⊸": "lolli",
-}
+# One alternative per token kind, named after it and tried in this order
+# (most frequent first). A numeral is a run of decimal digits, exactly
+# what int() reads. An identifier goes on with letters, digits, "_" and
+# "'", and starts with a letter or "_": its class [^\W\d] also admits
+# numeric characters such as "²", which lex rejects after the match.
+_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("space", r"[ \t\r\n]+"),
+    ("ident", r"[^\W\dλ][\w']*"),
+    ("lparen", r"\("),
+    ("rparen", r"\)"),
+    ("nat", r"\d+"),
+    ("lambda", r"[\\λ]"),
+    ("dot", r"\."),
+    ("at", r"@"),
+    ("langle", r"<"),
+    ("rangle", r">"),
+    ("comma", r","),
+    ("eq", r"="),
+    ("semi", r";"),
+    ("lbracket", r"\["),
+    ("rbracket", r"\]"),
+    ("colon", r":"),
+    ("star", r"[*⊗]"),
+    ("comment", r"--[^\n]*"),
+    ("lolli", r"-o|⊸"),
+    ("arrow", r"->"),
+    ("bad", r"."),
+)), re.DOTALL)
 
-
-def _ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _ident_char(c: str) -> bool:
-    return c.isalnum() or c in "_'"
+_new_token = tuple.__new__  # Token(...) without NamedTuple's Python-level __new__
 
 
 def lex(src: str) -> list[Token]:
     out: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    append = out.append
+    line, start = 1, 0  # start: the index where the current line begins
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        if kind == "space":
+            text = m.group()
+            k = text.count("\n")
+            if k:
+                line += k
+                start = m.start() + text.rindex("\n") + 1
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "comment":
             continue
-        if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if src.startswith("-o", i):
-            out.append(Token("lolli", "-o", line, col))
-            i += 2
-            col += 2
-            continue
-        if src.startswith("->", i):
-            out.append(Token("arrow", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT:
-            out.append(Token(_PUNCT[c], c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            out.append(Token("nat", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if _ident_start(c):
-            j = i
-            while j < n and _ident_char(src[j]):
-                j += 1
-            out.append(Token("ident", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    out.append(Token("eof", "", line, col))
+        text = m.group()
+        col = m.start() - start + 1
+        if kind == "ident":
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise ParseError(f"unexpected character {text[0]!r}", line, col)
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        append(_new_token(Token, (kind, text, line, col)))
+    append(Token("eof", "", line, len(src) - start + 1))
     return out
 
 
@@ -127,7 +120,11 @@ class TokenStream:
         self.resolve = resolve
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        # the list ends with "eof", which next() never passes
+        try:
+            return self.toks[self.pos + ahead]
+        except IndexError:
+            return self.toks[-1]
 
     def next(self) -> Token:
         t = self.toks[self.pos]

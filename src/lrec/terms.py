@@ -270,63 +270,124 @@ class Violation:
         return f"at {where}: {self.constraint}"
 
 
-def _disjointness(parts: list[tuple[str, Term]], path: str, out: list[Violation]):
+def _disjointness(parts: list[tuple[str, Term]], bad: list[tuple]):
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             shared = parts[i][1].fv & parts[j][1].fv
             if shared:
                 names = ", ".join(sorted(shared))
-                out.append(Violation(
-                    path,
+                bad.append((
                     f"variable(s) {names} occur in both {parts[i][0]} and {parts[j][0]}",
-                    "shared", frozenset(shared),
-                ))
+                    "shared", frozenset(shared)))
 
 
 def check_linear(t: Term) -> list[Violation]:
     """Every constraint of the term grammar, at every subterm.
 
-    Returns the empty list when the term is syntactically linear.
+    Returns the empty list when the term is syntactically linear. A
+    light walk certifies most linear terms, every freshened one among
+    them; only the rest take the full walk, which lists each violation
+    with its path.
     """
-    out: list[Violation] = []
-    work: list[tuple[Term, str]] = [(t, "")]
+    return [] if _certified(t) else _violations(t)
+
+
+def _certified(t: Term) -> bool:
+    """True when every variable occurrence has a name of its own and every
+    binder occurs in its body. Then no constraint can fail: sharing needs
+    two occurrences of one name. False does not mean a violation, only
+    that the full walk must decide (reused names in disjoint scopes)."""
+    seen: set[str] = set()
+    work = [t]
+    pop, push = work.pop, work.append
     while work:
-        node, path = work.pop()
+        node = pop()
+        cls = type(node)
+        if cls is Var:
+            n = node.name
+            if n in seen:
+                return False
+            seen.add(n)
+        elif cls is App:
+            push(node.arg)
+            push(node.fun)
+        elif cls is Lam:
+            if node.binder not in node.body.fv:
+                return False
+            push(node.body)
+        elif cls is Suc:
+            node = node.body
+            while type(node) is Suc:
+                node = node.body
+            push(node)
+        elif cls is Pair:
+            push(node.right)
+            push(node.left)
+        elif cls is LetPair:
+            x, y, b = node.x, node.y, node.body
+            if x == y or x not in b.fv or y not in b.fv:
+                return False
+            push(b)
+            push(node.scrut)
+        elif cls is not Zero:
+            work += children(node)
+    return True
+
+
+def _render(cell: list | None) -> str:
+    """The dotted path of a walk cell [parent cell, child index, text],
+    caching the text on every cell it renders."""
+    pending = []
+    while cell is not None and cell[2] is None:
+        pending.append(cell)
+        cell = cell[0]
+    text = "" if cell is None else cell[2]
+    for c in reversed(pending):
+        text = f"{text}.{c[1]}" if text else str(c[1])
+        c[2] = text
+    return text
+
+
+def _violations(t: Term) -> list[Violation]:
+    # the full walk; a node's path is rendered only when it has a violation
+    out: list[Violation] = []
+    work: list[tuple[Term, list | None]] = [(t, None)]
+    while work:
+        node, cell = work.pop()
+        bad: list[tuple[str, str, frozenset[str]]] = []
         match node:
             case Lam(binder=x, body=b):
                 if x not in b.fv:
-                    out.append(Violation(
-                        path, f"binder {x} unused in the body", "unused", frozenset((x,))))
+                    bad.append((f"binder {x} unused in the body", "unused", frozenset((x,))))
             case App(fun=f, arg=a):
-                _disjointness([("operator", f), ("operand", a)], path, out)
+                _disjointness([("operator", f), ("operand", a)], bad)
             case Pair(left=l, right=r):
-                _disjointness([("left component", l), ("right component", r)], path, out)
+                _disjointness([("left component", l), ("right component", r)], bad)
             case LetPair(scrut=s, x=x, y=y, body=b):
                 if x == y:
-                    out.append(Violation(
-                        path, f"pattern binds {x} twice", "dup-pattern", frozenset((x,))))
+                    bad.append((f"pattern binds {x} twice", "dup-pattern", frozenset((x,))))
                 for v in (x, y):
                     if v not in b.fv:
-                        out.append(Violation(
-                            path, f"pattern variable {v} unused in the body",
-                            "unused", frozenset((v,))))
+                        bad.append((f"pattern variable {v} unused in the body",
+                                    "unused", frozenset((v,))))
                 shared = s.fv & (b.fv - {x, y})
                 if shared:
                     names = ", ".join(sorted(shared))
-                    out.append(Violation(
-                        path,
-                        f"variable(s) {names} occur in both scrutinee and body",
-                        "shared", frozenset(shared)))
+                    bad.append((f"variable(s) {names} occur in both scrutinee and body",
+                                "shared", frozenset(shared)))
             case Rec(scrut=s, base=u, step=v, update=w):
                 _disjointness(
-                    [("scrutinee", s), ("base", u), ("step", v), ("update", w)], path, out)
+                    [("scrutinee", s), ("base", u), ("step", v), ("update", w)], bad)
             case Iter(count=c, base=u, step=v):
-                _disjointness([("count", c), ("base", u), ("step", v)], path, out)
+                _disjointness([("count", c), ("base", u), ("step", v)], bad)
             case Min(scrut=s, counter=u, fn=f):
-                _disjointness([("scrutinee", s), ("counter", u), ("function", f)], path, out)
+                _disjointness([("scrutinee", s), ("counter", u), ("function", f)], bad)
+        if bad:
+            path = _render(cell)
+            out += (Violation(path, *v) for v in bad)
         kids = children(node)
         for i in range(len(kids) - 1, -1, -1):
-            work.append((kids[i], f"{path}.{i}".lstrip(".")))
+            work.append((kids[i], [cell, i, None]))
     return out
 
 
@@ -541,42 +602,66 @@ def freshen(t: Term) -> Term:
         start[name] = i + 1
         return new
 
-    def go(node: Term, env: dict[str, str]) -> Term:
-        match node:
-            case Zero():
-                return node
-            case Var(name=n):
-                return Var(env[n]) if n in env else node
-            case Suc():
-                depth = 0
-                inner = node
-                while isinstance(inner, Suc):
-                    inner = inner.body
-                    depth += 1
-                inner = go(inner, env)
-                for _ in range(depth):
-                    inner = Suc(inner)
-                return inner
-            case App(fun=f, arg=a):
-                return App(go(f, env), go(a, env))
-            case Lam(binder=x, body=b):
-                nx = pick(x)
-                return Lam(nx, go(b, {**env, x: nx}))
-            case Pair(left=l, right=r):
-                return Pair(go(l, env), go(r, env))
-            case LetPair(scrut=s, x=x, y=y, body=b):
-                ns = go(s, env)
-                nx, ny = pick(x), pick(y)
-                return LetPair(ns, nx, ny, go(b, {**env, x: nx, y: ny}))
-            case Rec(scrut=s, base=u, step=v, update=w):
-                return Rec(go(s, env), go(u, env), go(v, env), go(w, env))
-            case Iter(count=c, base=u, step=v):
-                return Iter(go(c, env), go(u, env), go(v, env))
-            case Min(scrut=s, counter=u, fn=f):
-                return Min(go(s, env), go(u, env), go(f, env))
-        raise AssertionError(f"unhandled node {type(node).__name__}")
+    env: dict[str, str] = {}  # bound name -> new name, restored on exit
 
-    return go(t, {})
+    def go(node: Term) -> Term:
+        cls = type(node)
+        if cls is Var:
+            n = node.name
+            return Var(env[n]) if n in env else node
+        if cls is App:
+            return App(go(node.fun), go(node.arg))
+        if cls is Lam:
+            x = node.binder
+            nx = pick(x)
+            outer = env.get(x)
+            env[x] = nx
+            body = go(node.body)
+            restore_scope(env, x, outer)
+            return Lam(nx, body)
+        if cls is Zero:
+            return node
+        if cls is Suc:
+            depth = 0
+            inner = node
+            while type(inner) is Suc:
+                inner = inner.body
+                depth += 1
+            inner = go(inner)
+            for _ in range(depth):
+                inner = Suc(inner)
+            return inner
+        if cls is Pair:
+            return Pair(go(node.left), go(node.right))
+        if cls is LetPair:
+            ns = go(node.scrut)
+            x, y = node.x, node.y
+            nx, ny = pick(x), pick(y)
+            outer_x, outer_y = env.get(x), env.get(y)
+            env[x] = nx
+            env[y] = ny
+            body = go(node.body)
+            restore_scope(env, y, outer_y)
+            restore_scope(env, x, outer_x)
+            return LetPair(ns, nx, ny, body)
+        if cls is Rec:
+            return Rec(go(node.scrut), go(node.base), go(node.step), go(node.update))
+        if cls is Iter:
+            return Iter(go(node.count), go(node.base), go(node.step))
+        if cls is Min:
+            return Min(go(node.scrut), go(node.counter), go(node.fn))
+        raise AssertionError(f"unhandled node {cls.__name__}")
+
+    return go(t)
+
+
+def restore_scope(env: dict, name: str, outer):
+    """Undo a scoped binding of name; outer is what it shadowed, or None.
+    Restoring twice is harmless (a pattern that binds one name twice)."""
+    if outer is None:
+        env.pop(name, None)
+    else:
+        env[name] = outer
 
 
 # --------------------------------------------------------------------------

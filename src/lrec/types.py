@@ -6,10 +6,9 @@ three type formers. Linearity makes context splitting deterministic
 (each part of a node gets exactly the variables it uses), so splits are
 read off the cached free-variable sets and never searched.
 
-check_nonlinear relaxes linearity for a chosen set of variables, which
-may then be shared between the parts of a split or dropped entirely.
-Everything else is checked as usual. It exists to validate compiler
-intermediates whose source-language variables are not linear.
+Both entry points, infer and check, reject a non-linear term before
+typing it. Constraint generation keeps one environment, binding each
+binder on the way down and restoring what it shadowed on the way up.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .terms import (App, Iter, Lam, LetPair, Min, Pair, Rec, Suc, Term, Var,
-                    Zero, check_linear, pretty)
+                    Zero, check_linear, pretty, restore_scope)
 
 
 class LinType:
@@ -97,7 +96,7 @@ def type_pretty(a: LinType, ground: bool = False) -> str:
 
 
 def _resolve(a: LinType, sub: dict[int, LinType]) -> LinType:
-    while isinstance(a, MetaVar) and a.id in sub:
+    while type(a) is MetaVar and a.id in sub:
         a = sub[a.id]
     return a
 
@@ -106,52 +105,57 @@ def _occurs(i: int, a: LinType, sub: dict[int, LinType]) -> bool:
     work = [a]
     while work:
         t = _resolve(work.pop(), sub)
-        match t:
-            case MetaVar(id=j):
-                if j == i:
-                    return True
-            case Lolli(dom=d, cod=c):
-                work += (d, c)
-            case Tensor(left=l, right=r):
-                work += (l, r)
+        cls = type(t)
+        if cls is MetaVar:
+            if t.id == i:
+                return True
+        elif cls is Lolli:
+            work += (t.dom, t.cod)
+        elif cls is Tensor:
+            work += (t.left, t.right)
     return False
 
 
 def _unify(a: LinType, b: LinType, sub: dict[int, LinType]):
+    # equal subtrees are walked, not compared whole first: walking them
+    # binds nothing, and pairs leave the stack in descent order, so the
+    # substitution and the first failing pair are a whole-tree test's
     work = [(a, b)]
     while work:
         x, y = work.pop()
         x, y = _resolve(x, sub), _resolve(y, sub)
-        if x == y:
+        if x is y:
             continue
-        match x, y:
-            case (MetaVar(id=i), _):
-                if _occurs(i, y, sub):
-                    raise _UnifyError(x, y)
-                sub[i] = y
-            case (_, MetaVar(id=i)):
-                if _occurs(i, x, sub):
-                    raise _UnifyError(y, x)
-                sub[i] = x
-            case (Lolli(), Lolli()):
-                work.append((x.dom, y.dom))
-                work.append((x.cod, y.cod))
-            case (Tensor(), Tensor()):
-                work.append((x.left, y.left))
-                work.append((x.right, y.right))
-            case _:
+        cx, cy = type(x), type(y)
+        if cx is MetaVar:
+            if cy is MetaVar and x.id == y.id:
+                continue
+            if _occurs(x.id, y, sub):
                 raise _UnifyError(x, y)
+            sub[x.id] = y
+        elif cy is MetaVar:
+            if _occurs(y.id, x, sub):
+                raise _UnifyError(y, x)
+            sub[y.id] = x
+        elif cx is not cy:
+            raise _UnifyError(x, y)
+        elif cx is Lolli:
+            work.append((x.dom, y.dom))
+            work.append((x.cod, y.cod))
+        elif cx is Tensor:
+            work.append((x.left, y.left))
+            work.append((x.right, y.right))
+        # else Nat against Nat: nothing to do
 
 
 def _zonk(a: LinType, sub: dict[int, LinType]) -> LinType:
     a = _resolve(a, sub)
-    match a:
-        case Lolli(dom=d, cod=c):
-            return Lolli(_zonk(d, sub), _zonk(c, sub))
-        case Tensor(left=l, right=r):
-            return Tensor(_zonk(l, sub), _zonk(r, sub))
-        case _:
-            return a
+    cls = type(a)
+    if cls is Lolli:
+        return Lolli(_zonk(a.dom, sub), _zonk(a.cod, sub))
+    if cls is Tensor:
+        return Tensor(_zonk(a.left, sub), _zonk(a.right, sub))
+    return a
 
 
 # --------------------------------------------------------------------------
@@ -180,53 +184,68 @@ class _Gen:
                 f"{type_pretty(zb)} in {pretty(at)}") from None
 
     def go(self, t: Term, env: dict[str, LinType]) -> LinType:
-        match t:
-            case Var(name=n):
-                try:
-                    return env[n]
-                except KeyError:
-                    raise TypingError(f"unbound variable {n}") from None
-            case Zero():
-                return NAT
-            case Suc():
-                inner = t
-                while isinstance(inner, Suc):
-                    inner = inner.body
-                self.want(self.go(inner, env), NAT, "Succ", t)
-                return NAT
-            case Lam(binder=x, body=b):
-                a = self.fresh()
-                return Lolli(a, self.go(b, {**env, x: a}))
-            case App(fun=f, arg=u):
-                tf = self.go(f, env)
-                tu = self.go(u, env)
-                out = self.fresh()
-                self.want(tf, Lolli(tu, out), "App", t)
-                return out
-            case Pair(left=l, right=r):
-                return Tensor(self.go(l, env), self.go(r, env))
-            case LetPair(scrut=s, x=x, y=y, body=b):
-                a1, a2 = self.fresh(), self.fresh()
-                self.want(self.go(s, env), Tensor(a1, a2), "Let", t)
-                return self.go(b, {**env, x: a1, y: a2})
-            case Rec(scrut=s, base=u, step=v, update=w):
-                self.want(self.go(s, env), Tensor(NAT, NAT), "Rec", t)
-                a = self.go(u, env)
-                self.want(self.go(v, env), Lolli(a, a), "Rec", t)
-                nn = Tensor(NAT, NAT)
-                self.want(self.go(w, env), Lolli(nn, nn), "Rec", t)
-                return a
-            case Iter(count=c, base=u, step=v):
-                self.want(self.go(c, env), NAT, "Iter", t)
-                a = self.go(u, env)
-                self.want(self.go(v, env), Lolli(a, a), "Iter", t)
-                return a
-            case Min(scrut=s, counter=u, fn=f):
-                self.want(self.go(s, env), NAT, "Min", t)
-                self.want(self.go(u, env), NAT, "Min", t)
-                self.want(self.go(f, env), Lolli(NAT, NAT), "Min", t)
-                return NAT
-        raise AssertionError(f"unhandled node {type(t).__name__}")
+        """The type of t; env maps the variables in scope to their types.
+        A binder is bound in env for its body and then restored, so a
+        successful call leaves env as it found it."""
+        cls = type(t)
+        if cls is Var:
+            try:
+                return env[t.name]
+            except KeyError:
+                raise TypingError(f"unbound variable {t.name}") from None
+        if cls is App:
+            tf = self.go(t.fun, env)
+            tu = self.go(t.arg, env)
+            out = self.fresh()
+            self.want(tf, Lolli(tu, out), "App", t)
+            return out
+        if cls is Lam:
+            x = t.binder
+            a = self.fresh()
+            outer = env.get(x)
+            env[x] = a
+            body = self.go(t.body, env)
+            restore_scope(env, x, outer)
+            return Lolli(a, body)
+        if cls is Zero:
+            return NAT
+        if cls is Suc:
+            inner = t.body
+            while type(inner) is Suc:
+                inner = inner.body
+            self.want(self.go(inner, env), NAT, "Succ", t)
+            return NAT
+        if cls is Pair:
+            return Tensor(self.go(t.left, env), self.go(t.right, env))
+        if cls is LetPair:
+            x, y = t.x, t.y
+            a1, a2 = self.fresh(), self.fresh()
+            self.want(self.go(t.scrut, env), Tensor(a1, a2), "Let", t)
+            outer_x, outer_y = env.get(x), env.get(y)
+            env[x] = a1
+            env[y] = a2
+            body = self.go(t.body, env)
+            restore_scope(env, y, outer_y)
+            restore_scope(env, x, outer_x)
+            return body
+        if cls is Rec:
+            self.want(self.go(t.scrut, env), Tensor(NAT, NAT), "Rec", t)
+            a = self.go(t.base, env)
+            self.want(self.go(t.step, env), Lolli(a, a), "Rec", t)
+            nn = Tensor(NAT, NAT)
+            self.want(self.go(t.update, env), Lolli(nn, nn), "Rec", t)
+            return a
+        if cls is Iter:
+            self.want(self.go(t.count, env), NAT, "Iter", t)
+            a = self.go(t.base, env)
+            self.want(self.go(t.step, env), Lolli(a, a), "Iter", t)
+            return a
+        if cls is Min:
+            self.want(self.go(t.scrut, env), NAT, "Min", t)
+            self.want(self.go(t.counter, env), NAT, "Min", t)
+            self.want(self.go(t.fn, env), Lolli(NAT, NAT), "Min", t)
+            return NAT
+        raise AssertionError(f"unhandled node {cls.__name__}")
 
 
 def _env_map(env: TypeEnv) -> dict[str, LinType]:
@@ -295,31 +314,3 @@ def _meta_ids(a: LinType) -> set[int]:
             case Tensor(left=l, right=r):
                 work += (l, r)
     return out
-
-
-def check_nonlinear(t: Term, env: TypeEnv, x_set: frozenset[str] | set[str]) -> LinType:
-    """Type t while letting the variables in x_set be shared or dropped.
-
-    All other variables (including every binder) stay linear. Used to
-    validate compiler output, whose source-level variables occur any
-    number of times.
-    """
-    for v in check_linear(t):
-        if v.kind == "shared":
-            offending = v.names - x_set
-            if offending:
-                names = ", ".join(sorted(offending))
-                raise TypingError(f"variable(s) {names} duplicated: {v}")
-        else:
-            raise TypingError(f"term is not linear: {v}")
-    emap = _env_map(env)
-    missing = set(t.fv) - set(emap)
-    if missing:
-        raise EnvDomainError(
-            f"environment missing {', '.join(sorted(missing))}")
-    dropped = set(emap) - set(t.fv) - set(x_set)
-    if dropped:
-        names = ", ".join(sorted(dropped))
-        raise TypingError(f"variable(s) {names} dropped but not exempt")
-    gen = _Gen()
-    return _zonk(gen.go(t, emap), gen.sub)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -438,6 +439,32 @@ def test_non_utf8_input_exits_1(capsys, tmp_path, argv, name):
     assert out == ""
     assert err == "syntax: line 2, col 2: input is not UTF-8 " \
                   "(invalid start byte)\n"
+
+
+@pytest.mark.parametrize("name,text,col", [
+    ("sq.lrec", "²", 1), ("half.lrec", "\\x. x ½", 7),
+    ("twelve.lrec", "Ⅻ", 1), ("sq.pcf", "(fun x : Nat . x) ²", 19)])
+def test_non_decimal_digit_exits_1(capsys, tmp_path, name, text, col):
+    """Numerals are decimal digits only: int() rejects "²", which used
+    to crash the parser after the lexer took it for a numeral."""
+    argv = ["pcf", "eval"] if name.endswith(".pcf") else ["check"]
+    code, out, err = run_cli(capsys, *argv, write(tmp_path, name, text))
+    assert (code, out) == (1, "")
+    assert err == f"syntax: line 1, col {col}: unexpected character " \
+                  f"{text[col - 1]!r}\n"
+
+
+def test_linearity_diagnostic_is_capped(capsys, tmp_path):
+    """8,000 binders of one name, all but the innermost unused: 7,999
+    violations, of which the one-line diagnostic names three."""
+    f = write(tmp_path, "shadow.lrec", "\\x. " * 8000 + "x")
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "check", f)
+    assert time.perf_counter() - t0 < 5
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and len(err.encode()) < 1024
+    assert err.startswith("syntax: at root: binder x unused in the body; ")
+    assert err.endswith(" (and 7996 more)\n")
 
 
 def test_difftest_skips_non_utf8_files(capsys, tmp_path):

@@ -4,10 +4,10 @@ recursor-based minimisation."""
 import pytest
 
 from lrec.evaluation import force_numeral
-from lrec.minext import (check_mterm, lin_copy, lin_fst, lin_pred, mstep_lo,
+from lrec.minext import (_mroot, check_mterm, lin_copy, lin_fst, lin_pred,
                          mstep_root, mtype, mu_enc, normalize_m)
 from lrec.parser import parse
-from lrec.reduction import FuelExhausted
+from lrec.reduction import FuelExhausted, Stepped, step_lo
 from lrec.stdlib import identity, iter_enc, min_enc, pred_enc
 from lrec.terms import (App, ContractViolation, Iter, Lam, Min, Pair, Rec,
                         Suc, Term, Var, Zero, alpha_eq, numeral,
@@ -15,6 +15,12 @@ from lrec.terms import (App, ContractViolation, Iter, Lam, Min, Pair, Rec,
 from lrec.types import Lolli, NAT, TypingError
 
 F = 100_000
+
+
+def mstep_lo(t: Term) -> Stepped | None:
+    """One leftmost-outermost step under the minimiser rules."""
+    check_mterm(t)
+    return step_lo(t, _mroot, "nfm")
 
 
 def mforce(t: Term, fuel: int = F):

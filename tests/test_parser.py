@@ -41,6 +41,22 @@ def test_parse_error_position():
     assert "line 3" in str(e.value)
 
 
+def test_end_of_input_column_counts_a_trailing_comment():
+    with pytest.raises(ParseError) as e:
+        parse("(\\x. x -- trailing comment")
+    assert str(e.value) == "line 1, col 27: expected ')', found 'end of input'"
+
+
+def test_linearity_error_names_three_violations():
+    with pytest.raises(LinearityError) as e:
+        parse("\\x. " * 10 + "x")
+    assert len(e.value.violations) == 9
+    assert str(e.value) == (
+        "at root: binder x unused in the body; "
+        "at 0: binder x_1 unused in the body; "
+        "at 0.0: binder x_2 unused in the body (and 6 more)")
+
+
 def test_numeral_literals():
     assert alpha_eq(parse("3"), numeral(3))
     assert alpha_eq(parse("S 3"), numeral(4))

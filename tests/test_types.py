@@ -3,10 +3,38 @@
 import pytest
 
 from lrec.parser import parse
-from lrec.terms import App, Lam, Pair, Var, numeral
-from lrec.types import (EnvDomainError, Lolli, MetaVar, NAT, Tensor,
-                        TypingError, check, check_nonlinear,
+from lrec.terms import App, Lam, Pair, Term, Var, check_linear, numeral
+from lrec.types import (EnvDomainError, LinType, Lolli, MetaVar, NAT, Tensor,
+                        TypeEnv, TypingError, _env_map, _Gen, _zonk, check,
                         infer, type_pretty)
+
+
+def check_nonlinear(t: Term, env: TypeEnv, x_set: frozenset[str] | set[str]) -> LinType:
+    """Type t while letting the variables in x_set be shared or dropped.
+
+    All other variables (including every binder) stay linear. Used to
+    validate compiler output, whose source-level variables occur any
+    number of times.
+    """
+    for v in check_linear(t):
+        if v.kind == "shared":
+            offending = v.names - x_set
+            if offending:
+                names = ", ".join(sorted(offending))
+                raise TypingError(f"variable(s) {names} duplicated: {v}")
+        else:
+            raise TypingError(f"term is not linear: {v}")
+    emap = _env_map(env)
+    missing = set(t.fv) - set(emap)
+    if missing:
+        raise EnvDomainError(
+            f"environment missing {', '.join(sorted(missing))}")
+    dropped = set(emap) - set(t.fv) - set(x_set)
+    if dropped:
+        names = ", ".join(sorted(dropped))
+        raise TypingError(f"variable(s) {names} dropped but not exempt")
+    gen = _Gen()
+    return _zonk(gen.go(t, emap), gen.sub)
 
 
 def test_infer_identity_most_general():
