@@ -27,21 +27,25 @@ def check_mterm(t: Term):
 
 
 def _mroot(t: Term) -> tuple[Term, str] | None:
-    r = step_root(t)  # Beta and Let; the recursor never occurs here
-    if r is not None:
-        return r
-    match t:
-        case Iter(count=Zero(), base=u, step=v) if not v.fv:
-            return u, "IterZero"
-        case Iter(count=Suc(body=tn), base=u, step=v) if not v.fv:
-            return App(v, Iter(tn, u, v)), "IterSuc"
-        case Min(scrut=Zero(), counter=u, fn=f) if not f.fv:
-            return u, "MinZero"
-        case Min(scrut=Suc(body=tn), counter=u, fn=f) \
-                if not (f.fv | tn.fv | u.fv):
+    cls = type(t)
+    if cls is Iter:
+        n, v = t.count, t.step
+        if not v.fv:
+            if type(n) is Zero:
+                return t.base, "IterZero"
+            if type(n) is Suc:
+                return App(v, Iter(n.body, t.base, v)), "IterSuc"
+    elif cls is Min:
+        n, u, f = t.scrut, t.counter, t.fn
+        if type(n) is Zero:
+            if not f.fv:
+                return u, "MinZero"
+        elif type(n) is Suc and not (f.fv or n.body.fv or u.fv):
             # the search continues: drop the witness body, try the next
             # counter value (which the closedness lets us use twice)
             return Min(App(f, Suc(u)), Suc(u), f), "MinSuc"
+    else:
+        return step_root(t)  # Beta and Let; the recursor never occurs here
     return None
 
 

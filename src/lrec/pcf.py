@@ -27,7 +27,7 @@ from .parser import ParseError, TokenStream, definitions, lex
 from .stdlib import cond_enc, dup, erase_term, fix, fst_enc, identity, snd_enc
 from .terms import (App, ContractViolation, Fuel, FuelExhausted, Lam, LetPair,
                     Pair, Rec, Suc, Term, Var, Zero, _subst, children,
-                    drive, fresh_name, numeral, rebuild)
+                    drive, fresh_name, numeral, rebuild, restore_scope)
 from .types import LinType, Lolli, NAT, TypingError
 
 
@@ -163,7 +163,9 @@ class PcfTypeError(TypingError):
 
 
 def pcf_check(t: PcfTerm, env: dict[str, PcfType]) -> PcfType:
-    """Simple types with annotated binders; iszero lands in Nat (0/1)."""
+    """Simple types with annotated binders; iszero lands in Nat (0/1).
+    env gains each binder in place while its body is checked and is left
+    as it was on return."""
     match t:
         case NumConst():
             return PNAT
@@ -178,7 +180,12 @@ def pcf_check(t: PcfTerm, env: dict[str, PcfType]) -> PcfType:
                 raise PcfTypeError(f"unbound variable {n}")
             return env[n]
         case PLam(binder=b, annot=a, body=u):
-            return Arrow(a, pcf_check(u, {**env, b: a}))
+            outer = env.get(b)
+            env[b] = a
+            try:
+                return Arrow(a, pcf_check(u, env))
+            finally:
+                restore_scope(env, b, outer)
         case PApp(fun=f, arg=u):
             tf = pcf_check(f, env)
             if not isinstance(tf, Arrow):
@@ -378,7 +385,8 @@ def close_var(x: str, t: Term, a: LinType,
 
 def compile_body(t: PcfTerm, tenv: dict[str, PcfType]) -> Term:
     """The type-directed clauses; output is nonlinear in the free
-    variables of t (same set, possibly many occurrences each)."""
+    variables of t (same set, possibly many occurrences each). tenv is
+    scoped in place, as in pcf_check."""
     match t:
         case NumConst(n=n):
             return numeral(n)
@@ -407,12 +415,20 @@ def compile_body(t: PcfTerm, tenv: dict[str, PcfType]) -> Term:
             return App(compile_body(f, tenv), compile_body(u, tenv))
         case PLam(binder=x, annot=a, body=b):
             ta = type_trans(a)
-            if x in pcf_fv(b):
-                inner = compile_body(b, {**tenv, x: a})
+            used = x in pcf_fv(b)
+            outer = tenv.get(x)
+            tenv[x] = a
+            try:
+                if used:
+                    inner = compile_body(b, tenv)
+                else:
+                    tb = type_trans(pcf_check(b, tenv))
+            finally:
+                restore_scope(tenv, x, outer)
+            if used:
                 return Lam(x, close_var(x, inner, ta))
             # discarded binder: consume x with erasers under a recursor
             # on zero, so a divergent argument still never runs
-            tb = type_trans(pcf_check(b, {**tenv, x: a}))
             y = fresh_name({x}, "y")
             eraser = Lam(y, erase_term(
                 App(erase_term(Var(y), Lolli(tb, tb)), Var(x)), ta))

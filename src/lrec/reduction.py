@@ -13,14 +13,19 @@ normaliser finds it with a zipper (Huet, "The Zipper", JFP 1997): a
 focus and a stack of frames (parent, focused child's index, the
 parent's children), so the walk is iterative and a parent is rebuilt
 only when the walk leaves it with a changed child. After a contraction
-the walk does not restart at the root. It moves up at most two frames
-and goes on from there, because closed contraction keeps the free
+the walk does not restart at the root; it resumes at the contractum,
+or at most two frames above it. Closed contraction keeps the free
 variables of the contracted subterm (Fernández, Mackie and Sinot,
-"Closed reduction", MSCS 2005), and every rule reads its redex at most
-two levels deep: App(Lam), LetPair(Pair), Iter and Min on a numeral,
-and Rec(Pair) look at a child, Rec(Pair(0 | S _, _)) at a grandchild;
-deeper down a rule reads only free-variable sets. So a contraction can
-make only its parent or its grandparent a new redex, higher ancestors
+"Closed reduction", MSCS 2005), so every ancestor keeps its free
+variables, and only one constructor in the whole term changes: the
+redex's, which the contractum's replaces. Every rule looks below its
+root only at child 0 (App(Lam), LetPair(Pair), Rec(Pair), Iter and Min
+on a numeral) or at child 0 of child 0 (Rec(Pair(0 | S _, _))), and
+needs a value constructor there (λ, pair, 0 or S); anywhere else it
+reads free-variable sets only. So an ancestor that was not a redex can
+become one only when the contractum is a value in child 0 of its
+parent: then the parent may, and the grandparent too when the parent
+is child 0 of it. The walk climbs to exactly those; higher ancestors
 stay non-redexes, and everything to the left of the focus stays
 redex-free. A debug-mode assertion checks that each contraction keeps
 the free variables. Subterms the walk leaves redex-free are flagged
@@ -34,9 +39,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .terms import (App, ContractViolation, Fuel, FuelExhausted, Lam,
-                    LetPair, OutOfFuel, Pair, Rec, Suc, Term, Zero, children,
-                    pretty, rebuild, subst)
+from .terms import (VALUES, App, ContractViolation, Fuel, FuelExhausted,
+                    Lam, LetPair, OutOfFuel, Pair, Rec, Suc, Term, Zero,
+                    children, pretty, rebuild, subst)
 
 
 @dataclass(frozen=True)
@@ -52,18 +57,27 @@ RootStep = Callable[[Term], Optional[tuple[Term, str]]]
 def step_root(t: Term) -> tuple[Term, str] | None:
     """One rule instance at the root, or None (no match, or a side
     condition fails)."""
-    match t:
-        case App(fun=Lam(binder=x, body=b), arg=v) if not v.fv:
-            return subst(b, x, v), "Beta"
-        case LetPair(scrut=Pair(left=a, right=b2), x=x, y=y, body=v) \
-                if not a.fv and not b2.fv:
-            return subst(subst(v, x, a), y, b2), "Let"
-        case Rec(scrut=Pair(left=Zero(), right=t2), base=u, step=v, update=w) \
-                if not (t2.fv | v.fv | w.fv):
-            return u, "RecZero"
-        case Rec(scrut=Pair(left=Suc(body=tn), right=t2), base=u, step=v, update=w) \
-                if not (v.fv | w.fv):
-            return App(v, Rec(App(w, Pair(tn, t2)), u, v, w)), "RecSuc"
+    cls = type(t)
+    if cls is App:
+        f, v = t.fun, t.arg
+        if type(f) is Lam and not v.fv:
+            return subst(f.body, f.binder, v), "Beta"
+    elif cls is LetPair:
+        p = t.scrut
+        if type(p) is Pair:
+            a, b2 = p.left, p.right
+            if not a.fv and not b2.fv:
+                return subst(subst(t.body, t.x, a), t.y, b2), "Let"
+    elif cls is Rec:
+        p = t.scrut
+        if type(p) is Pair:
+            n, t2, v, w = p.left, p.right, t.step, t.update
+            if type(n) is Zero:
+                if not (t2.fv or v.fv or w.fv):
+                    return t.base, "RecZero"
+            elif type(n) is Suc and not (v.fv or w.fv):
+                return (App(v, Rec(App(w, Pair(n.body, t2)), t.base, v, w)),
+                        "RecSuc")
     return None
 
 
@@ -159,10 +173,11 @@ def _normalize_with(t: Term, fuel: int | Fuel, root_fn: RootStep, flag: str,
             if on_step is not None:
                 on_step(budget - cell.remaining, r[1], _path(stack),
                         _plug(stack, focus))
-            # only the parent and the grandparent can have become redexes
-            if stack:
+            # a value in child 0 can make the parent a redex, and the
+            # grandparent when the parent is its child 0
+            if type(focus) in VALUES and stack and stack[-1][1] == 0:
                 focus = _up(stack, focus)
-                if stack:
+                if stack and stack[-1][1] == 0:
                     focus = _up(stack, focus)
     except OutOfFuel:
         return FuelExhausted(_plug(stack, focus))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 # Deep chains of S constructors are the only tall structures around;
@@ -221,27 +222,28 @@ def is_value(t: Term) -> bool:
     return isinstance(t, VALUES)
 
 
+def _no_children(t: Term) -> tuple[Term, ...]:
+    return ()
+
+
+# per node class, its subterms in textual order
+_CHILDREN: dict[type, Callable[[Term], tuple[Term, ...]]] = {
+    Zero: _no_children,
+    Var: _no_children,
+    Suc: lambda t: (t.body,),
+    App: attrgetter("fun", "arg"),
+    Lam: lambda t: (t.body,),
+    Pair: attrgetter("left", "right"),
+    LetPair: attrgetter("scrut", "body"),
+    Rec: attrgetter("scrut", "base", "step", "update"),
+    Iter: attrgetter("count", "base", "step"),
+    Min: attrgetter("scrut", "counter", "fn"),
+}
+
+
 def children(t: Term) -> tuple[Term, ...]:
     """Subterms in textual order (the leftmost-outermost descent order)."""
-    match t:
-        case Suc(body=b):
-            return (b,)
-        case App(fun=f, arg=a):
-            return (f, a)
-        case Lam(body=b):
-            return (b,)
-        case Pair(left=l, right=r):
-            return (l, r)
-        case LetPair(scrut=s, body=b):
-            return (s, b)
-        case Rec(scrut=s, base=u, step=v, update=w):
-            return (s, u, v, w)
-        case Iter(count=c, base=u, step=v):
-            return (c, u, v)
-        case Min(scrut=s, counter=u, fn=f):
-            return (s, u, f)
-        case _:
-            return ()
+    return _CHILDREN.get(type(t), _no_children)(t)
 
 
 def rebuild(t: Term, kids: list[Term]) -> Term:
@@ -460,57 +462,73 @@ def _subst(t: Term, x: str, s: Term) -> Term:
 def alpha_eq(t: Term, u: Term) -> bool:
     """Equality up to consistent renaming of bound variables."""
     fresh = 0
-    work: list[tuple[Term, Term, dict, dict]] = [(t, u, {}, {})]
+    # one scoped dict per side, bound name -> binder number; a binder's
+    # body is followed on the worklist by an entry that undoes it
+    ea: dict[str, int] = {}
+    eb: dict[str, int] = {}
+    work: list[tuple] = [(t, u)]
+    pop, push = work.pop, work.append
     while work:
-        a, b, ea, eb = work.pop()
-        if type(a) is not type(b):
+        a, b = pop()
+        if a is None:
+            for env, name, outer in b:
+                restore_scope(env, name, outer)
+            continue
+        cls = type(a)
+        if cls is not type(b):
             return False
-        match a:
-            case Zero():
-                continue
-            case Var(name=na):
-                la, lb = ea.get(na), eb.get(b.name)
-                if la is None and lb is None:
-                    if na != b.name:
-                        return False
-                elif la != lb:
+        if cls is Var:
+            na = a.name
+            la, lb = ea.get(na), eb.get(b.name)
+            if la is None and lb is None:
+                if na != b.name:
                     return False
-            case Suc():
-                # walk chains in lockstep without touching the worklist
-                x, y = a, b
-                while isinstance(x, Suc) and isinstance(y, Suc):
-                    x, y = x.body, y.body
-                work.append((x, y, ea, eb))
-            case Lam(binder=xa, body=ba):
-                fresh += 1
-                work.append((ba, b.body, {**ea, xa: fresh}, {**eb, b.binder: fresh}))
-            case App():
-                work.append((a.fun, b.fun, ea, eb))
-                work.append((a.arg, b.arg, ea, eb))
-            case Pair():
-                work.append((a.left, b.left, ea, eb))
-                work.append((a.right, b.right, ea, eb))
-            case LetPair():
-                work.append((a.scrut, b.scrut, ea, eb))
-                fresh += 2
-                work.append((a.body, b.body,
-                             {**ea, a.x: fresh - 1, a.y: fresh},
-                             {**eb, b.x: fresh - 1, b.y: fresh}))
-            case Rec():
-                work.append((a.scrut, b.scrut, ea, eb))
-                work.append((a.base, b.base, ea, eb))
-                work.append((a.step, b.step, ea, eb))
-                work.append((a.update, b.update, ea, eb))
-            case Iter():
-                work.append((a.count, b.count, ea, eb))
-                work.append((a.base, b.base, ea, eb))
-                work.append((a.step, b.step, ea, eb))
-            case Min():
-                work.append((a.scrut, b.scrut, ea, eb))
-                work.append((a.counter, b.counter, ea, eb))
-                work.append((a.fn, b.fn, ea, eb))
-            case _:
+            elif la != lb:
                 return False
+        elif cls is App:
+            push((a.fun, b.fun))
+            push((a.arg, b.arg))
+        elif cls is Lam:
+            xa, xb = a.binder, b.binder
+            push((None, ((ea, xa, ea.get(xa)), (eb, xb, eb.get(xb)))))
+            fresh += 1
+            ea[xa] = eb[xb] = fresh
+            push((a.body, b.body))
+        elif cls is Zero:
+            continue
+        elif cls is Suc:
+            # walk chains in lockstep without touching the worklist
+            x, y = a, b
+            while type(x) is Suc and type(y) is Suc:
+                x, y = x.body, y.body
+            push((x, y))
+        elif cls is Pair:
+            push((a.left, b.left))
+            push((a.right, b.right))
+        elif cls is LetPair:
+            push((a.scrut, b.scrut))
+            # both outers are read before binding, so x == y undoes right
+            push((None, ((ea, a.y, ea.get(a.y)), (eb, b.y, eb.get(b.y)),
+                         (ea, a.x, ea.get(a.x)), (eb, b.x, eb.get(b.x)))))
+            fresh += 2
+            ea[a.x] = eb[b.x] = fresh - 1
+            ea[a.y] = eb[b.y] = fresh
+            push((a.body, b.body))
+        elif cls is Rec:
+            push((a.scrut, b.scrut))
+            push((a.base, b.base))
+            push((a.step, b.step))
+            push((a.update, b.update))
+        elif cls is Iter:
+            push((a.count, b.count))
+            push((a.base, b.base))
+            push((a.step, b.step))
+        elif cls is Min:
+            push((a.scrut, b.scrut))
+            push((a.counter, b.counter))
+            push((a.fn, b.fn))
+        else:
+            return False
     return True
 
 

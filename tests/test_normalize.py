@@ -1,9 +1,11 @@
 """The zipper normaliser against an oracle that does not use its walk.
 
-`normalize` resumes at the grandparent of each contracted redex instead
-of searching again from the root. These tests pin down that it still
-fires the first redex in pre-order at every step, that it needs no
-recursion, that it does a bounded number of root-rule checks per step,
+`normalize` resumes at each contractum instead of searching again from
+the root, climbing to the parent only when a value lands in its child 0
+and on to the grandparent only when the parent is its child 0. These
+tests pin down that it still fires the first redex in pre-order at
+every step, that it needs no recursion, that it re-tests no parent it
+need not, that it does a bounded number of root-rule checks per step,
 and that the invariant which makes the resumption sound is checked.
 The oracle also checks that `enumerate_redexes`, which flags the
 subterms it finds redex-free, still lists every redex.
@@ -131,6 +133,77 @@ def test_root_rule_checks_per_step_are_bounded(monkeypatch):
     assert pretty(got) == "59"
     # a restart from the root costs about 92 checks per step here
     assert calls / (100_000 - cell.remaining) <= 4
+
+
+def test_at_most_two_root_rule_checks_per_step(monkeypatch):
+    calls = 0
+
+    def counting(t):
+        nonlocal calls
+        calls += 1
+        return step_root(t)
+
+    t = _pred(60)
+    cell = Fuel(100_000)
+    monkeypatch.setattr(reduction, "step_root", counting)
+    assert pretty(normalize(t, cell)) == "59"
+    # climbing two frames after every contraction costs about 3 here
+    assert calls / (100_000 - cell.remaining) <= 2
+
+
+def _checks(monkeypatch, src: str, fuel: int = 100):
+    """The steps of normalize on src, and every term step_root was asked
+    about, in order."""
+    asked, steps = [], []
+
+    def recording(t):
+        asked.append(pretty(t))
+        return step_root(t)
+
+    monkeypatch.setattr(reduction, "step_root", recording)
+    out = normalize(parse(src), fuel, on_step=lambda i, rule, path, term:
+                    steps.append((rule, path, pretty(term))))
+    monkeypatch.undo()
+    assert _zipper(normalize, parse(src), fuel) == _oracle(parse(src), fuel)
+    return pretty(out), steps, asked
+
+
+def test_a_numeral_under_a_recursor_pair_makes_the_grandparent_fire(
+        monkeypatch):
+    # the redex's contractum lands in rec(<[], 0>, ...): the recursor two
+    # levels up fires next, before the redex in its base
+    out, steps, _ = _checks(
+        monkeypatch, "rec(<(\\x. x) 0, 0>, (\\y. y) 0, \\n. n, \\p. p)")
+    assert steps == [
+        ("Beta", "0.0", "rec(<0, 0>, (\\y. y) 0, \\n. n, \\p. p)"),
+        ("RecZero", "", "(\\y. y) 0"),
+        ("Beta", "", "0")]
+    assert out == "0"
+    out, steps, _ = _checks(
+        monkeypatch, "rec(<(\\x. x) 1, 0>, (\\y. y) 0, \\n. n, \\p. p)")
+    assert [s[:2] for s in steps[:2]] == [("Beta", "0.0"), ("RecSuc", "")]
+
+
+def test_a_value_in_child_1_does_not_retest_the_parent(monkeypatch):
+    out, steps, asked = _checks(monkeypatch, "<0, (\\x. x) (\\y. y)>")
+    assert steps == [("Beta", "1", "<0, \\y. y>")]
+    assert asked == ["<0, (\\x. x) (\\y. y)>", "0", "(\\x. x) (\\y. y)",
+                     "\\y. y", "y"]
+
+
+def test_a_non_value_in_child_0_does_not_retest_the_parent(monkeypatch):
+    # the first contractum, an application, lands in the root's child 0:
+    # the root is re-tested only once the second lands there as a λ
+    out, steps, asked = _checks(
+        monkeypatch, "(\\f. f (\\w. w)) (\\y. y) 0")
+    assert [s[:2] for s in steps] == [("Beta", "0"), ("Beta", "0"),
+                                      ("Beta", "")]
+    assert asked == ["(\\f. f (\\w. w)) (\\y. y) 0",
+                     "(\\f. f (\\w. w)) (\\y. y)",
+                     "(\\y. y) (\\w. w)",
+                     "(\\w. w) 0",
+                     "0"]
+    assert out == "0"
 
 
 def test_fuel_cell_holds_the_steps_taken():

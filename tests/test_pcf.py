@@ -109,6 +109,22 @@ def test_typing_terms():
         pcf_check(parse_pcf("Y[Nat] (fun f : Nat -> Nat . f 0)"), {})
 
 
+def test_a_binder_stays_in_its_scope():
+    # pcf_check and compile_body extend the environment in place under a
+    # binder; the shadowing y must not reach the argument, which sees the
+    # outer y : Nat, and the caller's dict must come back unchanged
+    src = "(fun y : Nat -> Nat . y 0) (fun z : Nat . y)"
+    env = {"y": PNAT}
+    assert pcf_check(parse_pcf(src), env) == PNAT
+    with pytest.raises(PcfTypeError):
+        pcf_check(parse_pcf("fun y : Nat . y y"), env)
+    assert env == {"y": PNAT}
+    out = compile_body(parse_pcf(src), env)
+    assert env == {"y": PNAT}
+    want = compile_body(parse_pcf("fun z : Nat . y"), {"y": PNAT})
+    assert alpha_eq(out.arg, want)
+
+
 # ------------------------------------------------------------- evaluation
 
 def test_values():

@@ -3,18 +3,22 @@ alpha equivalence, numerals, tuple sugar; and the contract every engine
 follows: a budget or a Fuel cell in, the bare result, FuelExhausted or
 Stuck out."""
 
+import random
+
 import pytest
 
 from lrec.evaluation import eval_report, force_numeral
+from lrec.gen import random_closed
 from lrec.machine import machine_force_numeral, run
 from lrec.minext import lin_pred, normalize_m
 from lrec.parser import parse
 from lrec.pcf import NumConst, parse_pcf, pcf_eval
 from lrec.reduction import normalize
-from lrec.terms import (App, ContractViolation, Fuel, FuelExhausted, Lam,
-                        LetPair, Pair, Rec, Stuck, Suc, Term, Var, Zero,
-                        alpha_eq, check_linear, freshen, mk_tuple, numeral,
-                        numeral_value, pretty, subst)
+from lrec.terms import (App, ContractViolation, Fuel, FuelExhausted, Iter,
+                        Lam, LetPair, Min, Pair, Rec, Stuck, Suc, Term, Var,
+                        Zero, alpha_eq, check_linear, children, freshen,
+                        mk_tuple, numeral, numeral_value, pretty, rebuild,
+                        subst)
 
 
 def lam(x, b):
@@ -132,6 +136,165 @@ def test_alpha_eq_is_equivalence_on_samples():
         for j, u in enumerate(samples):
             if i != j:
                 assert not alpha_eq(t, u)
+
+
+# alpha_eq keeps one scoped dict per side; the function it replaced,
+# which copied both dicts at every binder, is kept here verbatim as the
+# reference
+def _old_alpha_eq(t: Term, u: Term) -> bool:
+    """Equality up to consistent renaming of bound variables."""
+    fresh = 0
+    work: list[tuple[Term, Term, dict, dict]] = [(t, u, {}, {})]
+    while work:
+        a, b, ea, eb = work.pop()
+        if type(a) is not type(b):
+            return False
+        match a:
+            case Zero():
+                continue
+            case Var(name=na):
+                la, lb = ea.get(na), eb.get(b.name)
+                if la is None and lb is None:
+                    if na != b.name:
+                        return False
+                elif la != lb:
+                    return False
+            case Suc():
+                # walk chains in lockstep without touching the worklist
+                x, y = a, b
+                while isinstance(x, Suc) and isinstance(y, Suc):
+                    x, y = x.body, y.body
+                work.append((x, y, ea, eb))
+            case Lam(binder=xa, body=ba):
+                fresh += 1
+                work.append((ba, b.body, {**ea, xa: fresh}, {**eb, b.binder: fresh}))
+            case App():
+                work.append((a.fun, b.fun, ea, eb))
+                work.append((a.arg, b.arg, ea, eb))
+            case Pair():
+                work.append((a.left, b.left, ea, eb))
+                work.append((a.right, b.right, ea, eb))
+            case LetPair():
+                work.append((a.scrut, b.scrut, ea, eb))
+                fresh += 2
+                work.append((a.body, b.body,
+                             {**ea, a.x: fresh - 1, a.y: fresh},
+                             {**eb, b.x: fresh - 1, b.y: fresh}))
+            case Rec():
+                work.append((a.scrut, b.scrut, ea, eb))
+                work.append((a.base, b.base, ea, eb))
+                work.append((a.step, b.step, ea, eb))
+                work.append((a.update, b.update, ea, eb))
+            case Iter():
+                work.append((a.count, b.count, ea, eb))
+                work.append((a.base, b.base, ea, eb))
+                work.append((a.step, b.step, ea, eb))
+            case Min():
+                work.append((a.scrut, b.scrut, ea, eb))
+                work.append((a.counter, b.counter, ea, eb))
+                work.append((a.fn, b.fn, ea, eb))
+            case _:
+                return False
+    return True
+
+
+def _renamed(t: Term, new) -> Term:
+    """t with every binder b renamed to new(b) and its occurrences
+    following it; when new merges names, the result may capture."""
+    env: dict[str, str] = {}
+
+    def go(n: Term) -> Term:
+        cls = type(n)
+        if cls is Var:
+            return Var(env.get(n.name, n.name))
+        if cls in (Lam, LetPair):
+            olds = [n.binder] if cls is Lam else [n.x, n.y]
+            scrut = go(n.scrut) if cls is LetPair else None
+            saved = dict(env)
+            env.update((b, new(b)) for b in olds)
+            body = go(n.body)
+            env.clear()
+            env.update(saved)
+            if cls is Lam:
+                return Lam(new(n.binder), body)
+            return LetPair(scrut, new(n.x), new(n.y), body)
+        kids = children(n)
+        return rebuild(n, [go(k) for k in kids]) if kids else n
+
+    return go(t)
+
+
+def _nodes(t: Term) -> list[Term]:
+    out, work = [], [t]
+    while work:
+        node = work.pop()
+        out.append(node)
+        work.extend(reversed(children(node)))
+    return out
+
+
+def _alpha_pairs():
+    rng = random.Random(1997)
+    made = [random_closed(rng)[0] for _ in range(200)]
+    made += [Iter(numeral(2), Lam("x", Var("x")), Lam("y", Var("y"))),
+             Min(App(Lam("f", Var("f")), Zero()), Zero(), Lam("n", Var("n"))),
+             LetPair(Pair(Zero(), Zero()), "a", "a", Var("a")),
+             Lam("x", Lam("x", Var("x"))), Lam("x", Lam("y", Var("x")))]
+    for k, t in enumerate(made):
+        variants = [t, freshen(t), made[k - 1],
+                    _renamed(t, lambda b: b + "'"),
+                    _renamed(t, lambda b: "v"),
+                    _renamed(t, lambda b: b[:1])]
+        for u in variants:
+            yield t, u
+            yield u, t
+        # open subterms at one position: bound names become free
+        ns, vs = _nodes(t), _nodes(variants[3])
+        for i in rng.sample(range(len(ns)), min(6, len(ns))):
+            yield ns[i], vs[i]
+            yield ns[i], ns[i]
+
+
+def _nest(names: list[str], body: Term) -> Term:
+    for x in reversed(names):
+        body = Lam(x, body)
+    return body
+
+
+def _chain(names: list[str], uses: list[str]) -> Term:
+    """\\n0. u0 (\\n1. u1 (... 0)) for binders n and uses u; each λ's
+    free variables stay few however deep the nest."""
+    body: Term = Zero()
+    for x, u in zip(reversed(names), reversed(uses)):
+        body = Lam(x, App(Var(u), body))
+    return body
+
+
+def _deep_pairs(n: int = 4000):
+    xs = [f"x{i}" for i in range(n)]
+    ys = [f"y{i}" for i in range(n)]
+    swapped = ys[:-2] + [ys[-1], ys[-2]]
+    yield _chain(xs, xs), _chain(ys, ys)
+    yield _chain(xs, xs), _chain(ys, swapped)
+    yield _nest(["x"] * n, Var("x")), _nest(ys, Var(ys[-1]))
+    yield _nest(["x"] * n, Var("x")), _nest(ys, Var(ys[0]))
+    yield _nest(xs, Suc(Var("x0"))), _nest(ys, Suc(Var("y0")))
+    lets, lets2 = Pair(Var("a"), Var("b")), Pair(Var("b"), Var("a"))
+    for _ in range(n):
+        lets = LetPair(Pair(Zero(), Zero()), "a", "b", lets)
+        lets2 = LetPair(Pair(Zero(), Zero()), "b", "a", lets2)
+    yield lets, lets2
+    yield lets, _renamed(lets, lambda b: b + "1")
+
+
+def test_alpha_eq_matches_the_function_it_replaced():
+    answers = []
+    for a, b in list(_alpha_pairs()) + list(_deep_pairs()):
+        got = alpha_eq(a, b)
+        assert got == _old_alpha_eq(a, b), (pretty(a), pretty(b))
+        answers.append(got)
+    assert answers.count(True) > 100 and answers.count(False) > 100
+    assert answers[-7:] == [True, False, True, False, True, True, True]
 
 
 def test_numeral_roundtrip():

@@ -34,7 +34,7 @@ CASES = [
     (["machine", "{add23}"], ["machine.run"]),
     (["machine", "--force-nat", "{add23}"], ["machine.force_numeral",
                                              "terms.subst"]),
-    (["normalize", "{add23}"], ["reduction.normalize"]),
+    (["normalize", "{add23}"], ["reduction.normalize", "terms.subst"]),
     (["normalize", "--calculus", "llcim", "{lin}"], ["minext.normalize_m"]),
     (["pcf", "eval", "{shared}"], ["pcf.parse", "pcf.check", "pcf.eval"]),
     (["pcf", "compile", "{shared}"], ["pcf.compile", "pcf.close_var_calls"]),
