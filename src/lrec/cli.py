@@ -14,11 +14,11 @@ give byte-identical reports except the wall-time field.
 The default fuel is 10^5 rule instances, overridable with LREC_FUEL;
 a negative or malformed budget is bad input. Every engine runs through
 `_engine`, which reads the count from a fresh `Fuel` cell, and every
-outcome but PCF's reference value is turned into its record, exit code
-and message by one function, `_settle`. difftest gives the compiled
-side of PCF comparisons 100x the fuel: the encodings spend a recursor
-loop per source step, so equal budgets would misreport slow-but-sound
-compilations as divergent.
+outcome, PCF's reference value included, is turned into its record,
+exit code and message by one function, `_settle`. difftest gives the
+compiled side of PCF comparisons 100x the fuel: the encodings spend a
+recursor loop per source step, so equal budgets would misreport
+slow-but-sound compilations as divergent.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .gen import random_closed
 from .machine import MachineConfig, machine_force_numeral, run
 from .minext import mtype, normalize_m
 from .parser import LinearityError, ParseError, parse_defs, parse_type
-from .pcf import (NumConst, compile_pcf, parse_pcf_defs, pcf_check, pcf_eval,
-                  pcf_fv, pcf_pretty, pcf_type_pretty, PNat)
+from .pcf import (NumConst, PcfTerm, compile_pcf, parse_pcf_defs, pcf_check,
+                  pcf_eval, pcf_fv, pcf_pretty, pcf_type_pretty, PNat)
 from .reduction import normalize
 from .stdlib import catalog_lookup, catalog_names
 from .terms import (ContractViolation, Fuel, FuelExhausted, Lam, Pair, Stuck,
@@ -47,10 +47,10 @@ from .types import (EnvDomainError, Lolli, MetaVar, Nat, Tensor, TypingError,
                     infer, type_pretty)
 
 
-def _fuel(flag: int | None) -> int:
+def _fuel(given: int | None) -> int:
     """The budget: --fuel, else LREC_FUEL, else 10^5."""
-    where, value = "--fuel", flag
-    if flag is None:
+    where, value = "--fuel", given
+    if given is None:
         where, value = "LREC_FUEL", os.environ.get("LREC_FUEL", "100000")
     try:
         fuel = int(value)
@@ -135,7 +135,8 @@ def _settle(out, fuel: int, used: int | None, word: str,
     """An engine outcome as (record text, fuel_used, exit code, message).
     The message is the result on exit 0 and the diagnostic otherwise.
     `word` names a success in the record: value, halted or normal-form.
-    A readback's None (not a number) is stuck; `noun` names its result."""
+    A readback's None (not a number) is stuck; `noun` names its result.
+    A result prints by its type: a number, a PCF value or a term."""
     if isinstance(out, FuelExhausted):
         return "fuel-exhausted", fuel, 2, f"fuel exhausted after {fuel}"
     if isinstance(out, Stuck):
@@ -146,7 +147,8 @@ def _settle(out, fuel: int, used: int | None, word: str,
                 f"stuck: {out.reason}: {pretty(out.at)}")
     if out is None:
         return "stuck", used, 3, f"the {noun} is not a number"
-    text = str(out) if isinstance(out, int) else pretty(out)
+    text = (str(out) if isinstance(out, int) else
+            pcf_pretty(out) if isinstance(out, PcfTerm) else pretty(out))
     return f"{word} {text}", used, 0, text
 
 
@@ -224,13 +226,10 @@ def cmd_pcf_check(args) -> int:
 
 
 def cmd_pcf_eval(args) -> int:
-    prog, _ = _load_pcf(args.file)
+    prog, data = _load_pcf(args.file)
     pcf_check(prog, {})
-    v = _engine(pcf_eval, prog, args.fuel)[0]
-    if isinstance(v, FuelExhausted):
-        return _fail(f"fuel exhausted after {args.fuel}", 2)
-    print(pcf_pretty(v))
-    return 0
+    v, used, wall = _engine(pcf_eval, prog, args.fuel)
+    return _finish(args, _digest(data), wall, v, used, "value")
 
 
 def cmd_pcf_compile(args) -> int:
@@ -258,9 +257,9 @@ def _shape_ok(t: Term, a) -> bool:
 def _difftest_term(t: Term, a, fuel: int, digest: str,
                    emit) -> str | None:
     """Run the three engines; None when they agree, else a complaint."""
-    nf, used, wall = _engine(normalize, t, fuel)
+    norm, used, wall = _engine(normalize, t, fuel)
     emit("difftest/normalize", digest,
-         *_settle(nf, fuel, used, "normal-form")[:2], wall)
+         *_settle(norm, fuel, used, "normal-form")[:2], wall)
     ev, used, wall = _engine(eval_report, t, fuel)
     emit("difftest/eval", digest, *_settle(ev, fuel, used, "value")[:2], wall)
     mc, used, wall = _engine(run, t, fuel)
@@ -271,13 +270,13 @@ def _difftest_term(t: Term, a, fuel: int, digest: str,
         return "machine and eval_cbn disagree on convergence"
     if isinstance(ev, Term) and not alpha_eq(ev, mc):
         return "machine and eval_cbn values differ"
-    if not isinstance(nf, FuelExhausted):
-        if not _shape_ok(nf, a):
-            return (f"normal form {pretty(nf)} does not match the shape "
+    if not isinstance(norm, FuelExhausted):
+        if not _shape_ok(norm, a):
+            return (f"normal form {pretty(norm)} does not match the shape "
                     f"of type {type_pretty(a)}")
         if isinstance(ev, Term):
             joined = _engine(normalize, ev, fuel)[0]
-            if isinstance(joined, FuelExhausted) or not alpha_eq(joined, nf):
+            if not isinstance(joined, Term) or not alpha_eq(joined, norm):
                 return "eval_cbn value does not rejoin the normal form"
     return None
 
@@ -331,8 +330,7 @@ def cmd_difftest(args) -> int:
             ref, used, wall = _engine(pcf_eval, prog, args.fuel)
             ref_n = ref.n if isinstance(ref, NumConst) else None
             emit("difftest/pcf-ref", digest,
-                 "fuel-exhausted" if ref_n is None else f"value {ref_n}",
-                 args.fuel if isinstance(ref, FuelExhausted) else used, wall)
+                 *_settle(ref, args.fuel, used, "value")[:2], wall)
             got, used, wall = _engine(force_numeral, compile_pcf(prog, []),
                                       args.fuel * 100)
             emit("difftest/pcf-compiled", digest,

@@ -57,7 +57,7 @@ def mstep_root(t: Term) -> tuple[Term, str] | None:
 def normalize_m(t: Term, fuel: int | Fuel,
                 on_step=None) -> Term | FuelExhausted:
     check_mterm(t)
-    return _normalize_with(t, fuel, _mroot, "nfm", on_step)
+    return _normalize_with(t, fuel, _mroot, on_step)
 
 
 def mtype(t: Term, env: list) -> LinType:

@@ -106,6 +106,10 @@ def lex(src: str) -> list[Token]:
 
 _KEYWORDS = {"let", "in", "rec", "iter", "min", "S"}
 
+# the call-shaped constructors: keyword -> (calculus, arity, class)
+_CALLS = {"rec": ("lrec", 4, Rec), "iter": ("llcim", 3, Iter),
+          "min": ("llcim", 3, Min)}
+
 # resolver: (name, type-argument text or None) -> Term, or None when unknown
 Resolver = Callable[[str, Optional[str]], Optional[Term]]
 T = TypeVar("T")
@@ -249,24 +253,12 @@ class _Parser(TokenStream):
                                      kw.line, kw.col)
                 body = self.term()
                 return LetPair(scrut, x, y, body)
-            if word == "rec":
-                if self.calculus != "lrec":
-                    self.fail("rec is not part of this calculus")
+            if word in _CALLS:
+                calculus, arity, cls = _CALLS[word]
+                if self.calculus != calculus:
+                    self.fail(f"{word} is not part of this calculus")
                 self.next()
-                a = self._call_args("rec", 4)
-                return Rec(a[0], a[1], a[2], a[3])
-            if word == "iter":
-                if self.calculus != "llcim":
-                    self.fail("iter is not part of this calculus")
-                self.next()
-                a = self._call_args("iter", 3)
-                return Iter(a[0], a[1], a[2])
-            if word == "min":
-                if self.calculus != "llcim":
-                    self.fail("min is not part of this calculus")
-                self.next()
-                a = self._call_args("min", 3)
-                return Min(a[0], a[1], a[2])
+                return cls(*self._call_args(word, arity))
             if word == "in":
                 self.fail("unexpected 'in'")
             self.next()

@@ -114,20 +114,26 @@ class PApp(PcfTerm):
 
 def pcf_fv(t: PcfTerm) -> frozenset[str]:
     out: set[str] = set()
-    stack = [(t, frozenset())]
-    while stack:
-        cur, bound = stack.pop()
-        match cur:
-            case PVar(name=n):
-                if n not in bound:
-                    out.add(n)
-            case PLam(binder=b, body=u):
-                stack.append((u, bound | {b}))
-            case PApp(fun=f, arg=a):
-                stack.append((f, bound))
-                stack.append((a, bound))
-            case _:
-                pass
+    # one scoped map of bound names; a binder's body is followed on the
+    # worklist by an entry (name, what it shadowed) that undoes it
+    bound: dict[str, bool] = {}
+    work: list = [t]
+    while work:
+        cur = work.pop()
+        cls = type(cur)
+        if cls is tuple:
+            restore_scope(bound, *cur)
+        elif cls is PVar:
+            if cur.name not in bound:
+                out.add(cur.name)
+        elif cls is PLam:
+            b = cur.binder
+            work.append((b, bound.get(b)))
+            bound[b] = True
+            work.append(cur.body)
+        elif cls is PApp:
+            work.append(cur.fun)
+            work.append(cur.arg)
     return frozenset(out)
 
 
@@ -415,17 +421,16 @@ def compile_body(t: PcfTerm, tenv: dict[str, PcfType]) -> Term:
             return App(compile_body(f, tenv), compile_body(u, tenv))
         case PLam(binder=x, annot=a, body=b):
             ta = type_trans(a)
-            used = x in pcf_fv(b)
             outer = tenv.get(x)
             tenv[x] = a
             try:
-                if used:
-                    inner = compile_body(b, tenv)
-                else:
+                # the compiled body keeps the source's free variables
+                inner = compile_body(b, tenv)
+                if x not in inner.fv:
                     tb = type_trans(pcf_check(b, tenv))
             finally:
                 restore_scope(tenv, x, outer)
-            if used:
+            if x in inner.fv:
                 return Lam(x, close_var(x, inner, ta))
             # discarded binder: consume x with erasers under a recursor
             # on zero, so a divergent argument still never runs
@@ -433,7 +438,7 @@ def compile_body(t: PcfTerm, tenv: dict[str, PcfType]) -> Term:
             eraser = Lam(y, erase_term(
                 App(erase_term(Var(y), Lolli(tb, tb)), Var(x)), ta))
             wrap = Rec(Pair(Zero(), Zero()), identity(), eraser, identity())
-            return Lam(x, App(wrap, compile_body(b, tenv)))
+            return Lam(x, App(wrap, inner))
     raise ContractViolation(f"not a PCF term: {t!r}")
 
 

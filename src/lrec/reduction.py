@@ -28,9 +28,8 @@ parent: then the parent may, and the grandparent too when the parent
 is child 0 of it. The walk climbs to exactly those; higher ancestors
 stay non-redexes, and everything to the left of the focus stays
 redex-free. A debug-mode assertion checks that each contraction keeps
-the free variables. Subterms the walk leaves redex-free are flagged
-(terms are immutable, and reducibility of a subterm does not depend on
-its context), so the walk skips them when it passes them again.
+the free variables. The walk keeps no state between calls and writes
+none into the term: every node it enters gets the root-rule test.
 """
 
 from __future__ import annotations
@@ -105,32 +104,29 @@ def _path(stack: list[Frame]) -> str:
     return ".".join(str(frame[1]) for frame in stack)
 
 
-def _seek(stack: list[Frame], focus: Term, root_fn: RootStep,
-          flag: str) -> tuple[Term, tuple[Term, str] | None]:
+def _seek(stack: list[Frame], focus: Term, root_fn: RootStep
+          ) -> tuple[Term, tuple[Term, str] | None]:
     """Walk on in pre-order from focus, which the frames place in the
     whole term, to the next redex: return it and its contraction. On
     reaching the end, return the whole term (the frames are used up)
-    and None. Every subterm the walk leaves redex-free gets the flag."""
+    and None."""
     while True:
-        if not getattr(focus, flag, False):
-            r = root_fn(focus)
-            if r is not None:
-                assert r[0].fv == focus.fv, \
-                    f"{r[1]} changed the free variables of {pretty(focus)}"
-                return focus, r
-            kids = children(focus)
-            if kids:
-                stack.append([focus, 0, list(kids), False])
-                focus = kids[0]
-                continue
-            setattr(focus, flag, True)
+        r = root_fn(focus)
+        if r is not None:
+            assert r[0].fv == focus.fv, \
+                f"{r[1]} changed the free variables of {pretty(focus)}"
+            return focus, r
+        kids = children(focus)
+        if kids:
+            stack.append([focus, 0, list(kids), False])
+            focus = kids[0]
+            continue
         # focus is finished: enter its next sibling, or finish its parent
         while stack:
             frame = stack[-1]
             _, i, kids, _ = frame
             if i + 1 == len(kids):
                 focus = _up(stack, focus)
-                setattr(focus, flag, True)
                 continue
             if kids[i] is not focus:
                 kids[i] = focus
@@ -142,13 +138,12 @@ def _seek(stack: list[Frame], focus: Term, root_fn: RootStep,
             return focus, None
 
 
-def step_lo(t: Term, root_fn: RootStep = step_root,
-            flag: str = "nf") -> Stepped | None:
+def step_lo(t: Term, root_fn: RootStep = step_root) -> Stepped | None:
     """The leftmost-outermost step: the root first, then children in
-    textual order, reducing under binders. root_fn and flag choose the
-    rule set, as in enumerate_redexes."""
+    textual order, reducing under binders. root_fn chooses the rule set,
+    as in enumerate_redexes."""
     stack: list[Frame] = []
-    _, r = _seek(stack, t, root_fn, flag)
+    _, r = _seek(stack, t, root_fn)
     if r is None:
         return None
     return Stepped(_plug(stack, r[0]), r[1], _path(stack))
@@ -157,7 +152,7 @@ def step_lo(t: Term, root_fn: RootStep = step_root,
 OnStep = Callable[[int, str, str, Term], None]
 
 
-def _normalize_with(t: Term, fuel: int | Fuel, root_fn: RootStep, flag: str,
+def _normalize_with(t: Term, fuel: int | Fuel, root_fn: RootStep,
                     on_step: OnStep | None) -> Term | FuelExhausted:
     cell = Fuel.of(fuel)
     budget = cell.remaining
@@ -165,7 +160,7 @@ def _normalize_with(t: Term, fuel: int | Fuel, root_fn: RootStep, flag: str,
     focus = t
     try:
         while True:
-            focus, r = _seek(stack, focus, root_fn, flag)
+            focus, r = _seek(stack, focus, root_fn)
             if r is None:
                 return focus
             cell.tick()
@@ -189,31 +184,22 @@ def normalize(t: Term, fuel: int | Fuel,
     fuel is a budget, or a Fuel cell that is left holding what remains.
     on_step(i, rule, path, term) observes each step, for tracing; the
     path and the whole term are built only for it."""
-    return _normalize_with(t, fuel, step_root, "nf", on_step)
+    return _normalize_with(t, fuel, step_root, on_step)
 
 
-def enumerate_redexes(t: Term, root_fn: RootStep = step_root,
-                      flag: str = "nf") -> list[tuple[int, ...]]:
+def enumerate_redexes(t: Term, root_fn: RootStep = step_root
+                      ) -> list[tuple[int, ...]]:
     """Positions (as child-index paths) of every enabled redex, in
-    pre-order, which is also their lexicographic order. Every subterm
-    the walk finds redex-free gets the flag."""
+    pre-order, which is also their lexicographic order."""
     out: list[tuple[int, ...]] = []
-    # (node, path, -1) enters node; (node, path, len(out) then) leaves it
-    work: list[tuple[Term, tuple[int, ...], int]] = [(t, (), -1)]
+    work: list[tuple[Term, tuple[int, ...]]] = [(t, ())]
     while work:
-        node, path, found = work.pop()
-        if found >= 0:
-            if len(out) == found:
-                setattr(node, flag, True)
-            continue
-        if getattr(node, flag, False):
-            continue
-        work.append((node, path, len(out)))
+        node, path = work.pop()
         if root_fn(node) is not None:
             out.append(path)
         kids = children(node)
         for i in range(len(kids) - 1, -1, -1):
-            work.append((kids[i], path + (i,), -1))
+            work.append((kids[i], path + (i,)))
     return out
 
 

@@ -2,7 +2,9 @@
 
 Terms are immutable trees. Every node caches its free-variable set at
 construction, so the closedness tests that drive closed reduction are
-set lookups rather than traversals. Linearity is *checkable*, not
+set lookups rather than traversals. A node holds nothing else besides
+its fields, and no engine writes into one, so a term can be shared by
+any number of calls and engines. Linearity is *checkable*, not
 enforced by constructors: ill-formed terms can be built (and reported
 on) by check_linear, but the parser and every engine operation only
 produce terms for which check_linear returns no violations.
@@ -101,10 +103,8 @@ def drive(loop: Callable, t, fuel: int | Fuel, *args):
 
 
 class Term:
-    # fv: cached free variables. nf/nfm: monotone "proved redex-free"
-    # flags, one per rule set; reducibility is intrinsic to a subterm
-    # under closed reduction, so the flag never needs invalidation.
-    __slots__ = ("fv", "nf", "nfm")
+    # fv: cached free variables, the only slot besides a node's fields
+    __slots__ = ("fv",)
     fv: frozenset[str]
 
     def __repr__(self) -> str:

@@ -20,7 +20,7 @@ F = 100_000
 def mstep_lo(t: Term) -> Stepped | None:
     """One leftmost-outermost step under the minimiser rules."""
     check_mterm(t)
-    return step_lo(t, _mroot, "nfm")
+    return step_lo(t, _mroot)
 
 
 def mforce(t: Term, fuel: int = F):

@@ -7,8 +7,9 @@ tests pin down that it still fires the first redex in pre-order at
 every step, that it needs no recursion, that it re-tests no parent it
 need not, that it does a bounded number of root-rule checks per step,
 and that the invariant which makes the resumption sound is checked.
-The oracle also checks that `enumerate_redexes`, which flags the
-subterms it finds redex-free, still lists every redex.
+The oracle also checks that `enumerate_redexes` lists every redex.
+Neither walk keeps state between calls: the same term object costs the
+same root-rule checks every time it is normalised or enumerated.
 """
 
 import random
@@ -35,8 +36,7 @@ def _pred(n: int):
 
 
 def _redexes(t, root_fn):
-    """Every redex position in pre-order, by a walk of the whole term
-    that reads no flag."""
+    """Every redex position in pre-order, by a walk of the whole term."""
     out, work = [], [(t, ())]
     while work:
         node, path = work.pop()
@@ -47,15 +47,14 @@ def _redexes(t, root_fn):
     return out
 
 
-def _oracle(t, fuel: int, root_fn=step_root, flag="nf"):
+def _oracle(t, fuel: int, root_fn=step_root):
     """(i, rule, path, term) per step and the outcome, by contracting
     the first redex position in pre-order, found afresh each step.
-    enumerate_redexes, which skips and sets flags, must list the same
-    positions."""
+    enumerate_redexes must list the same positions."""
     lines = []
     for i in range(1, fuel + 2):
         paths = _redexes(t, root_fn)
-        assert enumerate_redexes(t, root_fn, flag) == paths
+        assert enumerate_redexes(t, root_fn) == paths
         if not paths:
             return lines, ("normal-form", pretty(t))
         if i > fuel:
@@ -74,8 +73,8 @@ def _zipper(engine, t, fuel: int):
 
 
 def _inputs():
-    # each maker builds a fresh term, so the oracle sees no flag the
-    # normaliser set
+    # each maker builds a fresh term, so the oracle and the normaliser
+    # share no node
     for path in sorted(CORPUS.glob("*.lrec")):
         yield path.name, (lambda p=path: _load(str(p), "lrec")[0]), 400, "lrec"
     for n in range(3, 13):
@@ -93,7 +92,7 @@ def test_normalize_matches_the_first_redex_oracle():
     checked, exhausted = 0, set()
     for name, make, fuel, calculus in _inputs():
         if calculus == "llcim":
-            want = _oracle(make(), fuel, _mroot, "nfm")
+            want = _oracle(make(), fuel, _mroot)
             got = _zipper(normalize_m, make(), fuel)
         else:
             want = _oracle(make(), fuel)
@@ -222,6 +221,43 @@ def test_a_contraction_that_changes_free_variables_trips_the_guard():
         return (Var("y"), "Leak") if r is not None else None
 
     with pytest.raises(AssertionError, match="Leak changed the free variables"):
-        _normalize_with(parse("<0, (\\x. x) 0>"), 10, leaky, "nf", None)
+        _normalize_with(parse("<0, (\\x. x) 0>"), 10, leaky, None)
     with pytest.raises(AssertionError, match="Leak changed the free variables"):
         step_lo(parse("(\\x. x) 0"), leaky)
+
+
+def _same_term_twice(count_checks) -> list[str]:
+    """The terms among add23.lrec and 100 generated ones whose second
+    walk, as counted by count_checks(term, counting root_fn), costs a
+    different number of root-rule checks than the first."""
+    rng = random.Random(91)
+    terms = [_load(str(CORPUS / "add23.lrec"), "lrec")[0]]
+    terms += [random_closed(rng)[0] for _ in range(100)]
+    differ = []
+    for t in terms:
+        calls = []
+
+        def counting(u):
+            calls[-1] += 1
+            return step_root(u)
+
+        for _ in range(2):
+            calls.append(0)
+            count_checks(t, counting)
+        assert calls[0] > 0
+        if calls[0] != calls[1]:
+            differ.append(f"{pretty(t)}: {calls}")
+    return differ
+
+
+def test_normalizing_the_same_term_twice_costs_the_same(monkeypatch):
+    def count_checks(t, counting):
+        monkeypatch.setattr(reduction, "step_root", counting)
+        normalize(t, 300)
+        monkeypatch.undo()
+
+    assert _same_term_twice(count_checks) == []
+
+
+def test_enumerating_the_same_term_twice_costs_the_same():
+    assert _same_term_twice(enumerate_redexes) == []

@@ -125,6 +125,27 @@ def test_calculus_gating():
     assert isinstance(mn, Min)
 
 
+@pytest.mark.parametrize("src, calculus, message", [
+    ("<0, rec(<0,0>, 0, \\x. x, \\p. p)>", "llcim",
+     "line 1, col 5: rec is not part of this calculus"),
+    ("\\y. iter(y, 0, \\x. x)", "lrec",
+     "line 1, col 5: iter is not part of this calculus"),
+    ("S min(0, 0, \\x. x)", "lrec",
+     "line 1, col 3: min is not part of this calculus"),
+    ("rec(<0,0>, 0, \\x. x)", "lrec",
+     "line 1, col 21: rec takes 4 arguments, found 3"),
+    ("iter(2, 0, \\x. x, 0)", "llcim",
+     "line 1, col 21: iter takes 3 arguments, found 4"),
+    ("<0,\n min(1)>", "llcim",
+     "line 2, col 8: min takes 3 arguments, found 1"),
+])
+def test_call_keyword_in_wrong_calculus_or_with_wrong_arity(src, calculus,
+                                                            message):
+    with pytest.raises(ParseError) as e:
+        parse(src, calculus=calculus)
+    assert str(e.value) == message
+
+
 def test_parse_type():
     assert parse_type("Nat") == NAT
     assert parse_type("Nat -o Nat") == Lolli(NAT, NAT)

@@ -1,8 +1,11 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+from lrec import pcf
+from lrec.cli import _load_pcf
 from lrec.evaluation import eval_cbn, force_numeral
 from lrec.pcf import (Arrow, Cond, IsZero, NumConst, PApp, PLam, PNAT, PVar,
                       PcfTypeError, Pred, Succ, YComb, close_var, compile_body,
@@ -444,3 +447,85 @@ def test_completeness_direction_on_samples():
             continue
         v = pcf_eval(t, F)
         assert isinstance(v, NumConst) and v.n == got, pcf_pretty(t)
+
+
+# ------------------------------------------- free variables, one scope
+
+def _old_pcf_fv(t):
+    """pcf_fv as it was, with a bound set copied at every binder."""
+    out: set[str] = set()
+    stack = [(t, frozenset())]
+    while stack:
+        cur, bound = stack.pop()
+        match cur:
+            case PVar(name=n):
+                if n not in bound:
+                    out.add(n)
+            case PLam(binder=b, body=u):
+                stack.append((u, bound | {b}))
+            case PApp(fun=f, arg=a):
+                stack.append((f, bound))
+                stack.append((a, bound))
+            case _:
+                pass
+    return frozenset(out)
+
+
+def _rand_raw(rng: random.Random, depth: int):
+    """A random PCF term, untyped, over three names: binders shadow each
+    other and names occur free."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.2:
+        return rng.choice([PVar("x"), PVar("y"), PVar("z"), NumConst(1),
+                           Succ(), Cond(PNAT)])
+    if roll < 0.6:
+        return PLam(rng.choice("xyz"), PNAT, _rand_raw(rng, depth - 1))
+    return PApp(_rand_raw(rng, depth - 1), _rand_raw(rng, depth - 1))
+
+
+def test_pcf_fv_matches_the_function_it_replaced():
+    rng = random.Random(8)
+    terms = [_rand_raw(rng, 6) for _ in range(400)]
+    terms += [_rand_pcf(rng, PNAT, {"a": PNAT, "f": Arrow(PNAT, PNAT)}, 4)
+              for _ in range(200)]
+    n = 4000
+    body = PVar("free")
+    for i in range(n):
+        body = PApp(body, PVar(f"x{i}"))
+    for i in reversed(range(n)):
+        body = PLam(f"x{i}", PNAT, body)
+    terms.append(body)  # 4,000 distinct binders, each used
+    shadow = PApp(PVar("x"), PVar("y"))
+    for i in range(n):
+        shadow = PLam("x", PNAT, PApp(shadow, PVar("x")))
+    terms.append(PApp(shadow, PVar("x")))  # 4,000 binders of one name
+    answers = []
+    for t in terms:
+        got = pcf_fv(t)
+        assert got == _old_pcf_fv(t), pcf_pretty(t)
+        answers.append(got)
+    assert sum(1 for a in answers if a) > 100
+    assert sum(1 for a in answers if not a) > 100
+    assert answers[-2:] == [{"free"}, {"x", "y"}]
+
+
+def test_compile_pcf_never_calls_pcf_fv(monkeypatch):
+    calls = 0
+
+    def counting(t):
+        nonlocal calls
+        calls += 1
+        return pcf_fv(t)
+
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    progs = [_load_pcf(str(p))[0] for p in sorted(corpus.glob("*.pcf"))]
+    for k in (1, 5, 40):
+        # fun nests whose binders are used, discarded and shadowed
+        src = "".join(f"fun x{i % 3} : Nat . " for i in range(k))
+        progs.append(parse_pcf(f"({src}succ x0) " + "2 " * k))
+    monkeypatch.setattr(pcf, "pcf_fv", counting)
+    for prog in progs:
+        compile_pcf(prog, [])
+    assert calls == 0
+    monkeypatch.undo()
+    assert force_numeral(compile_pcf(progs[-1], []), F) == 3

@@ -25,6 +25,20 @@ def lam(x, b):
     return Lam(x, b)
 
 
+def test_a_node_takes_no_attribute_beyond_its_fields():
+    x = Var("x")
+    nodes = [Zero(), Suc(x), x, App(x, x), Lam("x", x), Pair(x, x),
+             LetPair(x, "a", "b", x), Rec(x, x, x, x), Iter(x, x, x),
+             Min(x, x, x)]
+    assert {type(n) for n in nodes} == set(Term.__subclasses__())
+    assert Term.__slots__ == ("fv",)
+    for node in nodes:
+        assert not hasattr(node, "__dict__")
+        for name in ("nf", "nfm", "memo", "redex_free"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, True)
+
+
 def test_free_vars():
     assert Var("x").fv == {"x"}
     assert lam("x", Var("x")).fv == set()
