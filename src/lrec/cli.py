@@ -38,7 +38,7 @@ from .machine import MachineConfig, machine_force_numeral, run
 from .minext import mtype, normalize_m
 from .parser import LinearityError, ParseError, parse_defs, parse_type
 from .pcf import (NumConst, PcfTerm, compile_pcf, parse_pcf_defs, pcf_check,
-                  pcf_eval, pcf_fv, pcf_pretty, pcf_type_pretty, PNat)
+                  pcf_eval, pcf_fv, pcf_pretty, pcf_type_pretty)
 from .reduction import normalize
 from .stdlib import catalog_lookup, catalog_names
 from .terms import (ContractViolation, Fuel, FuelExhausted, Lam, Pair, Stuck,
@@ -323,7 +323,7 @@ def cmd_difftest(args) -> int:
             except (ParseError, TypingError, OSError) as e:
                 skip(name, e)
                 continue
-            if not isinstance(pa, PNat):
+            if not isinstance(pa, Nat):
                 skip(name, "not of ground type")
                 continue
             digest = _digest(data)

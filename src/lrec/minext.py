@@ -2,14 +2,19 @@
 and an unbounded search operator instead of the recursor.
 
 Terms live in a separate universe (no recursor); the shared node
-classes carry both, so entry points guard the constructor set once and
-the rules keep it closed. Evaluation is leftmost-outermost closed
-reduction; there is no dedicated big-step evaluator for this calculus.
+classes carry both, so this module's entry points guard the constructor
+set once and the rules keep it closed. What is here is that guard
+(check_mterm), the typing entry (mtype) and the encodings built from
+iter and min. The rules themselves, IterZero/IterSuc and MinZero/MinSuc,
+live in reduction.step_root beside Beta and Let, which pick them by the
+node's class. Evaluation is leftmost-outermost closed reduction
+(normalize_m); there is no dedicated big-step evaluator for this
+calculus.
 """
 
 from __future__ import annotations
 
-from .reduction import _normalize_with, step_root
+from .reduction import _normalize_with
 from .terms import (App, ContractViolation, Fuel, FuelExhausted, Iter, Lam,
                     LetPair, Min, Pair, Rec, Suc, Term, Var, Zero, children)
 from .types import LinType, infer
@@ -26,38 +31,11 @@ def check_mterm(t: Term):
         work.extend(children(node))
 
 
-def _mroot(t: Term) -> tuple[Term, str] | None:
-    cls = type(t)
-    if cls is Iter:
-        n, v = t.count, t.step
-        if not v.fv:
-            if type(n) is Zero:
-                return t.base, "IterZero"
-            if type(n) is Suc:
-                return App(v, Iter(n.body, t.base, v)), "IterSuc"
-    elif cls is Min:
-        n, u, f = t.scrut, t.counter, t.fn
-        if type(n) is Zero:
-            if not f.fv:
-                return u, "MinZero"
-        elif type(n) is Suc and not (f.fv or n.body.fv or u.fv):
-            # the search continues: drop the witness body, try the next
-            # counter value (which the closedness lets us use twice)
-            return Min(App(f, Suc(u)), Suc(u), f), "MinSuc"
-    else:
-        return step_root(t)  # Beta and Let; the recursor never occurs here
-    return None
-
-
-def mstep_root(t: Term) -> tuple[Term, str] | None:
-    check_mterm(t)
-    return _mroot(t)
-
-
 def normalize_m(t: Term, fuel: int | Fuel,
                 on_step=None) -> Term | FuelExhausted:
+    """reduction's leftmost-outermost normaliser on a guarded term."""
     check_mterm(t)
-    return _normalize_with(t, fuel, _mroot, on_step)
+    return _normalize_with(t, fuel, on_step)
 
 
 def mtype(t: Term, env: list) -> LinType:

@@ -1,6 +1,11 @@
 """PCF: a simply typed λ-calculus with numbers, conditionals, and a
 fixpoint constant, plus its compilation into the linear calculus.
 
+Types are the linear calculus's own, types.Nat and Lolli: a PCF type
+compiles to the linear type of the same shape, with -> read as -o, so
+an annotation goes to the encodings as it is. Only the printer
+(pcf_type_pretty) speaks PCF's syntax.
+
 The reference semantics is big-step call-by-name over closed terms; a
 value is a number, an abstraction, a constant, or a partially applied
 conditional. The compiler is type-directed: binders carry annotations,
@@ -28,31 +33,14 @@ from .stdlib import cond_enc, dup, erase_term, fix, fst_enc, identity, snd_enc
 from .terms import (App, ContractViolation, Fuel, FuelExhausted, Lam, LetPair,
                     Pair, Rec, Suc, Term, Var, Zero, _subst, children,
                     drive, fresh_name, numeral, rebuild, restore_scope)
-from .types import LinType, Lolli, NAT, TypingError
+from .types import NAT, LinType, Lolli, Nat, TypingError
 
 
 # ---------------------------------------------------------------- types
 
-class PcfType:
-    pass
-
-
-@dataclass(frozen=True)
-class PNat(PcfType):
-    pass
-
-
-@dataclass(frozen=True)
-class Arrow(PcfType):
-    dom: PcfType
-    cod: PcfType
-
-
-PNAT = PNat()
-
-
-def pcf_type_pretty(a: PcfType, level: int = 0) -> str:
-    if isinstance(a, PNat):
+def pcf_type_pretty(a: LinType, level: int = 0) -> str:
+    """PCF's syntax for a type: the linear type's, with -> for -o."""
+    if type(a) is Nat:
         return "Nat"
     s = f"{pcf_type_pretty(a.dom, 1)} -> {pcf_type_pretty(a.cod, 0)}"
     return f"({s})" if level > 0 else s
@@ -86,12 +74,12 @@ class IsZero(PcfTerm):
 
 @dataclass(frozen=True)
 class Cond(PcfTerm):
-    a: PcfType
+    a: LinType
 
 
 @dataclass(frozen=True)
 class YComb(PcfTerm):
-    a: PcfType
+    a: LinType
 
 
 @dataclass(frozen=True)
@@ -102,7 +90,7 @@ class PVar(PcfTerm):
 @dataclass(frozen=True)
 class PLam(PcfTerm):
     binder: str
-    annot: PcfType
+    annot: LinType
     body: PcfTerm
 
 
@@ -164,43 +152,39 @@ def pcf_pretty(t: PcfTerm, level: int = 0) -> str:
 
 # --------------------------------------------------------------- typing
 
-class PcfTypeError(TypingError):
-    pass
-
-
-def pcf_check(t: PcfTerm, env: dict[str, PcfType]) -> PcfType:
+def pcf_check(t: PcfTerm, env: dict[str, LinType]) -> LinType:
     """Simple types with annotated binders; iszero lands in Nat (0/1).
     env gains each binder in place while its body is checked and is left
     as it was on return."""
     match t:
         case NumConst():
-            return PNAT
+            return NAT
         case Succ() | Pred() | IsZero():
-            return Arrow(PNAT, PNAT)
+            return Lolli(NAT, NAT)
         case Cond(a=a):
-            return Arrow(PNAT, Arrow(a, Arrow(a, a)))
+            return Lolli(NAT, Lolli(a, Lolli(a, a)))
         case YComb(a=a):
-            return Arrow(Arrow(a, a), a)
+            return Lolli(Lolli(a, a), a)
         case PVar(name=n):
             if n not in env:
-                raise PcfTypeError(f"unbound variable {n}")
+                raise TypingError(f"unbound variable {n}")
             return env[n]
         case PLam(binder=b, annot=a, body=u):
             outer = env.get(b)
             env[b] = a
             try:
-                return Arrow(a, pcf_check(u, env))
+                return Lolli(a, pcf_check(u, env))
             finally:
                 restore_scope(env, b, outer)
         case PApp(fun=f, arg=u):
             tf = pcf_check(f, env)
-            if not isinstance(tf, Arrow):
-                raise PcfTypeError(
+            if not isinstance(tf, Lolli):
+                raise TypingError(
                     f"applied a non-function: {pcf_pretty(f)} "
                     f"has type {pcf_type_pretty(tf)}")
             tu = pcf_check(u, env)
             if tu != tf.dom:
-                raise PcfTypeError(
+                raise TypingError(
                     f"in {pcf_pretty(t)}: argument has type "
                     f"{pcf_type_pretty(tu)}, expected {pcf_type_pretty(tf.dom)}")
             return tf.cod
@@ -295,12 +279,6 @@ def pcf_eval(t: PcfTerm, fuel: int | Fuel) -> PcfTerm | FuelExhausted:
 
 # ----------------------------------------------------------- compilation
 
-def type_trans(a: PcfType) -> LinType:
-    if isinstance(a, PNat):
-        return NAT
-    return Lolli(type_trans(a.dom), type_trans(a.cod))
-
-
 # what x is shared across when two parts of a non-application hold it
 _ACROSS = {Pair: "a pair", LetPair: "a let", Rec: "a recursor"}
 
@@ -382,14 +360,17 @@ def close_var(x: str, t: Term, a: LinType,
     if len(hits) != 1:
         raise ContractViolation(f"{x} shared across {_ACROSS[type(t)]}")
     i = hits[0]
-    kids[i] = close_var(x, kids[i], a, names)
+    kid = close_var(x, kids[i], a, names)
     if names is not None:
         names[-1].update(_own_names(t))
         _add_names(names[-1], kids[:i] + kids[i + 1:])
+    if kid is kids[i]:
+        return t  # x is used once below: nothing to rebuild
+    kids[i] = kid
     return rebuild(t, kids)
 
 
-def compile_body(t: PcfTerm, tenv: dict[str, PcfType]) -> Term:
+def compile_body(t: PcfTerm, tenv: dict[str, LinType]) -> Term:
     """The type-directed clauses; output is nonlinear in the free
     variables of t (same set, possibly many occurrences each). tenv is
     scoped in place, as in pcf_check."""
@@ -412,37 +393,36 @@ def compile_body(t: PcfTerm, tenv: dict[str, PcfType]) -> Term:
                 Pair(Var("n"), Zero()), Pair(Zero(), Suc(Zero())), step,
                 identity())))
         case Cond(a=a):
-            return cond_enc(type_trans(a))
+            return cond_enc(a)
         case YComb(a=a):
-            return fix(type_trans(a))
+            return fix(a)
         case PVar(name=n):
             return Var(n)
         case PApp(fun=f, arg=u):
             return App(compile_body(f, tenv), compile_body(u, tenv))
         case PLam(binder=x, annot=a, body=b):
-            ta = type_trans(a)
             outer = tenv.get(x)
             tenv[x] = a
             try:
                 # the compiled body keeps the source's free variables
                 inner = compile_body(b, tenv)
                 if x not in inner.fv:
-                    tb = type_trans(pcf_check(b, tenv))
+                    tb = pcf_check(b, tenv)
             finally:
                 restore_scope(tenv, x, outer)
             if x in inner.fv:
-                return Lam(x, close_var(x, inner, ta))
+                return Lam(x, close_var(x, inner, a))
             # discarded binder: consume x with erasers under a recursor
             # on zero, so a divergent argument still never runs
             y = fresh_name({x}, "y")
             eraser = Lam(y, erase_term(
-                App(erase_term(Var(y), Lolli(tb, tb)), Var(x)), ta))
+                App(erase_term(Var(y), Lolli(tb, tb)), Var(x)), a))
             wrap = Rec(Pair(Zero(), Zero()), identity(), eraser, identity())
             return Lam(x, App(wrap, inner))
     raise ContractViolation(f"not a PCF term: {t!r}")
 
 
-def compile_pcf(t: PcfTerm, env: list[tuple[str, PcfType]]) -> Term:
+def compile_pcf(t: PcfTerm, env: list[tuple[str, LinType]]) -> Term:
     """Bracket abstraction folded over compile_body, innermost variable
     first; the result keeps fv(t) free, each exactly once."""
     tenv = dict(env)
@@ -450,7 +430,7 @@ def compile_pcf(t: PcfTerm, env: list[tuple[str, PcfType]]) -> Term:
     body = compile_body(t, tenv)
     for name, a in reversed(env):
         if name in body.fv:
-            body = close_var(name, body, type_trans(a))
+            body = close_var(name, body, a)
     return body
 
 
@@ -516,17 +496,17 @@ class _PcfParser(TokenStream):
             return PVar(tok.text)
         raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
 
-    def type_(self) -> PcfType:
+    def type_(self) -> LinType:
         left = self.type_atom()
         if self.peek().kind == "arrow":
             self.next()
-            return Arrow(left, self.type_())
+            return Lolli(left, self.type_())
         return left
 
-    def type_atom(self) -> PcfType:
+    def type_atom(self) -> LinType:
         tok = self.next()
         if tok.kind == "ident" and tok.text == "Nat":
-            return PNAT
+            return NAT
         if tok.kind == "lparen":
             a = self.type_()
             self.expect("rparen", "')'")
@@ -535,24 +515,17 @@ class _PcfParser(TokenStream):
                          tok.line, tok.col)
 
 
-def parse_pcf(text: str, resolve=None) -> PcfTerm:
-    p = _PcfParser(lex(text), resolve)
+def parse_pcf(text: str) -> PcfTerm:
+    p = _PcfParser(lex(text))
     t = p.term()
     p.expect("eof", "end of input")
     return t
 
 
-def parse_pcf_defs(text: str, resolve=None) \
-        -> tuple[dict[str, PcfTerm], PcfTerm]:
+def parse_pcf_defs(text: str) -> tuple[dict[str, PcfTerm], PcfTerm]:
     """A file of `name = term;` definitions (the last one is the
     program) or a single bare term. `@name` resolves against earlier
-    definitions first, then the caller's hook."""
+    definitions."""
     defs: dict[str, PcfTerm] = {}
-
-    def chained(name: str) -> PcfTerm | None:
-        if name in defs:
-            return defs[name]
-        return resolve(name) if resolve else None
-
-    p = _PcfParser(lex(text), chained)
+    p = _PcfParser(lex(text), defs.get)
     return defs, definitions(p, p.term, defs)

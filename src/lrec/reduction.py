@@ -8,6 +8,12 @@ Reduction is allowed under binders, so normal forms are genuine normal
 forms, not weak ones. Fuel counts root-rule applications; traversal is
 free.
 
+One root-rule function serves both calculi: the node's class decides
+which rule can fire. Beta (at App) and Let (at LetPair) belong to both,
+RecZero/RecSuc fire at Rec, IterZero/IterSuc and MinZero/MinSuc at Iter
+and Min, so a term of either calculus meets only its own rules. The
+minimiser's entry points (minext) guard that no recursor gets in.
+
 The leftmost-outermost redex is the first one in pre-order. The
 normaliser finds it with a zipper (Huet, "The Zipper", JFP 1997): a
 focus and a stack of frames (parent, focused child's index, the
@@ -36,11 +42,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .terms import (VALUES, App, ContractViolation, Fuel, FuelExhausted,
-                    Lam, LetPair, OutOfFuel, Pair, Rec, Suc, Term, Zero,
-                    children, pretty, rebuild, subst)
+                    Iter, Lam, LetPair, Min, OutOfFuel, Pair, Rec, Suc, Term,
+                    Zero, children, pretty, rebuild, subst)
 
 
 @dataclass(frozen=True)
@@ -50,12 +56,11 @@ class Stepped:
     path: str  # dot-separated child indices, "" for the root
 
 
-RootStep = Callable[[Term], Optional[tuple[Term, str]]]
-
-
 def step_root(t: Term) -> tuple[Term, str] | None:
     """One rule instance at the root, or None (no match, or a side
-    condition fails)."""
+    condition fails). The root's class picks the rules: Beta and Let
+    belong to both calculi, the recursor's rules to Rec, the minimiser
+    calculus's to Iter and Min."""
     cls = type(t)
     if cls is App:
         f, v = t.fun, t.arg
@@ -77,6 +82,22 @@ def step_root(t: Term) -> tuple[Term, str] | None:
             elif type(n) is Suc and not (v.fv or w.fv):
                 return (App(v, Rec(App(w, Pair(n.body, t2)), t.base, v, w)),
                         "RecSuc")
+    elif cls is Iter:
+        n, v = t.count, t.step
+        if not v.fv:
+            if type(n) is Zero:
+                return t.base, "IterZero"
+            if type(n) is Suc:
+                return App(v, Iter(n.body, t.base, v)), "IterSuc"
+    elif cls is Min:
+        n, u, f = t.scrut, t.counter, t.fn
+        if type(n) is Zero:
+            if not f.fv:
+                return u, "MinZero"
+        elif type(n) is Suc and not (f.fv or n.body.fv or u.fv):
+            # the search continues: drop the witness body, try the next
+            # counter value (which the closedness lets us use twice)
+            return Min(App(f, Suc(u)), Suc(u), f), "MinSuc"
     return None
 
 
@@ -104,14 +125,14 @@ def _path(stack: list[Frame]) -> str:
     return ".".join(str(frame[1]) for frame in stack)
 
 
-def _seek(stack: list[Frame], focus: Term, root_fn: RootStep
+def _seek(stack: list[Frame], focus: Term
           ) -> tuple[Term, tuple[Term, str] | None]:
     """Walk on in pre-order from focus, which the frames place in the
     whole term, to the next redex: return it and its contraction. On
     reaching the end, return the whole term (the frames are used up)
     and None."""
     while True:
-        r = root_fn(focus)
+        r = step_root(focus)
         if r is not None:
             assert r[0].fv == focus.fv, \
                 f"{r[1]} changed the free variables of {pretty(focus)}"
@@ -138,12 +159,11 @@ def _seek(stack: list[Frame], focus: Term, root_fn: RootStep
             return focus, None
 
 
-def step_lo(t: Term, root_fn: RootStep = step_root) -> Stepped | None:
+def step_lo(t: Term) -> Stepped | None:
     """The leftmost-outermost step: the root first, then children in
-    textual order, reducing under binders. root_fn chooses the rule set,
-    as in enumerate_redexes."""
+    textual order, reducing under binders."""
     stack: list[Frame] = []
-    _, r = _seek(stack, t, root_fn)
+    _, r = _seek(stack, t)
     if r is None:
         return None
     return Stepped(_plug(stack, r[0]), r[1], _path(stack))
@@ -152,7 +172,7 @@ def step_lo(t: Term, root_fn: RootStep = step_root) -> Stepped | None:
 OnStep = Callable[[int, str, str, Term], None]
 
 
-def _normalize_with(t: Term, fuel: int | Fuel, root_fn: RootStep,
+def _normalize_with(t: Term, fuel: int | Fuel,
                     on_step: OnStep | None) -> Term | FuelExhausted:
     cell = Fuel.of(fuel)
     budget = cell.remaining
@@ -160,7 +180,7 @@ def _normalize_with(t: Term, fuel: int | Fuel, root_fn: RootStep,
     focus = t
     try:
         while True:
-            focus, r = _seek(stack, focus, root_fn)
+            focus, r = _seek(stack, focus)
             if r is None:
                 return focus
             cell.tick()
@@ -184,18 +204,17 @@ def normalize(t: Term, fuel: int | Fuel,
     fuel is a budget, or a Fuel cell that is left holding what remains.
     on_step(i, rule, path, term) observes each step, for tracing; the
     path and the whole term are built only for it."""
-    return _normalize_with(t, fuel, step_root, on_step)
+    return _normalize_with(t, fuel, on_step)
 
 
-def enumerate_redexes(t: Term, root_fn: RootStep = step_root
-                      ) -> list[tuple[int, ...]]:
+def enumerate_redexes(t: Term) -> list[tuple[int, ...]]:
     """Positions (as child-index paths) of every enabled redex, in
     pre-order, which is also their lexicographic order."""
     out: list[tuple[int, ...]] = []
     work: list[tuple[Term, tuple[int, ...]]] = [(t, ())]
     while work:
         node, path = work.pop()
-        if root_fn(node) is not None:
+        if step_root(node) is not None:
             out.append(path)
         kids = children(node)
         for i in range(len(kids) - 1, -1, -1):
@@ -203,8 +222,7 @@ def enumerate_redexes(t: Term, root_fn: RootStep = step_root
     return out
 
 
-def step_at(t: Term, path: tuple[int, ...],
-            root_fn: RootStep = step_root) -> tuple[Term, str]:
+def step_at(t: Term, path: tuple[int, ...]) -> tuple[Term, str]:
     """Contract the redex at path (child indices from the root)."""
     stack: list[Frame] = []
     focus = t
@@ -212,7 +230,7 @@ def step_at(t: Term, path: tuple[int, ...],
         kids = list(children(focus))
         stack.append([focus, i, kids, False])
         focus = kids[i]
-    r = root_fn(focus)
+    r = step_root(focus)
     if r is None:
         raise ContractViolation("no redex at the given position")
     return _plug(stack, r[0]), r[1]

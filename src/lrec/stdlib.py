@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .terms import (App, ContractViolation, Lam, LetPair, Pair, Rec, Suc,
                     Term, Var, Zero, fresh_name, numeral)
-from .types import LinType, Lolli, MetaVar, Nat, NAT, Tensor
+from .types import NAT, LinType, Lolli, Nat, Tensor, _meta_ids
 
 
 def identity() -> Term:
@@ -94,17 +94,9 @@ def min_enc(fbar: Term) -> Term:
 
 
 def _require_ground(a: LinType):
-    work = [a]
-    while work:
-        t = work.pop()
-        match t:
-            case MetaVar():
-                raise ContractViolation(
-                    "erasure and makers need a fully determined type")
-            case Lolli(dom=d, cod=c):
-                work += (d, c)
-            case Tensor(left=l, right=r):
-                work += (l, r)
+    if _meta_ids(a):
+        raise ContractViolation(
+            "erasure and makers need a fully determined type")
 
 
 def erase_term(t: Term, a: LinType) -> Term:

@@ -21,15 +21,16 @@ from lrec import parser, pcf
 from lrec.cli import _load
 from lrec.gen import random_closed
 from lrec.parser import parse
-from lrec.pcf import (Arrow, Cond, NumConst, PApp, PLam, PNAT, PVar, Pred,
-                      Succ, compile_pcf, parse_pcf, parse_pcf_defs, pcf_check)
+from lrec.pcf import (Cond, NumConst, PApp, PLam, PVar, Pred, Succ,
+                      compile_pcf, parse_pcf, parse_pcf_defs, pcf_check)
 from lrec.stdlib import catalog_lookup, dup
 from lrec.terms import (App, ContractViolation, Iter, Lam, LetPair, Min, Pair,
                         Rec, Suc, Term, Var, Zero, _subst, children,
                         fresh_name, freshen, mk_tuple, pretty)
+from lrec.types import NAT, Lolli
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-NAT_NAT = Arrow(PNAT, PNAT)
+NAT_NAT = Lolli(NAT, NAT)
 
 
 # ------------------------------------------------------- reference copies
@@ -201,7 +202,7 @@ class _Programs:
 
     def nat(self, env, depth):
         rng = self.rng
-        names = [n for n, a in env.items() if a == PNAT]
+        names = [n for n, a in env.items() if a == NAT]
         pick = rng.random()
         if depth <= 0 or pick < 0.25:
             if names and rng.random() < 0.8:
@@ -210,13 +211,13 @@ class _Programs:
         if pick < 0.6:
             return PApp(self.fun(env, depth - 1), self.nat(env, depth - 1))
         if pick < 0.75:
-            return PApp(PApp(PApp(Cond(PNAT), self.nat(env, depth - 1)),
+            return PApp(PApp(PApp(Cond(NAT), self.nat(env, depth - 1)),
                              self.nat(env, depth - 1)),
                         self.nat(env, depth - 1))
         # a bound name, possibly shadowing: (fun n : a . body) arg
-        name, a = rng.choice((("x", PNAT), ("y", PNAT),
+        name, a = rng.choice((("x", NAT), ("y", NAT),
                               ("f", NAT_NAT), ("g", NAT_NAT)))
-        arg = (self.nat if a == PNAT else self.fun)(env, depth - 1)
+        arg = (self.nat if a == NAT else self.fun)(env, depth - 1)
         body = self.nat(self.bind(env, name, a), depth - 1)
         return PApp(PLam(name, a, body), arg)
 
@@ -228,18 +229,18 @@ class _Programs:
                 return PVar(rng.choice(names))
             return rng.choice((Succ(), Pred()))
         name = rng.choice(("x", "y"))
-        return PLam(name, PNAT,
-                    self.nat(self.bind(env, name, PNAT), depth - 1))
+        return PLam(name, NAT,
+                    self.nat(self.bind(env, name, NAT), depth - 1))
 
 
 def _seeded_programs(n: int):
     """(closed program, open body, its environment) per seed."""
-    env = [("f", NAT_NAT), ("g", NAT_NAT), ("x", PNAT)]
+    env = [("f", NAT_NAT), ("g", NAT_NAT), ("x", NAT)]
     gen = _Programs(random.Random(5))
     out = []
     for _ in range(n):
         body = gen.nat(dict(env), 6)
-        closed = PLam("f", NAT_NAT, PLam("g", NAT_NAT, PLam("x", PNAT, body)))
+        closed = PLam("f", NAT_NAT, PLam("g", NAT_NAT, PLam("x", NAT, body)))
         closed = PApp(PApp(PApp(closed, Succ()), Pred()), NumConst(2))
         pcf_check(closed, {})
         out.append((closed, body, env))
@@ -323,7 +324,7 @@ def test_every_clause_matches_the_reference():
         Rec(x, x, Zero(), Zero()), Iter(x, Zero(), Zero()),
         Min(Zero(), Zero(), x),
     ]
-    a = pcf.type_trans(NAT_NAT)
+    a = NAT_NAT
 
     def outcome(fn, t):
         try:

@@ -4,10 +4,10 @@ recursor-based minimisation."""
 import pytest
 
 from lrec.evaluation import force_numeral
-from lrec.minext import (_mroot, check_mterm, lin_copy, lin_fst, lin_pred,
-                         mstep_root, mtype, mu_enc, normalize_m)
+from lrec.minext import (check_mterm, lin_copy, lin_fst, lin_pred, mtype,
+                         mu_enc, normalize_m)
 from lrec.parser import parse
-from lrec.reduction import FuelExhausted, Stepped, step_lo
+from lrec.reduction import FuelExhausted, Stepped, step_lo, step_root
 from lrec.stdlib import identity, iter_enc, min_enc, pred_enc
 from lrec.terms import (App, ContractViolation, Iter, Lam, Min, Pair, Rec,
                         Suc, Term, Var, Zero, alpha_eq, numeral,
@@ -17,10 +17,16 @@ from lrec.types import Lolli, NAT, TypingError
 F = 100_000
 
 
+def mstep_root(t: Term) -> tuple[Term, str] | None:
+    """One rule instance at the root of a minimiser-calculus term."""
+    check_mterm(t)
+    return step_root(t)
+
+
 def mstep_lo(t: Term) -> Stepped | None:
     """One leftmost-outermost step under the minimiser rules."""
     check_mterm(t)
-    return step_lo(t, _mroot)
+    return step_lo(t)
 
 
 def mforce(t: Term, fuel: int = F):

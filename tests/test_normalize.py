@@ -10,6 +10,8 @@ and that the invariant which makes the resumption sound is checked.
 The oracle also checks that `enumerate_redexes` lists every redex.
 Neither walk keeps state between calls: the same term object costs the
 same root-rule checks every time it is normalised or enumerated.
+One `step_root` serves both calculi; it agrees with the two root-rule
+functions it replaced, the recursor calculus's and the minimiser's.
 """
 
 import random
@@ -20,13 +22,13 @@ import pytest
 from lrec import reduction
 from lrec.cli import _load
 from lrec.gen import random_closed
-from lrec.minext import _mroot, lin_pred, normalize_m
+from lrec.minext import lin_pred, mu_enc, normalize_m
 from lrec.parser import parse
 from lrec.reduction import (FuelExhausted, _normalize_with, enumerate_redexes,
                             normalize, step_at, step_lo, step_root)
-from lrec.stdlib import catalog_lookup
-from lrec.terms import (App, Fuel, Lam, Pair, Var, Zero, children, numeral,
-                        pretty)
+from lrec.stdlib import catalog_lookup, iter_enc, min_enc, pred_enc
+from lrec.terms import (App, Fuel, Iter, Lam, LetPair, Min, Pair, Rec, Suc,
+                        Var, Zero, children, numeral, pretty, subst)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -35,31 +37,31 @@ def _pred(n: int):
     return parse(f"@pred {n}", resolve=lambda name, arg: catalog_lookup(name))
 
 
-def _redexes(t, root_fn):
+def _redexes(t):
     """Every redex position in pre-order, by a walk of the whole term."""
     out, work = [], [(t, ())]
     while work:
         node, path = work.pop()
-        if root_fn(node) is not None:
+        if step_root(node) is not None:
             out.append(path)
         kids = children(node)
         work.extend((kids[i], path + (i,)) for i in reversed(range(len(kids))))
     return out
 
 
-def _oracle(t, fuel: int, root_fn=step_root):
+def _oracle(t, fuel: int):
     """(i, rule, path, term) per step and the outcome, by contracting
     the first redex position in pre-order, found afresh each step.
     enumerate_redexes must list the same positions."""
     lines = []
     for i in range(1, fuel + 2):
-        paths = _redexes(t, root_fn)
-        assert enumerate_redexes(t, root_fn) == paths
+        paths = _redexes(t)
+        assert enumerate_redexes(t) == paths
         if not paths:
             return lines, ("normal-form", pretty(t))
         if i > fuel:
             return lines, ("fuel-exhausted", pretty(t))
-        t, rule = step_at(t, paths[0], root_fn)
+        t, rule = step_at(t, paths[0])
         lines.append((i, rule, ".".join(map(str, paths[0])), pretty(t)))
 
 
@@ -92,7 +94,7 @@ def test_normalize_matches_the_first_redex_oracle():
     checked, exhausted = 0, set()
     for name, make, fuel, calculus in _inputs():
         if calculus == "llcim":
-            want = _oracle(make(), fuel, _mroot)
+            want = _oracle(make(), fuel)
             got = _zipper(normalize_m, make(), fuel)
         else:
             want = _oracle(make(), fuel)
@@ -214,21 +216,23 @@ def test_fuel_cell_holds_the_steps_taken():
 
 
 @pytest.mark.skipif(not __debug__, reason="the guard is a debug assertion")
-def test_a_contraction_that_changes_free_variables_trips_the_guard():
+def test_a_contraction_that_changes_free_variables_trips_the_guard(
+        monkeypatch):
     def leaky(t):
         # contracts an identity application to a free variable
         r = step_root(t)
         return (Var("y"), "Leak") if r is not None else None
 
+    monkeypatch.setattr(reduction, "step_root", leaky)
     with pytest.raises(AssertionError, match="Leak changed the free variables"):
-        _normalize_with(parse("<0, (\\x. x) 0>"), 10, leaky, None)
+        _normalize_with(parse("<0, (\\x. x) 0>"), 10, None)
     with pytest.raises(AssertionError, match="Leak changed the free variables"):
-        step_lo(parse("(\\x. x) 0"), leaky)
+        step_lo(parse("(\\x. x) 0"))
 
 
 def _same_term_twice(count_checks) -> list[str]:
     """The terms among add23.lrec and 100 generated ones whose second
-    walk, as counted by count_checks(term, counting root_fn), costs a
+    walk, as counted by count_checks(term, counting step_root), costs a
     different number of root-rule checks than the first."""
     rng = random.Random(91)
     terms = [_load(str(CORPUS / "add23.lrec"), "lrec")[0]]
@@ -259,5 +263,129 @@ def test_normalizing_the_same_term_twice_costs_the_same(monkeypatch):
     assert _same_term_twice(count_checks) == []
 
 
-def test_enumerating_the_same_term_twice_costs_the_same():
-    assert _same_term_twice(enumerate_redexes) == []
+def test_enumerating_the_same_term_twice_costs_the_same(monkeypatch):
+    def count_checks(t, counting):
+        monkeypatch.setattr(reduction, "step_root", counting)
+        enumerate_redexes(t)
+        monkeypatch.undo()
+
+    assert _same_term_twice(count_checks) == []
+
+
+# -- the root rules as two functions, one per calculus, before they were
+# -- merged into step_root; kept verbatim as the reference for the merge
+
+def _recursor_root(t):
+    cls = type(t)
+    if cls is App:
+        f, v = t.fun, t.arg
+        if type(f) is Lam and not v.fv:
+            return subst(f.body, f.binder, v), "Beta"
+    elif cls is LetPair:
+        p = t.scrut
+        if type(p) is Pair:
+            a, b2 = p.left, p.right
+            if not a.fv and not b2.fv:
+                return subst(subst(t.body, t.x, a), t.y, b2), "Let"
+    elif cls is Rec:
+        p = t.scrut
+        if type(p) is Pair:
+            n, t2, v, w = p.left, p.right, t.step, t.update
+            if type(n) is Zero:
+                if not (t2.fv or v.fv or w.fv):
+                    return t.base, "RecZero"
+            elif type(n) is Suc and not (v.fv or w.fv):
+                return (App(v, Rec(App(w, Pair(n.body, t2)), t.base, v, w)),
+                        "RecSuc")
+    return None
+
+
+def _minimiser_root(t):
+    cls = type(t)
+    if cls is Iter:
+        n, v = t.count, t.step
+        if not v.fv:
+            if type(n) is Zero:
+                return t.base, "IterZero"
+            if type(n) is Suc:
+                return App(v, Iter(n.body, t.base, v)), "IterSuc"
+    elif cls is Min:
+        n, u, f = t.scrut, t.counter, t.fn
+        if type(n) is Zero:
+            if not f.fv:
+                return u, "MinZero"
+        elif type(n) is Suc and not (f.fv or n.body.fv or u.fv):
+            # the search continues: drop the witness body, try the next
+            # counter value (which the closedness lets us use twice)
+            return Min(App(f, Suc(u)), Suc(u), f), "MinSuc"
+    else:
+        return _recursor_root(t)  # Beta and Let; the recursor never occurs here
+    return None
+
+
+def _shown(r):
+    return None if r is None else (r[1], pretty(r[0]))
+
+
+def _blocked_minimiser_redexes():
+    """Iter and Min nodes that fail a side condition: an open step,
+    function or counter, or a count or scrutinee that is no numeral."""
+    ident = Lam("x", Var("x"))
+    return [Iter(numeral(2), Zero(), Var("v")),
+            Iter(Zero(), numeral(1), Var("v")),
+            Iter(Var("n"), Zero(), ident),
+            Iter(App(ident, Zero()), Zero(), ident),
+            Min(Zero(), numeral(1), Var("f")),
+            Min(numeral(2), numeral(1), Var("f")),
+            Min(numeral(1), Var("u"), ident),
+            Min(Suc(Var("t")), Zero(), ident),
+            Min(Var("n"), Zero(), ident),
+            Min(App(ident, Zero()), Zero(), ident)]
+
+
+def _merge_inputs():
+    """(name, term, reference root function): the terms of each calculus,
+    hand-built blocked redexes among them."""
+    for path in sorted(CORPUS.glob("*.lrec")):
+        yield path.name, _load(str(path), "lrec")[0], _recursor_root
+    rng = random.Random(1997)
+    for k in range(300):
+        yield f"generated #{k}", random_closed(rng)[0], _recursor_root
+    for n in range(3, 13):
+        yield f"@pred {n}", _pred(n), _recursor_root
+    for n in range(11):
+        yield f"lin_pred {n}", App(lin_pred(), numeral(n)), _minimiser_root
+    for c in range(3):
+        fn = Lam("x", Iter(Var("x"), numeral(c), lin_pred()))
+        yield f"mu_enc {c}", mu_enc(fn), _minimiser_root
+        fn = Lam("x", iter_enc(Var("x"), numeral(c), pred_enc()))
+        yield f"min_enc {c}", min_enc(fn), _recursor_root
+    for k, t in enumerate(_blocked_minimiser_redexes()):
+        yield f"blocked #{k}", t, _minimiser_root
+
+
+def test_merged_step_root_agrees_with_the_per_calculus_rules():
+    """On every subterm of each input and of its first reducts, the
+    merged step_root returns what that calculus's own function did."""
+    fired = set()
+    for name, t, reference in _merge_inputs():
+        reducts = [t]
+        normalize(t, 40, on_step=lambda i, rule, path, term:
+                  reducts.append(term))
+        for u in reducts:
+            work = [u]
+            while work:
+                node = work.pop()
+                got = _shown(step_root(node))
+                assert got == _shown(reference(node)), (name, pretty(node))
+                if got is not None:
+                    fired.add(got[0])
+                work.extend(children(node))
+    assert fired == {"Beta", "Let", "RecZero", "RecSuc", "IterZero",
+                     "IterSuc", "MinZero", "MinSuc"}
+    assert all(step_root(t) is None for t in _blocked_minimiser_redexes())
+
+
+def test_normalize_fires_the_minimiser_rules():
+    assert pretty(normalize(App(lin_pred(), numeral(3)), 10_000)) == "2"
+    assert pretty(normalize_m(App(lin_pred(), numeral(3)), 10_000)) == "2"

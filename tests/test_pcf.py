@@ -7,17 +7,16 @@ import pytest
 from lrec import pcf
 from lrec.cli import _load_pcf
 from lrec.evaluation import eval_cbn, force_numeral
-from lrec.pcf import (Arrow, Cond, IsZero, NumConst, PApp, PLam, PNAT, PVar,
-                      PcfTypeError, Pred, Succ, YComb, close_var, compile_body,
-                      compile_pcf, parse_pcf, parse_pcf_defs,
-                      pcf_check, pcf_eval, pcf_fv, pcf_is_value, pcf_pretty,
-                      pcf_subst, type_trans)
+from lrec.pcf import (Cond, IsZero, NumConst, PApp, PLam, PVar, Pred, Succ,
+                      YComb, close_var, compile_body, compile_pcf, parse_pcf,
+                      parse_pcf_defs, pcf_check, pcf_eval, pcf_fv,
+                      pcf_is_value, pcf_pretty, pcf_subst)
 from lrec.parser import ParseError
 from lrec.reduction import FuelExhausted, normalize
 from lrec.stdlib import identity
 from lrec.terms import (App, ContractViolation, Lam, LetPair, Pair, Rec, Suc,
                         Var, Zero, alpha_eq, check_linear, numeral, subst)
-from lrec.types import Lolli, NAT, check
+from lrec.types import Lolli, NAT, TypingError, check
 from test_types import check_nonlinear
 
 F = 100_000
@@ -36,19 +35,19 @@ def evn(src: str, fuel: int = F) -> int:
 # ---------------------------------------------------------------- parsing
 
 def test_parse_shapes():
-    assert parse_pcf("fun x : Nat . x") == PLam("x", PNAT, PVar("x"))
+    assert parse_pcf("fun x : Nat . x") == PLam("x", NAT, PVar("x"))
     assert parse_pcf("f 1 2") == PApp(PApp(PVar("f"), NumConst(1)),
                                       NumConst(2))
-    assert parse_pcf("cond[Nat]") == Cond(PNAT)
-    assert parse_pcf("Y[Nat -> Nat]") == YComb(Arrow(PNAT, PNAT))
+    assert parse_pcf("cond[Nat]") == Cond(NAT)
+    assert parse_pcf("Y[Nat -> Nat]") == YComb(Lolli(NAT, NAT))
     assert parse_pcf("Y[(Nat -> Nat) -> Nat]") == \
-        YComb(Arrow(Arrow(PNAT, PNAT), PNAT))
+        YComb(Lolli(Lolli(NAT, NAT), NAT))
     t = parse_pcf("fun f : Nat -> Nat . f 2")
-    assert t == PLam("f", Arrow(PNAT, PNAT),
+    assert t == PLam("f", Lolli(NAT, NAT),
                      PApp(PVar("f"), NumConst(2)))
     # fun extends right; as an argument it needs parens
     assert parse_pcf("succ (fun x : Nat . x) 1") == \
-        PApp(PApp(Succ(), PLam("x", PNAT, PVar("x"))), NumConst(1))
+        PApp(PApp(Succ(), PLam("x", NAT, PVar("x"))), NumConst(1))
 
 
 def test_parse_errors():
@@ -92,22 +91,22 @@ def test_pretty_round_trip():
 # ----------------------------------------------------------------- typing
 
 def test_constant_types():
-    assert pcf_check(Succ(), {}) == Arrow(PNAT, PNAT)
-    assert pcf_check(IsZero(), {}) == Arrow(PNAT, PNAT)
-    assert pcf_check(Cond(PNAT), {}) == \
-        Arrow(PNAT, Arrow(PNAT, Arrow(PNAT, PNAT)))
-    assert pcf_check(YComb(PNAT), {}) == Arrow(Arrow(PNAT, PNAT), PNAT)
+    assert pcf_check(Succ(), {}) == Lolli(NAT, NAT)
+    assert pcf_check(IsZero(), {}) == Lolli(NAT, NAT)
+    assert pcf_check(Cond(NAT), {}) == \
+        Lolli(NAT, Lolli(NAT, Lolli(NAT, NAT)))
+    assert pcf_check(YComb(NAT), {}) == Lolli(Lolli(NAT, NAT), NAT)
 
 
 def test_typing_terms():
     t = parse_pcf("fun f : Nat -> Nat . f (f 2)")
-    assert pcf_check(t, {}) == Arrow(Arrow(PNAT, PNAT), PNAT)
-    assert pcf_check(parse_pcf("x"), {"x": PNAT}) == PNAT
-    with pytest.raises(PcfTypeError):
+    assert pcf_check(t, {}) == Lolli(Lolli(NAT, NAT), NAT)
+    assert pcf_check(parse_pcf("x"), {"x": NAT}) == NAT
+    with pytest.raises(TypingError):
         pcf_check(parse_pcf("x"), {})
-    with pytest.raises(PcfTypeError):
+    with pytest.raises(TypingError):
         pcf_check(parse_pcf("1 2"), {})
-    with pytest.raises(PcfTypeError):
+    with pytest.raises(TypingError):
         # Y[Nat] wants Nat -> Nat, gets (Nat -> Nat) -> Nat
         pcf_check(parse_pcf("Y[Nat] (fun f : Nat -> Nat . f 0)"), {})
 
@@ -117,14 +116,14 @@ def test_a_binder_stays_in_its_scope():
     # binder; the shadowing y must not reach the argument, which sees the
     # outer y : Nat, and the caller's dict must come back unchanged
     src = "(fun y : Nat -> Nat . y 0) (fun z : Nat . y)"
-    env = {"y": PNAT}
-    assert pcf_check(parse_pcf(src), env) == PNAT
-    with pytest.raises(PcfTypeError):
+    env = {"y": NAT}
+    assert pcf_check(parse_pcf(src), env) == NAT
+    with pytest.raises(TypingError):
         pcf_check(parse_pcf("fun y : Nat . y y"), env)
-    assert env == {"y": PNAT}
+    assert env == {"y": NAT}
     out = compile_body(parse_pcf(src), env)
-    assert env == {"y": PNAT}
-    want = compile_body(parse_pcf("fun z : Nat . y"), {"y": PNAT})
+    assert env == {"y": NAT}
+    want = compile_body(parse_pcf("fun z : Nat . y"), {"y": NAT})
     assert alpha_eq(out.arg, want)
 
 
@@ -215,12 +214,6 @@ def test_subst_shadowing():
 
 
 # ------------------------------------------------------------ compilation
-
-def test_type_translation():
-    assert type_trans(PNAT) == NAT
-    assert type_trans(Arrow(Arrow(PNAT, PNAT), PNAT)) == \
-        Lolli(Lolli(NAT, NAT), NAT)
-
 
 def test_compile_numeral_and_succ_shape():
     assert alpha_eq(compile_body(NumConst(3), {}), numeral(3))
@@ -314,13 +307,23 @@ def test_close_var_under_suc_and_lam():
     assert alpha_eq(got, t)
 
 
+def test_close_var_returns_a_single_use_term_unrebuilt():
+    # x occurs once: the path down to it is walked, and nothing is rebuilt
+    for t in (Suc(Var("x")),
+              Lam("y", App(Var("y"), Suc(Var("x")))),
+              LetPair(Var("p"), "a", "b",
+                      App(Var("x"), Pair(Var("a"), Var("b")))),
+              Rec(Pair(Var("x"), Zero()), Zero(), identity(), identity())):
+        assert close_var("x", t, NAT) is t
+
+
 def test_compile_open_term_stays_open_and_linear():
     t = parse_pcf("f (f 2)")
-    env = [("f", Arrow(PNAT, PNAT))]
+    env = [("f", Lolli(NAT, NAT))]
     out = compile_pcf(t, env)
     assert out.fv == frozenset({"f"})
     assert check_linear(out) == []
-    a = check(out, [(x, type_trans(b)) for x, b in env], NAT)
+    a = check(out, [(x, b) for x, b in env], NAT)
     assert a == NAT
     # plugging a real function in gives the right number
     closed = subst(out, "f", compile_pcf(parse_pcf("succ"), []))
@@ -329,17 +332,17 @@ def test_compile_open_term_stays_open_and_linear():
 
 def test_compile_body_nonlinear_image_check():
     cases = [
-        ("f (f 2)", [("f", Arrow(PNAT, PNAT))], PNAT),
-        ("cond[Nat] x x (succ x)", [("x", PNAT)], PNAT),
-        ("fun y : Nat . g y", [("g", Arrow(PNAT, PNAT))],
-         Arrow(PNAT, PNAT)),
+        ("f (f 2)", [("f", Lolli(NAT, NAT))], NAT),
+        ("cond[Nat] x x (succ x)", [("x", NAT)], NAT),
+        ("fun y : Nat . g y", [("g", Lolli(NAT, NAT))],
+         Lolli(NAT, NAT)),
     ]
     for src, env, want in cases:
         t = parse_pcf(src)
         body = compile_body(t, dict(env))
-        tenv = [(x, type_trans(a)) for x, a in env]
+        tenv = [(x, a) for x, a in env]
         got = check_nonlinear(body, tenv, pcf_fv(t))
-        assert got == type_trans(want)
+        assert got == want
 
 
 def test_compile_addition_checks_and_runs():
@@ -380,37 +383,37 @@ def _rand_pcf(rng: random.Random, a, env: dict, depth: int):
     here = [x for x, b in env.items() if b == a]
     if here and rng.random() < 0.4:
         return PVar(rng.choice(here))
-    if a == PNAT:
+    if a == NAT:
         if depth <= 0:
             return NumConst(rng.randrange(3))
         roll = rng.random()
         if roll < 0.25:
             return PApp(rng.choice([Succ(), Pred(), IsZero()]),
-                        _rand_pcf(rng, PNAT, env, depth - 1))
+                        _rand_pcf(rng, NAT, env, depth - 1))
         if roll < 0.5:
-            return PApp(PApp(PApp(Cond(PNAT),
-                                  _rand_pcf(rng, PNAT, env, depth - 1)),
-                             _rand_pcf(rng, PNAT, env, depth - 1)),
-                        _rand_pcf(rng, PNAT, env, depth - 1))
+            return PApp(PApp(PApp(Cond(NAT),
+                                  _rand_pcf(rng, NAT, env, depth - 1)),
+                             _rand_pcf(rng, NAT, env, depth - 1)),
+                        _rand_pcf(rng, NAT, env, depth - 1))
         if roll < 0.75:
-            f = _rand_pcf(rng, Arrow(PNAT, PNAT), env, depth - 1)
-            return PApp(f, _rand_pcf(rng, PNAT, env, depth - 1))
+            f = _rand_pcf(rng, Lolli(NAT, NAT), env, depth - 1)
+            return PApp(f, _rand_pcf(rng, NAT, env, depth - 1))
         return NumConst(rng.randrange(3))
     # a == Nat -> Nat
     if depth <= 0 or rng.random() < 0.5:
         return rng.choice([Succ(), Pred(), IsZero()])
     b = f"y{rng.randrange(1000)}"
-    return PLam(b, PNAT, _rand_pcf(rng, PNAT, {**env, b: PNAT}, depth - 1))
+    return PLam(b, NAT, _rand_pcf(rng, NAT, {**env, b: NAT}, depth - 1))
 
 
 def test_substitution_lemma_property():
     rng = random.Random(23)
     for _ in range(60):
-        a = rng.choice([PNAT, Arrow(PNAT, PNAT)])
-        t = _rand_pcf(rng, PNAT, {"x": a}, 3)
-        u = NumConst(rng.randrange(4)) if a == PNAT else \
+        a = rng.choice([NAT, Lolli(NAT, NAT)])
+        t = _rand_pcf(rng, NAT, {"x": a}, 3)
+        u = NumConst(rng.randrange(4)) if a == NAT else \
             rng.choice([Succ(), Pred(),
-                        PLam("w", PNAT, PApp(Succ(), PVar("w")))])
+                        PLam("w", NAT, PApp(Succ(), PVar("w")))])
         lhs = compile_body(pcf_subst(t, "x", u), {})
         rhs = subst(compile_body(t, {"x": a}), "x", compile_body(u, {}))
         assert alpha_eq(lhs, rhs), pcf_pretty(t)
@@ -420,14 +423,14 @@ def test_bracket_abstraction_reduction_property():
     rng = random.Random(31)
     hits = 0
     for _ in range(60):
-        a = rng.choice([PNAT, Arrow(PNAT, PNAT)])
-        t = _rand_pcf(rng, PNAT, {"x": a}, 3)
+        a = rng.choice([NAT, Lolli(NAT, NAT)])
+        t = _rand_pcf(rng, NAT, {"x": a}, 3)
         if "x" not in pcf_fv(t):
             continue
         body = compile_body(t, {"x": a})
         u = compile_body(
-            NumConst(rng.randrange(4)) if a == PNAT else Succ(), {})
-        lhs = normalize(subst(close_var("x", body, type_trans(a)), "x", u),
+            NumConst(rng.randrange(4)) if a == NAT else Succ(), {})
+        lhs = normalize(subst(close_var("x", body, a), "x", u),
                         50_000)
         rhs = normalize(subst(body, "x", u), 50_000)
         if isinstance(lhs, FuelExhausted) or isinstance(rhs, FuelExhausted):
@@ -441,7 +444,7 @@ def test_completeness_direction_on_samples():
     # if the compiled term converges, the source converges to the same n
     rng = random.Random(47)
     for _ in range(40):
-        t = _rand_pcf(rng, PNAT, {}, 3)
+        t = _rand_pcf(rng, NAT, {}, 3)
         got = force_numeral(compile_pcf(t, []), F)
         if isinstance(got, FuelExhausted) or got is None:
             continue
@@ -477,27 +480,27 @@ def _rand_raw(rng: random.Random, depth: int):
     roll = rng.random()
     if depth <= 0 or roll < 0.2:
         return rng.choice([PVar("x"), PVar("y"), PVar("z"), NumConst(1),
-                           Succ(), Cond(PNAT)])
+                           Succ(), Cond(NAT)])
     if roll < 0.6:
-        return PLam(rng.choice("xyz"), PNAT, _rand_raw(rng, depth - 1))
+        return PLam(rng.choice("xyz"), NAT, _rand_raw(rng, depth - 1))
     return PApp(_rand_raw(rng, depth - 1), _rand_raw(rng, depth - 1))
 
 
 def test_pcf_fv_matches_the_function_it_replaced():
     rng = random.Random(8)
     terms = [_rand_raw(rng, 6) for _ in range(400)]
-    terms += [_rand_pcf(rng, PNAT, {"a": PNAT, "f": Arrow(PNAT, PNAT)}, 4)
+    terms += [_rand_pcf(rng, NAT, {"a": NAT, "f": Lolli(NAT, NAT)}, 4)
               for _ in range(200)]
     n = 4000
     body = PVar("free")
     for i in range(n):
         body = PApp(body, PVar(f"x{i}"))
     for i in reversed(range(n)):
-        body = PLam(f"x{i}", PNAT, body)
+        body = PLam(f"x{i}", NAT, body)
     terms.append(body)  # 4,000 distinct binders, each used
     shadow = PApp(PVar("x"), PVar("y"))
     for i in range(n):
-        shadow = PLam("x", PNAT, PApp(shadow, PVar("x")))
+        shadow = PLam("x", NAT, PApp(shadow, PVar("x")))
     terms.append(PApp(shadow, PVar("x")))  # 4,000 binders of one name
     answers = []
     for t in terms:
