@@ -1,32 +1,36 @@
-"""An environment-free stack machine.
+"""A stack machine on linear environments.
 
 A configuration is the current code plus a stack whose entries are
-either plain terms (pending arguments) or one of three markers: a
-pending pair split, a recursor waiting for its scrutinee pair, and a
-recursor that has the second component in hand and is waiting for the
-first to become a number.
+either pending arguments or one of three markers: a pending pair split,
+a recursor waiting for its scrutinee pair, and a recursor that has the
+second component in hand and is waiting for the first to become a
+number. The code and every entry are closures, a term under the
+environment that binds its free variables (see `terms`).
 
-Closedness does the work an environment usually does: every term that
-reaches the stack is closed (a pending split body is closed up to its
-two pattern variables), so (abs) and (pair1) can substitute directly.
-One fuel unit per transition. The outcomes, the fuel cell, the engine
-contract (`terms.drive`) and numeral readback are the shared ones.
+Nothing is substituted: (abs) and (pair1) bind closures in cells, and a
+variable's one lookup, which is not a transition, moves its closure out
+and clears the cell. (succ) builds the next recursor with `terms.recur`,
+which closes an open step and update once. One fuel unit per
+transition. The outcomes, the fuel cell, the engine contract
+(`terms.drive`) and numeral readback are the shared ones.
 
 The running stack is a cons list, so a push or a pop costs the same at
-any depth, and `_run` picks each transition by the type of the code and
-of the top cell, in one table. The observable form of a configuration,
-`MachineConfig`, whose stack is a top-first tuple of markers, is built
-only when someone looks: for an `on_step` observer, and for the
-configuration a `Stuck` or an exhausted run stops at.
+any depth, and `_machine` picks each transition by the type of the code
+and of the top cell. The observable form of a configuration,
+`MachineConfig`, whose code and top-first tuple of markers hold terms
+rebuilt by `terms.unload`, is made only when someone looks: for an
+`on_step` observer, and for the configuration a `Stuck` or an exhausted
+run stops at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import (VALUES, App, Fuel, FuelExhausted, Lam, LetPair,
-                    OutOfFuel, Outcome, Pair, Rec, Stuck, Suc, Term, Zero,
-                    drive, read_numeral, require_closed, subst)
+from .terms import (VALUES, App, Fuel, FuelExhausted, Lam, LetPair, OutOfFuel,
+                    Outcome, Pair, Rec, Stuck, Suc, Term, Var, Zero, bind,
+                    drive, put_back, read_numeral, recur, require_closed,
+                    take, unload)
 
 
 class ExtTerm:
@@ -69,22 +73,40 @@ class MachineConfig:
     stack: Stack
 
 
-# The running stack is a cons list of cells (frame, p, q, rest), None
-# when empty. `frame` is the ExtTerm class the cell stands for and p, q
-# hold its parts: Plain's term; the LetPair or Rec node whose parts
-# LetK and RecK hold; for RecK2 the Rec node and the second component.
-_BOTTOM = (None, None, None, None)  # what an empty stack's top reads as
+# The running stack is a cons list of cells (frame, p, penv, q, qenv,
+# rest), None when empty. `frame` is the ExtTerm class the cell stands
+# for and p, q are closures, a term and its environment: Plain's term;
+# the LetPair or Rec node whose parts LetK and RecK hold; for RecK2 the
+# Rec node and the second component.
+_BOTTOM = (None,) * 6  # what an empty stack's top reads as
+
+# the transitions on a value, by the code's class and the top frame
+_ON_VALUE = {(Lam, Plain), (Pair, LetK), (Pair, RecK), (Zero, RecK2),
+             (Suc, RecK2)}
+
+
+def _applies(cls, stack) -> bool:
+    """Whether a transition leaves code of class cls on this stack."""
+    return (cls is App or cls is LetPair or cls is Rec
+            or (stack is not None and (cls, stack[0]) in _ON_VALUE))
+
+
+def _config(code: Term, env, stack) -> MachineConfig:
+    return MachineConfig(unload(code, env), _observe(stack))
 
 
 def _frame(cell) -> ExtTerm:
-    frame, p, q, _ = cell
+    frame, p, penv, q, qenv, _ = cell
     if frame is Plain:
-        return Plain(p)
-    if frame is LetK:
-        return LetK(p.x, p.y, p.body)
+        return Plain(unload(p, penv))
+    if frame is LetK:  # x and y stay free in the body
+        body = unload(Lam(p.x, Lam(p.y, p.body)), penv).body.body
+        return LetK(p.x, p.y, body)
+    parts = (unload(p.base, penv), unload(p.step, penv),
+             unload(p.update, penv))
     if frame is RecK:
-        return RecK(p.base, p.step, p.update)
-    return RecK2(q, p.base, p.step, p.update)
+        return RecK(*parts)
+    return RecK2(unload(q, qenv), *parts)
 
 
 def _observe(stack) -> Stack:
@@ -92,7 +114,7 @@ def _observe(stack) -> Stack:
     out = []
     while stack is not None:
         out.append(_frame(stack))
-        stack = stack[3]
+        stack = stack[5]
     return tuple(out)
 
 
@@ -100,62 +122,89 @@ def _follow(seen: Stack, old, new) -> Stack:
     """`seen`, the observed form of cons stack `old`, after a transition
     to `new`: every transition pushes a cell, pops one or replaces the
     top, so only the top is converted."""
-    if new is not None and new[3] is old:
+    if new is not None and new[5] is old:
         return (_frame(new),) + seen
-    if old is not None and new is old[3]:
+    if old is not None and new is old[5]:
         return seen[1:]
     return (_frame(new),) + seen[1:]
 
 
-def _run(code: Term, fuel: Fuel, on_step=None) -> Term:
-    """Drive (code, []) until it halts on a value with an empty stack.
-    Raises Stuck or OutOfFuel, both carrying the configuration reached.
-    The hot loop counts in a local and settles with the cell on exit."""
+def _machine(code: Term, fuel: Fuel, on_step=None):
+    """Drive (code, []), code a term or a closure, until it halts on a
+    value with an empty stack; return that closure. Raises Stuck or
+    OutOfFuel, both carrying the configuration reached. The hot loop
+    counts in a local and settles with the cell on exit; it looks
+    variables up and binds them as terms.take and terms.bind do."""
+    code, env = code if type(code) is tuple else (code, None)
     stack, seen = None, ()
     budget = remaining = fuel.remaining
+    run: list = []  # see terms.take
     try:
         while True:
             cls = type(code)
+            if cls is Var:  # a lookup, not a transition
+                e, name = env, code.name
+                while e[0] != name:
+                    e = e[3]
+                code, env = e[1], e[2]
+                if e[4] is not run:
+                    run.append((e, code, env))
+                e[1] = e[2] = None
+                continue
+            if remaining == 0 and _applies(cls, stack):
+                raise OutOfFuel(_config(code, env, stack))
+            nenv = env
             if cls is App:
                 nxt, rule = code.fun, "app"
-                rest = (Plain, code.arg, None, stack)
+                rest = (Plain, code.arg, env, None, None, stack)
             elif cls is LetPair:
                 nxt, rule = code.scrut, "let"
-                rest = (LetK, code, None, stack)
+                rest = (LetK, code, env, None, None, stack)
             elif cls is Rec:
                 nxt, rule = code.scrut, "rec"
-                rest = (RecK, code, None, stack)
+                rest = (RecK, code, env, None, None, stack)
             else:
-                frame, p, q, rest = stack or _BOTTOM
+                frame, p, penv, q, qenv, rest = stack or _BOTTOM
                 if cls is Lam and frame is Plain:
-                    nxt, rule = subst(code.body, code.binder, p), "abs"
+                    if type(p) is Var:
+                        p, penv = take(p.name, penv, run)
+                    nxt, rule = code.body, "abs"
+                    nenv = [code.binder, p, penv if p.fv else None, env, run]
                 elif cls is Pair and frame is LetK:
-                    nxt = subst(subst(p.body, p.x, code.left), p.y, code.right)
-                    rule = "pair1"
+                    nxt, rule = p.body, "pair1"
+                    nenv = bind(p.y, code.right, env,
+                                bind(p.x, code.left, env, penv, run), run)
                 elif cls is Pair and frame is RecK:
                     nxt, rule = code.left, "pair2"
-                    rest = (RecK2, p, code.right, rest)
+                    rest = (RecK2, p, penv, code.right, env, rest)
                 elif cls is Zero and frame is RecK2:
-                    nxt, rule = p.base, "zero"
+                    nxt, nenv, rule = p.base, penv, "zero"
                 elif cls is Suc and frame is RecK2:
-                    pending = Rec(App(p.update, Pair(code.body, q)),
-                                  p.base, p.step, p.update)
-                    nxt, rule = p.step, "succ"
-                    rest = (Plain, pending, None, rest)
+                    nxt, pending, penv = recur(p, penv, code.body, env, q,
+                                               qenv, run)
+                    nenv, rule = None, "succ"
+                    rest = (Plain, pending, penv, None, None, rest)
                 elif stack is None and cls in VALUES:
-                    return code
+                    return code, env
                 else:
                     raise Stuck("no transition applies",
-                                MachineConfig(code, _observe(stack)))
-            if remaining == 0:
-                raise OutOfFuel(MachineConfig(code, _observe(stack)))
+                                _config(code, env, stack))
             remaining -= 1
             if on_step is not None:
                 seen = _follow(seen, stack, rest)
-                on_step(budget - remaining, rule, MachineConfig(nxt, seen))
-            code, stack = nxt, rest
+                on_step(budget - remaining, rule,
+                        MachineConfig(unload(nxt, nenv), seen))
+            code, env, stack = nxt, nenv, rest
+    except OutOfFuel:
+        put_back(run)
+        raise
     finally:
         fuel.remaining = remaining
+        run.clear()
+
+
+def _run(code: Term, fuel: Fuel, on_step=None) -> Term:
+    return unload(*_machine(code, fuel, on_step))
 
 
 def run(t: Term, fuel: int | Fuel, on_step=None) -> Outcome:
@@ -168,4 +217,4 @@ def run(t: Term, fuel: int | Fuel, on_step=None) -> Outcome:
 def machine_force_numeral(t: Term, fuel: int | Fuel) -> int | FuelExhausted | None:
     """Numeral readback: run, then keep running on the body of each S.
     Fuel is shared across the whole readback."""
-    return read_numeral(t, fuel, _run)
+    return read_numeral(t, fuel, _machine)

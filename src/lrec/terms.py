@@ -15,7 +15,9 @@ constructor set they accept. The engines share one contract, defined
 here: an engine takes a budget or a `Fuel` cell, which it leaves holding
 what remains, and returns its bare result (a term, a number, a PCF
 value), a `FuelExhausted` or a `Stuck`. `drive` runs an engine's loop
-that way; `read_numeral` is the one numeral readback loop.
+that way; `read_numeral` is the one numeral readback loop. The
+evaluators and the machine substitute nothing: they run on the linear
+environments defined here, and `unload` rebuilds the terms they show.
 """
 
 from __future__ import annotations
@@ -456,6 +458,89 @@ def _subst(t: Term, x: str, s: Term) -> Term:
 
 
 # --------------------------------------------------------------------------
+# linear environments, for the engines that substitute nothing
+#
+# A closure is a pair (term, env). An environment is a chain of cells
+# [name, term, env, parent, run], None when empty, each binding name to a
+# closure. A variable occurs once, so its one lookup moves the closure
+# out and clears the cell. `run` is the log of the engine run that made
+# the cell: a run logs what it takes from older cells, those of the
+# closure it started on, and puts it back if fuel runs out, so
+# read_numeral can unload where it stopped.
+
+
+def take(name: str, env, run: list) -> tuple[Term, object]:
+    """The closure bound to name, moved out of its cell by run."""
+    while env[0] != name:
+        env = env[3]
+    t, e = env[1], env[2]
+    if env[4] is not run:
+        run.append((env, t, e))
+    env[1] = env[2] = None
+    return t, e
+
+
+def bind(name: str, t: Term, env, parent, run: list) -> list:
+    """parent with name bound to (t, env). A variable is resolved now, so
+    no cell points at another, and a closed term keeps no env."""
+    if type(t) is Var:
+        t, env = take(t.name, env, run)
+    return [name, t, env if t.fv else None, parent, run]
+
+
+def put_back(run: list):
+    """Undo what run took from cells it did not make."""
+    for cell, t, env in run:
+        cell[1], cell[2] = t, env
+    run.clear()
+
+
+def unload(t: Term, env=None) -> Term:
+    """The term that t under env stands for, without clearing a cell.
+    Closures nest as deep as a run made them, so each is unloaded from a
+    stack, by one `_subst` per free variable."""
+    work = [[t, env, list(t.fv)]]  # [term so far, env, names left]
+    while True:
+        frame = work[-1]
+        t, env, names = frame
+        if not names:
+            work.pop()
+            if not work:
+                return t
+            frame = work[-1]
+            frame[0] = _subst(frame[0], frame[2].pop(), t)
+            continue
+        while env[0] != names[-1]:
+            env = env[3]
+        u = env[1]
+        if u.fv:
+            work.append([u, env[2], list(u.fv)])
+        else:
+            frame[0] = _subst(t, names.pop(), u)
+
+
+# The recursor Rec2 builds has a closed step and update, and its
+# scrutinee w <n, q> and base name their closures by variables no source
+# can bind, so one node serves every later Rec2 of the recursion.
+_U, _N, _Q = Var("%u"), Var("%n"), Var("%q")
+_NQ = Pair(_N, _Q)
+
+
+def recur(rec: Rec, env, n: Term, nenv, q: Term, qenv, run: list):
+    """Rule Rec2 for rec under env and the scrutinee <S n, q>: (v, rec',
+    env'), v to apply to rec' = rec(w <n, q>, u, v, w) under env'. An
+    open v or w is closed when a source recursor first fires Rec2."""
+    if rec.base is _U:
+        v, new = rec.step, rec
+    else:
+        v, w = rec.step, rec.update
+        v, w = unload(v, env) if v.fv else v, unload(w, env) if w.fv else w
+        new = Rec(App(w, _NQ), _U, v, w)
+    cells = bind(_N.name, n, nenv, bind(_Q.name, q, qenv, None, run), run)
+    return v, new, bind(_U.name, rec.base, env, cells, run)
+
+
+# --------------------------------------------------------------------------
 # alpha equivalence
 
 
@@ -555,25 +640,28 @@ def numeral_value(t: Term) -> int | None:
 
 
 def read_numeral(t: Term, fuel: int | Fuel,
-                 whnf: Callable[[Term, Fuel], Term]) -> int | FuelExhausted | None:
+                 whnf: Callable) -> int | FuelExhausted | None:
     """Numeral readback: reduce t to weak head normal form with an
     engine's whnf step, then again under each S, until 0. One budget or
-    cell serves the whole readback. None when some whnf is not a number
-    or the engine is stuck; FuelExhausted at the term being read back."""
+    cell serves the whole readback. A step that returns a closure (see
+    above) is given the body of each S as a closure. None when some whnf
+    is not a number or the engine is stuck; FuelExhausted at the term
+    being read back."""
     require_closed(t)
     cell = Fuel.of(fuel)
     n = 0
     try:
         while True:
             v = whnf(t, cell)
+            v, env = v if type(v) is tuple else (v, None)
             if isinstance(v, Zero):
                 return n
             if not isinstance(v, Suc):
                 return None
             n += 1
-            t = v.body
+            t = v.body if env is None else (v.body, env)
     except OutOfFuel:
-        return FuelExhausted(t)
+        return FuelExhausted(unload(*t) if type(t) is tuple else t)
     except Stuck:
         return None
 
