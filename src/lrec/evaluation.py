@@ -14,8 +14,9 @@ The loop substitutes nothing. It evaluates a term under a linear
 environment (see `terms`): where a rule substitutes (App's argument,
 CBV's value, Let's two components), it binds a closure in a cell, and a
 variable's one lookup moves the closure out and clears the cell. Rec2
-goes through `terms.recur`, which closes an open step and update once,
-since the recursor uses them again. Terms are rebuilt by `terms.unload`
+goes through `terms.recur`, which marks the cells under the step and
+update shared, since the recursor uses them again. Terms are rebuilt by
+`terms.unload`
 only where they are seen: the value returned and a Stuck's `at`;
 numeral readback keeps the body of each S as a closure.
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from .terms import (VALUES, App, ContractViolation, Fuel, FuelExhausted, Lam,
                     LetPair, OutOfFuel, Outcome, Pair, Rec, Stuck, Suc, Term,
-                    Var, Zero, bind, drive, put_back, read_numeral, recur,
+                    SHARED, Var, Zero, bind, drive, put_back, read_numeral, recur,
                     require_closed, take, unload)
 
 
@@ -68,9 +69,11 @@ def _whnf(t: Term, fuel: Fuel, cbv: bool, literal_let: bool):
                 while e[0] != name:
                     e = e[3]
                 t, env = e[1], e[2]
-                if e[4] is not run:
+                if e[4] is run:
+                    e[1] = e[2] = None
+                elif e[4] is not SHARED:
                     run.append((e, t, env))
-                e[1] = e[2] = None
+                    e[1] = e[2] = None
             elif cls in _VALUES:
                 if remaining == 0:
                     raise OutOfFuel()
@@ -124,9 +127,9 @@ def _whnf(t: Term, fuel: Fuel, cbv: bool, literal_let: bool):
                     if cls is Zero:
                         t, env = p.base, penv
                     else:  # v applied to the next recursor
-                        t, p, penv = recur(p, penv, t.body, env, q, qenv, run)
+                        t, env, p, penv = recur(p, penv, t.body, env, q, qenv,
+                                                run)
                         frames = (_APP, p, penv, frames)
-                        env = None
             elif cls is App:
                 frames = (_APP, t.arg, env, frames)
                 t = t.fun

@@ -10,8 +10,8 @@ environment that binds its free variables (see `terms`).
 Nothing is substituted: (abs) and (pair1) bind closures in cells, and a
 variable's one lookup, which is not a transition, moves its closure out
 and clears the cell. (succ) builds the next recursor with `terms.recur`,
-which closes an open step and update once. One fuel unit per
-transition. The outcomes, the fuel cell, the engine contract
+which shares the cells under the step and update it reuses. One fuel
+unit per transition. The outcomes, the fuel cell, the engine contract
 (`terms.drive`) and numeral readback are the shared ones.
 
 The running stack is a cons list, so a push or a pop costs the same at
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .terms import (VALUES, App, Fuel, FuelExhausted, Lam, LetPair, OutOfFuel,
-                    Outcome, Pair, Rec, Stuck, Suc, Term, Var, Zero, bind,
+                    Outcome, Pair, Rec, SHARED, Stuck, Suc, Term, Var, Zero, bind,
                     drive, put_back, read_numeral, recur, require_closed,
                     take, unload)
 
@@ -147,9 +147,11 @@ def _machine(code: Term, fuel: Fuel, on_step=None):
                 while e[0] != name:
                     e = e[3]
                 code, env = e[1], e[2]
-                if e[4] is not run:
+                if e[4] is run:
+                    e[1] = e[2] = None
+                elif e[4] is not SHARED:
                     run.append((e, code, env))
-                e[1] = e[2] = None
+                    e[1] = e[2] = None
                 continue
             if remaining == 0 and _applies(cls, stack):
                 raise OutOfFuel(_config(code, env, stack))
@@ -180,9 +182,9 @@ def _machine(code: Term, fuel: Fuel, on_step=None):
                 elif cls is Zero and frame is RecK2:
                     nxt, nenv, rule = p.base, penv, "zero"
                 elif cls is Suc and frame is RecK2:
-                    nxt, pending, penv = recur(p, penv, code.body, env, q,
-                                               qenv, run)
-                    nenv, rule = None, "succ"
+                    nxt, nenv, pending, penv = recur(p, penv, code.body, env,
+                                                     q, qenv, run)
+                    rule = "succ"
                     rest = (Plain, pending, penv, None, None, rest)
                 elif stack is None and cls in VALUES:
                     return code, env

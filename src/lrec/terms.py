@@ -466,7 +466,12 @@ def _subst(t: Term, x: str, s: Term) -> Term:
 # out and clears the cell. `run` is the log of the engine run that made
 # the cell: a run logs what it takes from older cells, those of the
 # closure it started on, and puts it back if fuel runs out, so
-# read_numeral can unload where it stopped.
+# read_numeral can unload where it stopped. The cells under a recursor's
+# step and update, which Rec2 reuses, are SHARED instead: read, never
+# cleared.
+
+
+SHARED: list = []  # the run of a shared cell
 
 
 def take(name: str, env, run: list) -> tuple[Term, object]:
@@ -475,9 +480,26 @@ def take(name: str, env, run: list) -> tuple[Term, object]:
         env = env[3]
     t, e = env[1], env[2]
     if env[4] is not run:
+        if env[4] is SHARED:
+            return t, e
         run.append((env, t, e))
     env[1] = env[2] = None
     return t, e
+
+
+def share(t: Term, env):
+    """Mark the cells under the closure (t, env) shared, hereditarily."""
+    work = [(t, env)]
+    while work:
+        t, env = work.pop()
+        for name in t.fv:
+            e = env
+            while e[0] != name:
+                e = e[3]
+            if e[4] is not SHARED:
+                e[4] = SHARED
+                if e[1].fv:
+                    work.append((e[1], e[2]))
 
 
 def bind(name: str, t: Term, env, parent, run: list) -> list:
@@ -519,25 +541,33 @@ def unload(t: Term, env=None) -> Term:
             frame[0] = _subst(t, names.pop(), u)
 
 
-# The recursor Rec2 builds has a closed step and update, and its
-# scrutinee w <n, q> and base name their closures by variables no source
-# can bind, so one node serves every later Rec2 of the recursion.
-_U, _N, _Q = Var("%u"), Var("%n"), Var("%q")
-_NQ = Pair(_N, _Q)
+# The recursor Rec2 builds names its base, the pair w <n, q> is applied
+# to, and an open step or update by variables no source can bind, so one
+# node serves every later Rec2 of the recursion. Its environment is %u,
+# %n and %q on the shared cells of the open step and update.
+_U, _V, _W = Var("%u"), Var("%v"), Var("%w")
+_NQ = Pair(Var("%n"), Var("%q"))
 
 
 def recur(rec: Rec, env, n: Term, nenv, q: Term, qenv, run: list):
-    """Rule Rec2 for rec under env and the scrutinee <S n, q>: (v, rec',
-    env'), v to apply to rec' = rec(w <n, q>, u, v, w) under env'. An
-    open v or w is closed when a source recursor first fires Rec2."""
+    """Rule Rec2 for rec under env and the scrutinee <S n, q>: (v, venv,
+    rec', env'), the step to apply to rec' = rec(w <n, q>, u, v, w). The
+    step and update are reused, so when a recursor from the source first
+    fires Rec2, the cells under an open one are shared."""
     if rec.base is _U:
-        v, new = rec.step, rec
+        new, tail = rec, env[3][3][3]
     else:
-        v, w = rec.step, rec.update
-        v, w = unload(v, env) if v.fv else v, unload(w, env) if w.fv else w
+        v, w, tail = rec.step, rec.update, None
+        if w.fv:
+            share(w, env)
+            w, tail = _W, ["%w", w, env, tail, SHARED]
+        if v.fv:
+            share(v, env)
+            v, tail = _V, ["%v", v, env, tail, SHARED]
         new = Rec(App(w, _NQ), _U, v, w)
-    cells = bind(_N.name, n, nenv, bind(_Q.name, q, qenv, None, run), run)
-    return v, new, bind(_U.name, rec.base, env, cells, run)
+    cells = bind("%n", n, nenv, bind("%q", q, qenv, tail, run), run)
+    v, venv = (tail[1], tail[2]) if new.step is _V else (new.step, None)
+    return v, venv, new, bind("%u", rec.base, env, cells, run)
 
 
 # --------------------------------------------------------------------------
