@@ -461,6 +461,8 @@ def main(argv=None) -> int:
         return _fail(f"typing: {e}", 1)
     except ContractViolation as e:
         return _fail(f"invalid input: {e}", 1)
+    except RecursionError:  # the front end's walks still recurse
+        return _fail("invalid input: nested too deeply", 1)
     except OSError as e:
         return _fail(str(e), 1)
 

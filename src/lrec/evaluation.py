@@ -16,9 +16,9 @@ CBV's value, Let's two components), it binds a closure in a cell, and a
 variable's one lookup moves the closure out and clears the cell. Rec2
 goes through `terms.recur`, which marks the cells under the step and
 update shared, since the recursor uses them again. Terms are rebuilt by
-`terms.unload`
-only where they are seen: the value returned and a Stuck's `at`;
-numeral readback keeps the body of each S as a closure.
+`terms.unload` only where they are seen: the value returned and a
+Stuck's `at`. Numeral readback keeps the body of each S as a closure;
+an exhausted one reports its input term, as `eval_report` does.
 
 Fuel is one `terms.Fuel` budget for the whole derivation, one unit per
 rule instance: Val when a value is reached, including one that a frame
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from .terms import (VALUES, App, ContractViolation, Fuel, FuelExhausted, Lam,
                     LetPair, OutOfFuel, Outcome, Pair, Rec, Stuck, Suc, Term,
-                    SHARED, Var, Zero, bind, drive, put_back, read_numeral, recur,
+                    Var, Zero, bind, drive, read_numeral, recur,
                     require_closed, take, unload)
 
 
@@ -60,7 +60,6 @@ def _whnf(t: Term, fuel: Fuel, cbv: bool, literal_let: bool):
     t, env = t if type(t) is tuple else (t, None)
     frames = None
     remaining = fuel.remaining
-    run: list = []  # see terms.take
     try:
         while True:
             cls = type(t)
@@ -69,10 +68,7 @@ def _whnf(t: Term, fuel: Fuel, cbv: bool, literal_let: bool):
                 while e[0] != name:
                     e = e[3]
                 t, env = e[1], e[2]
-                if e[4] is run:
-                    e[1] = e[2] = None
-                elif e[4] is not SHARED:
-                    run.append((e, t, env))
+                if not e[4]:
                     e[1] = e[2] = None
             elif cls in _VALUES:
                 if remaining == 0:
@@ -92,11 +88,11 @@ def _whnf(t: Term, fuel: Fuel, cbv: bool, literal_let: bool):
                         t, env = p, penv
                     else:
                         if type(p) is Var:
-                            p, penv = take(p.name, penv, run)
-                        env = [t.binder, p, penv if p.fv else None, env, run]
+                            p, penv = take(p.name, penv)
+                        env = [t.binder, p, penv if p.fv else None, env, False]
                         t = t.body
                 elif kind == _ARG:
-                    env = [p.binder, t, env if t.fv else None, penv, run]
+                    env = [p.binder, t, env if t.fv else None, penv, False]
                     t = p.body
                 elif kind == _LET:
                     if cls is not Pair:
@@ -110,7 +106,7 @@ def _whnf(t: Term, fuel: Fuel, cbv: bool, literal_let: bool):
                         t, env = Lam(p.x, Lam(p.y, p.body)), penv
                     else:
                         env = bind(p.y, t.right, env,
-                                   bind(p.x, t.left, env, penv, run), run)
+                                   bind(p.x, t.left, env, penv))
                         t = p.body
                 elif kind == _REC:
                     if cls is not Pair:
@@ -127,8 +123,7 @@ def _whnf(t: Term, fuel: Fuel, cbv: bool, literal_let: bool):
                     if cls is Zero:
                         t, env = p.base, penv
                     else:  # v applied to the next recursor
-                        t, env, p, penv = recur(p, penv, t.body, env, q, qenv,
-                                                run)
+                        t, env, p, penv = recur(p, penv, t.body, env, q, qenv)
                         frames = (_APP, p, penv, frames)
             elif cls is App:
                 frames = (_APP, t.arg, env, frames)
@@ -142,12 +137,8 @@ def _whnf(t: Term, fuel: Fuel, cbv: bool, literal_let: bool):
             else:
                 raise ContractViolation(
                     f"cannot evaluate a {cls.__name__} node")
-    except OutOfFuel:
-        put_back(run)
-        raise
     finally:
         fuel.remaining = remaining
-        run.clear()
 
 
 def _eval(t: Term, fuel: Fuel, cbv: bool, literal_let: bool) -> Term:
@@ -176,5 +167,5 @@ def eval_cbv(t: Term, fuel: int | Fuel, literal_let: bool = False) -> Outcome:
 def force_numeral(t: Term, fuel: int | Fuel,
                   cbv: bool = False) -> int | FuelExhausted | None:
     """Evaluate hereditarily under S until 0: the numeral denoted by t.
-    None when some whnf along the way is not a number."""
+    None when some whnf along the way is not a number; FuelExhausted at t."""
     return read_numeral(t, fuel, lambda u, cell: _whnf(u, cell, cbv, False))

@@ -12,7 +12,8 @@ variable's one lookup, which is not a transition, moves its closure out
 and clears the cell. (succ) builds the next recursor with `terms.recur`,
 which shares the cells under the step and update it reuses. One fuel
 unit per transition. The outcomes, the fuel cell, the engine contract
-(`terms.drive`) and numeral readback are the shared ones.
+(`terms.drive`) and numeral readback are the shared ones, so an
+exhausted readback reports the configuration where it stopped.
 
 The running stack is a cons list, so a push or a pop costs the same at
 any depth, and `_machine` picks each transition by the type of the code
@@ -28,9 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .terms import (VALUES, App, Fuel, FuelExhausted, Lam, LetPair, OutOfFuel,
-                    Outcome, Pair, Rec, SHARED, Stuck, Suc, Term, Var, Zero, bind,
-                    drive, put_back, read_numeral, recur, require_closed,
-                    take, unload)
+                    Outcome, Pair, Rec, Stuck, Suc, Term, Var, Zero, bind,
+                    drive, read_numeral, recur, require_closed, take, unload)
 
 
 class ExtTerm:
@@ -138,7 +138,6 @@ def _machine(code: Term, fuel: Fuel, on_step=None):
     code, env = code if type(code) is tuple else (code, None)
     stack, seen = None, ()
     budget = remaining = fuel.remaining
-    run: list = []  # see terms.take
     try:
         while True:
             cls = type(code)
@@ -147,10 +146,7 @@ def _machine(code: Term, fuel: Fuel, on_step=None):
                 while e[0] != name:
                     e = e[3]
                 code, env = e[1], e[2]
-                if e[4] is run:
-                    e[1] = e[2] = None
-                elif e[4] is not SHARED:
-                    run.append((e, code, env))
+                if not e[4]:
                     e[1] = e[2] = None
                 continue
             if remaining == 0 and _applies(cls, stack):
@@ -169,13 +165,13 @@ def _machine(code: Term, fuel: Fuel, on_step=None):
                 frame, p, penv, q, qenv, rest = stack or _BOTTOM
                 if cls is Lam and frame is Plain:
                     if type(p) is Var:
-                        p, penv = take(p.name, penv, run)
+                        p, penv = take(p.name, penv)
                     nxt, rule = code.body, "abs"
-                    nenv = [code.binder, p, penv if p.fv else None, env, run]
+                    nenv = [code.binder, p, penv if p.fv else None, env, False]
                 elif cls is Pair and frame is LetK:
                     nxt, rule = p.body, "pair1"
                     nenv = bind(p.y, code.right, env,
-                                bind(p.x, code.left, env, penv, run), run)
+                                bind(p.x, code.left, env, penv))
                 elif cls is Pair and frame is RecK:
                     nxt, rule = code.left, "pair2"
                     rest = (RecK2, p, penv, code.right, env, rest)
@@ -183,7 +179,7 @@ def _machine(code: Term, fuel: Fuel, on_step=None):
                     nxt, nenv, rule = p.base, penv, "zero"
                 elif cls is Suc and frame is RecK2:
                     nxt, nenv, pending, penv = recur(p, penv, code.body, env,
-                                                     q, qenv, run)
+                                                     q, qenv)
                     rule = "succ"
                     rest = (Plain, pending, penv, None, None, rest)
                 elif stack is None and cls in VALUES:
@@ -197,12 +193,8 @@ def _machine(code: Term, fuel: Fuel, on_step=None):
                 on_step(budget - remaining, rule,
                         MachineConfig(unload(nxt, nenv), seen))
             code, env, stack = nxt, nenv, rest
-    except OutOfFuel:
-        put_back(run)
-        raise
     finally:
         fuel.remaining = remaining
-        run.clear()
 
 
 def _run(code: Term, fuel: Fuel, on_step=None) -> Term:
@@ -218,5 +210,6 @@ def run(t: Term, fuel: int | Fuel, on_step=None) -> Outcome:
 
 def machine_force_numeral(t: Term, fuel: int | Fuel) -> int | FuelExhausted | None:
     """Numeral readback: run, then keep running on the body of each S.
-    Fuel is shared across the whole readback."""
+    Fuel is shared across the whole readback; an exhausted one reports
+    the configuration where it stopped, as `run` does."""
     return read_numeral(t, fuel, _machine)

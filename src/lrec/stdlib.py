@@ -12,7 +12,7 @@ mechanism at construction time.
 from __future__ import annotations
 
 from .terms import (App, ContractViolation, Lam, LetPair, Pair, Rec, Suc,
-                    Term, Var, Zero, fresh_name, numeral)
+                    Term, Var, Zero, _disjointness, fresh_name, numeral)
 from .types import NAT, LinType, Lolli, Nat, Tensor, _meta_ids
 
 
@@ -23,13 +23,10 @@ def identity() -> Term:
 def iter_enc(t: Term, u: Term, v: Term) -> Term:
     """Bounded iteration: rec counts the first component down while the
     identity update leaves the (unused) second component alone."""
-    parts = [("count", t), ("base", u), ("step", v)]
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            shared = parts[i][1].fv & parts[j][1].fv
-            if shared:
-                raise ContractViolation(
-                    f"{parts[i][0]} and {parts[j][0]} share {sorted(shared)}")
+    bad: list[tuple] = []
+    _disjointness([("count", t), ("base", u), ("step", v)], bad)
+    if bad:
+        raise ContractViolation(bad[0][0])
     return Rec(Pair(t, Zero()), u, v, identity())
 
 

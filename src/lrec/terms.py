@@ -461,29 +461,22 @@ def _subst(t: Term, x: str, s: Term) -> Term:
 # linear environments, for the engines that substitute nothing
 #
 # A closure is a pair (term, env). An environment is a chain of cells
-# [name, term, env, parent, run], None when empty, each binding name to a
-# closure. A variable occurs once, so its one lookup moves the closure
-# out and clears the cell. `run` is the log of the engine run that made
-# the cell: a run logs what it takes from older cells, those of the
-# closure it started on, and puts it back if fuel runs out, so
-# read_numeral can unload where it stopped. The cells under a recursor's
-# step and update, which Rec2 reuses, are SHARED instead: read, never
-# cleared.
+# [name, term, env, parent, shared], None when empty, each binding name
+# to a closure. A variable occurs once, so its one lookup moves the
+# closure out and clears the cell. Closed reduction never needs a
+# consumed binding again, so nothing is put back when fuel runs out, and
+# an exhausted readback reports what `drive` does (see read_numeral).
+# The cells under a recursor's step and update, which Rec2 reuses, are
+# shared instead: read, never cleared.
 
 
-SHARED: list = []  # the run of a shared cell
-
-
-def take(name: str, env, run: list) -> tuple[Term, object]:
-    """The closure bound to name, moved out of its cell by run."""
+def take(name: str, env) -> tuple[Term, object]:
+    """The closure bound to name, moved out of its cell unless shared."""
     while env[0] != name:
         env = env[3]
     t, e = env[1], env[2]
-    if env[4] is not run:
-        if env[4] is SHARED:
-            return t, e
-        run.append((env, t, e))
-    env[1] = env[2] = None
+    if not env[4]:
+        env[1] = env[2] = None
     return t, e
 
 
@@ -496,25 +489,18 @@ def share(t: Term, env):
             e = env
             while e[0] != name:
                 e = e[3]
-            if e[4] is not SHARED:
-                e[4] = SHARED
+            if not e[4]:
+                e[4] = True
                 if e[1].fv:
                     work.append((e[1], e[2]))
 
 
-def bind(name: str, t: Term, env, parent, run: list) -> list:
+def bind(name: str, t: Term, env, parent) -> list:
     """parent with name bound to (t, env). A variable is resolved now, so
     no cell points at another, and a closed term keeps no env."""
     if type(t) is Var:
-        t, env = take(t.name, env, run)
-    return [name, t, env if t.fv else None, parent, run]
-
-
-def put_back(run: list):
-    """Undo what run took from cells it did not make."""
-    for cell, t, env in run:
-        cell[1], cell[2] = t, env
-    run.clear()
+        t, env = take(t.name, env)
+    return [name, t, env if t.fv else None, parent, False]
 
 
 def unload(t: Term, env=None) -> Term:
@@ -549,7 +535,7 @@ _U, _V, _W = Var("%u"), Var("%v"), Var("%w")
 _NQ = Pair(Var("%n"), Var("%q"))
 
 
-def recur(rec: Rec, env, n: Term, nenv, q: Term, qenv, run: list):
+def recur(rec: Rec, env, n: Term, nenv, q: Term, qenv):
     """Rule Rec2 for rec under env and the scrutinee <S n, q>: (v, venv,
     rec', env'), the step to apply to rec' = rec(w <n, q>, u, v, w). The
     step and update are reused, so when a recursor from the source first
@@ -560,14 +546,14 @@ def recur(rec: Rec, env, n: Term, nenv, q: Term, qenv, run: list):
         v, w, tail = rec.step, rec.update, None
         if w.fv:
             share(w, env)
-            w, tail = _W, ["%w", w, env, tail, SHARED]
+            w, tail = _W, ["%w", w, env, tail, True]
         if v.fv:
             share(v, env)
-            v, tail = _V, ["%v", v, env, tail, SHARED]
+            v, tail = _V, ["%v", v, env, tail, True]
         new = Rec(App(w, _NQ), _U, v, w)
-    cells = bind("%n", n, nenv, bind("%q", q, qenv, tail, run), run)
+    cells = bind("%n", n, nenv, bind("%q", q, qenv, tail))
     v, venv = (tail[1], tail[2]) if new.step is _V else (new.step, None)
-    return v, venv, new, bind("%u", rec.base, env, cells, run)
+    return v, venv, new, bind("%u", rec.base, env, cells)
 
 
 # --------------------------------------------------------------------------
@@ -675,25 +661,25 @@ def read_numeral(t: Term, fuel: int | Fuel,
     engine's whnf step, then again under each S, until 0. One budget or
     cell serves the whole readback. A step that returns a closure (see
     above) is given the body of each S as a closure. None when some whnf
-    is not a number or the engine is stuck; FuelExhausted at the term
-    being read back."""
+    is not a number or the engine is stuck. The readback runs through
+    `drive`, so an exhausted one reports what drive does: the machine's
+    configuration where it stopped, the evaluators' input t."""
     require_closed(t)
-    cell = Fuel.of(fuel)
+    out = drive(_read_numeral, t, fuel, whnf)
+    return None if isinstance(out, Stuck) else out
+
+
+def _read_numeral(t: Term, cell: Fuel, whnf: Callable) -> int | None:
     n = 0
-    try:
-        while True:
-            v = whnf(t, cell)
-            v, env = v if type(v) is tuple else (v, None)
-            if isinstance(v, Zero):
-                return n
-            if not isinstance(v, Suc):
-                return None
-            n += 1
-            t = v.body if env is None else (v.body, env)
-    except OutOfFuel:
-        return FuelExhausted(unload(*t) if type(t) is tuple else t)
-    except Stuck:
-        return None
+    while True:
+        v = whnf(t, cell)
+        v, env = v if type(v) is tuple else (v, None)
+        if isinstance(v, Zero):
+            return n
+        if not isinstance(v, Suc):
+            return None
+        n += 1
+        t = v.body if env is None else (v.body, env)
 
 
 def fresh_name(avoid: set[str] | frozenset[str], base: str = "p") -> str:

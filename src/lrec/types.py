@@ -257,26 +257,30 @@ def _env_map(env: TypeEnv) -> dict[str, LinType]:
     return out
 
 
+def _domain(t: Term, env: TypeEnv) -> dict[str, LinType]:
+    """env as a map, once t is linear and env binds exactly its free
+    variables; else the TypingError that says what is wrong. infer and
+    check both start here."""
+    bad = check_linear(t)
+    if bad:
+        raise TypingError(f"term is not linear: {bad[0]}")
+    emap = _env_map(env)
+    if set(emap) != t.fv:
+        parts = [f"{what} {', '.join(sorted(names))}" for what, names in
+                 (("missing", t.fv - set(emap)), ("unused", set(emap) - t.fv))
+                 if names]
+        raise EnvDomainError(
+            f"environment domain must equal the free variables: {'; '.join(parts)}")
+    return emap
+
+
 def infer(t: Term, env: TypeEnv) -> LinType:
     """The type of t under env, or a TypingError.
 
     env must list exactly the free variables of t; underconstrained
     positions come back as MetaVars.
     """
-    bad = check_linear(t)
-    if bad:
-        raise TypingError(f"term is not linear: {bad[0]}")
-    emap = _env_map(env)
-    if set(emap) != set(t.fv):
-        extra = sorted(set(emap) - set(t.fv))
-        missing = sorted(set(t.fv) - set(emap))
-        parts = []
-        if missing:
-            parts.append(f"missing {', '.join(missing)}")
-        if extra:
-            parts.append(f"unused {', '.join(extra)}")
-        raise EnvDomainError(
-            f"environment domain must equal the free variables: {'; '.join(parts)}")
+    emap = _domain(t, env)
     gen = _Gen()
     return _zonk(gen.go(t, emap), gen.sub)
 
@@ -284,13 +288,7 @@ def infer(t: Term, env: TypeEnv) -> LinType:
 def check(t: Term, env: TypeEnv, a: LinType) -> LinType:
     """Check t against a; returns the instantiated type (a with any of
     its MetaVars resolved), or raises TypingError."""
-    bad = check_linear(t)
-    if bad:
-        raise TypingError(f"term is not linear: {bad[0]}")
-    emap = _env_map(env)
-    if set(emap) != set(t.fv):
-        raise EnvDomainError(
-            "environment domain must equal the free variables")
+    emap = _domain(t, env)
     gen = _Gen()
     # keep caller MetaVars distinct from generated ones
     ids = _meta_ids(a)

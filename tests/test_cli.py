@@ -467,6 +467,17 @@ def test_linearity_diagnostic_is_capped(capsys, tmp_path):
     assert err.endswith(" (and 7996 more)\n")
 
 
+@pytest.mark.parametrize("argv,text", [
+    (["check"], "(" * 50_000 + "0" + ")" * 50_000),
+    (["check"], "((\\x. x) " * 8_000 + "0" + ")" * 8_000),
+    (["eval"], "((\\x. x) " * 8_000 + "0" + ")" * 8_000)],
+    ids=["parens check", "identities check", "identities eval"])
+def test_deep_nesting_is_bad_input(capsys, tmp_path, argv, text):
+    code, out, err = run_cli(capsys, *argv, write(tmp_path, "deep.lrec", text))
+    assert (code, out) == (1, "")
+    assert err == "invalid input: nested too deeply\n"
+
+
 def test_difftest_skips_non_utf8_files(capsys, tmp_path):
     d = _small_corpus(tmp_path)
     (d / "f_bytes.lrec").write_bytes(NOT_UTF8)

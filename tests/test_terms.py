@@ -9,7 +9,7 @@ import pytest
 
 from lrec.evaluation import eval_report, force_numeral
 from lrec.gen import random_closed
-from lrec.machine import machine_force_numeral, run
+from lrec.machine import MachineConfig, machine_force_numeral, run
 from lrec.minext import lin_pred, normalize_m
 from lrec.parser import parse
 from lrec.pcf import NumConst, parse_pcf, pcf_eval
@@ -410,7 +410,15 @@ def test_every_engine_leaves_its_count_in_the_cell(name, engine, make,
         assert seen[-1] == len(seen) == used
     # the count is the least budget that suffices
     assert _shown(engine(make(), used)) == result
-    assert isinstance(engine(make(), used - 1), FuelExhausted)
+    t = make()
+    short = engine(t, used - 1)
+    assert isinstance(short, FuelExhausted)
+    # a readback reports what drive does: the evaluators' input, the
+    # machine's configuration, wherever under the S's it stopped
+    if engine is force_numeral:
+        assert short.at is t
+    elif engine is machine_force_numeral:
+        assert isinstance(short.at, MachineConfig)
     assert isinstance(engine(make(), Fuel(0)), FuelExhausted)
 
 

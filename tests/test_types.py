@@ -72,6 +72,8 @@ def test_env_domain_errors():
     with pytest.raises(EnvDomainError):
         infer(parse("\\x. x"), [("y", NAT)])
     assert infer(Var("x"), [("x", NAT)]) == NAT
+    with pytest.raises(EnvDomainError, match="missing x$"):
+        check(Var("x"), [], NAT)
 
 
 def test_env_duplicates_rejected():
