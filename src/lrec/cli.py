@@ -2,23 +2,26 @@
 
 Subcommands: check, eval, machine, normalize, stdlib, pcf
 {check,eval,compile}, difftest. Results go to stdout; every diagnostic
-goes to stderr. Exit codes: 0 success, 1 input errors (parse,
-linearity, typing) and difftest disagreement, 2 fuel exhaustion, 3
-stuck terms.
+goes to stderr. Exit codes: 0 success, 1 bad input (a flag argparse or
+the command rejects, parse, linearity, typing) and difftest
+disagreement, 2 fuel exhaustion, 3 stuck terms.
 
 Run reports are JSON lines with a fixed field order — command, input
 digest, outcome, fuel used, wall time. difftest streams them to
 stdout; the other commands append to --report PATH. Identical inputs
 give byte-identical reports except the wall-time field.
 
-The default fuel is 10^5 rule instances, overridable with LREC_FUEL;
-a negative or malformed budget is bad input. Every engine runs through
-`_engine`, which reads the count from a fresh `Fuel` cell, and every
-outcome, PCF's reference value included, is turned into its record,
-exit code and message by one function, `_settle`. difftest gives the
-compiled side of PCF comparisons 100x the fuel: the encodings spend a
-recursor loop per source step, so equal budgets would misreport
-slow-but-sound compilations as divergent.
+The command tree is one table, `COMMANDS`: a row's words, help text,
+handler and arguments; `_build_parser` builds argparse from it. The
+default fuel is 10^5 rule instances, overridable with LREC_FUEL;
+`_fuel` alone checks a budget, and a negative or malformed one is bad
+input. Every engine run, PCF's reference evaluator and difftest's
+records included, goes through `_engine`, which runs it on a fresh
+`Fuel` cell and turns its outcome into a record, an exit code and a
+message, printed or streamed. difftest gives the compiled side of PCF
+comparisons 100x the fuel: the encodings spend a recursor loop per
+source step, so equal budgets would misreport slow-but-sound
+compilations as divergent.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .types import (EnvDomainError, Lolli, MetaVar, Nat, Tensor, TypingError,
                     infer, type_pretty)
 
 
-def _fuel(given: int | None) -> int:
+def _fuel(given: str | None) -> int:
     """The budget: --fuel, else LREC_FUEL, else 10^5."""
     where, value = "--fuel", given
     if given is None:
@@ -115,85 +118,80 @@ def _load_pcf(path: str):
     return prog, data
 
 
-def _timed(fn, *args, **kwargs):
-    """fn's result and its wall time in ms."""
-    t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    return out, (time.perf_counter() - t0) * 1000
-
-
-def _engine(fn, t, fuel: int, *args, **kwargs):
-    """(outcome, fuel used, wall ms) of fn on a fresh cell. Callers name
-    fn at call time, so a wrapper installed on this module sees it."""
-    cell = Fuel(fuel)
-    out, wall = _timed(fn, t, cell, *args, **kwargs)
-    return out, fuel - cell.remaining, wall
-
-
-def _settle(out, fuel: int, used: int | None, word: str,
-            noun: str = "value") -> tuple[str, int | None, int, str]:
-    """An engine outcome as (record text, fuel_used, exit code, message).
-    The message is the result on exit 0 and the diagnostic otherwise.
+def _engine(args, digest: str, fn, t, word: str = "value",
+            noun: str = "value", fuel: int | None = None,
+            stream: str | None = None, **kwargs):
+    """Run engine fn on t with a fresh cell of `fuel` (args.fuel by
+    default) and settle its outcome; return it with its exit code.
     `word` names a success in the record: value, halted or normal-form.
     A readback's None (not a number) is stuck; `noun` names its result.
-    A result prints by its type: a number, a PCF value or a term."""
+    A result prints by its type: a number, a PCF value or a term. A
+    command prints the result, or on a nonzero code the diagnostic, and
+    appends its --report record; difftest names its record `stream` and
+    prints only that. Callers name fn at call time, so a wrapper
+    installed on this module sees it."""
+    fuel = args.fuel if fuel is None else fuel
+    cell = Fuel(fuel)
+    t0 = time.perf_counter()
+    out = fn(t, cell, **kwargs)
+    wall = (time.perf_counter() - t0) * 1000
+    used = fuel - cell.remaining
     if isinstance(out, FuelExhausted):
-        return "fuel-exhausted", fuel, 2, f"fuel exhausted after {fuel}"
-    if isinstance(out, Stuck):
-        if isinstance(out.at, MachineConfig):
-            return ("stuck", used, 3, f"stuck at {pretty(out.at.code)} with "
-                                      f"|stack|={len(out.at.stack)}")
-        return (f"stuck: {out.reason}", used, 3,
-                f"stuck: {out.reason}: {pretty(out.at)}")
-    if out is None:
-        return "stuck", used, 3, f"the {noun} is not a number"
-    text = (str(out) if isinstance(out, int) else
-            pcf_pretty(out) if isinstance(out, PcfTerm) else pretty(out))
-    return f"{word} {text}", used, 0, text
-
-
-def _finish(args, digest: str, wall: float, out, used: int | None,
-            word: str, noun: str = "value") -> int:
-    """Print an engine's result or diagnostic and append its report."""
-    record, fuel_used, code, text = _settle(out, args.fuel, used, word, noun)
-    print(text, file=sys.stdout if code == 0 else sys.stderr)
-    _report(args, record, fuel_used, wall, digest)
-    return code
+        rec, used, code, text = ("fuel-exhausted", fuel, 2,
+                                 f"fuel exhausted after {fuel}")
+    elif isinstance(out, Stuck) and isinstance(out.at, MachineConfig):
+        rec, code, text = "stuck", 3, (f"stuck at {pretty(out.at.code)} "
+                                       f"with |stack|={len(out.at.stack)}")
+    elif isinstance(out, Stuck):
+        rec, code = f"stuck: {out.reason}", 3
+        text = f"stuck: {out.reason}: {pretty(out.at)}"
+    elif out is None:
+        rec, code, text = "stuck", 3, f"the {noun} is not a number"
+    else:
+        text = (str(out) if isinstance(out, int) else
+                pcf_pretty(out) if isinstance(out, PcfTerm) else pretty(out))
+        rec, code = f"{word} {text}", 0
+    if stream:
+        print(_record(stream, digest, rec, used, wall))
+    else:
+        print(text, file=sys.stdout if code == 0 else sys.stderr)
+        _report(args, rec, used, wall, digest)
+    return out, code
 
 
 # ------------------------------------------------------------- commands
 
 def cmd_check(args) -> int:
     t, digest = _load(args.file, args.calculus)
-    a, wall = _timed(mtype if args.calculus == "llcim" else infer, t, [])
+    t0 = time.perf_counter()
+    a = (mtype if args.calculus == "llcim" else infer)(t, [])
     out = type_pretty(a, ground=args.ground)
     print(out)
-    _report(args, f"type {out}", None, wall, digest)
+    _report(args, f"type {out}", None, (time.perf_counter() - t0) * 1000,
+            digest)
     return 0
 
 
 def cmd_eval(args) -> int:
     t, digest = _load(args.file, "lrec")
-    cbv = args.strategy == "cbv"
-    if args.force_nat:
-        got, used, wall = _engine(force_numeral, t, args.fuel, cbv=cbv)
-        return _finish(args, digest, wall, got, used, "value")
-    out, used, wall = _engine(eval_report, t, args.fuel, cbv=cbv,
-                              literal_let=args.literal_let)
-    return _finish(args, digest, wall, out, used, "value")
+    return _engine(args, digest,
+                   force_numeral if args.force_nat else eval_report, t,
+                   cbv=args.strategy == "cbv",
+                   literal_let=args.literal_let)[1]
 
 
 def cmd_machine(args) -> int:
+    if args.trace and args.force_nat:
+        raise ContractViolation("--trace excludes --force-nat")
     t, digest = _load(args.file, "lrec")
     if args.force_nat:
-        got, used, wall = _engine(machine_force_numeral, t, args.fuel)
-        return _finish(args, digest, wall, got, used, "value", "machine value")
+        return _engine(args, digest, machine_force_numeral, t,
+                       noun="machine value")[1]
     trace = ((lambda i, rule, config:
               print(f"{i} {rule} |stack|={len(config.stack)} "
                     f"{pretty(config.code)}"))
              if args.trace else None)
-    out, used, wall = _engine(run, t, args.fuel, on_step=trace)
-    return _finish(args, digest, wall, out, used, "halted")
+    return _engine(args, digest, run, t, "halted", on_step=trace)[1]
 
 
 def cmd_normalize(args) -> int:
@@ -202,8 +200,7 @@ def cmd_normalize(args) -> int:
               print(f"{i} {rule} {path or 'root'} {pretty(term)}"))
              if args.trace else None)
     engine = normalize_m if args.calculus == "llcim" else normalize
-    out, used, wall = _engine(engine, t, args.fuel, on_step=trace)
-    return _finish(args, digest, wall, out, used, "normal-form")
+    return _engine(args, digest, engine, t, "normal-form", on_step=trace)[1]
 
 
 def cmd_stdlib(args) -> int:
@@ -228,8 +225,7 @@ def cmd_pcf_check(args) -> int:
 def cmd_pcf_eval(args) -> int:
     prog, data = _load_pcf(args.file)
     pcf_check(prog, {})
-    v, used, wall = _engine(pcf_eval, prog, args.fuel)
-    return _finish(args, _digest(data), wall, v, used, "value")
+    return _engine(args, _digest(data), pcf_eval, prog)[1]
 
 
 def cmd_pcf_compile(args) -> int:
@@ -254,17 +250,12 @@ def _shape_ok(t: Term, a) -> bool:
     return False
 
 
-def _difftest_term(t: Term, a, fuel: int, digest: str,
-                   emit) -> str | None:
+def _difftest_term(args, t: Term, a, digest: str) -> str | None:
     """Run the three engines; None when they agree, else a complaint."""
-    norm, used, wall = _engine(normalize, t, fuel)
-    emit("difftest/normalize", digest,
-         *_settle(norm, fuel, used, "normal-form")[:2], wall)
-    ev, used, wall = _engine(eval_report, t, fuel)
-    emit("difftest/eval", digest, *_settle(ev, fuel, used, "value")[:2], wall)
-    mc, used, wall = _engine(run, t, fuel)
-    emit("difftest/machine", digest,
-         *_settle(mc, fuel, used, "halted")[:2], wall)
+    norm = _engine(args, digest, normalize, t, "normal-form",
+                   stream="difftest/normalize")[0]
+    ev = _engine(args, digest, eval_report, t, stream="difftest/eval")[0]
+    mc = _engine(args, digest, run, t, "halted", stream="difftest/machine")[0]
 
     if isinstance(ev, Term) != isinstance(mc, Term):
         return "machine and eval_cbn disagree on convergence"
@@ -275,22 +266,18 @@ def _difftest_term(t: Term, a, fuel: int, digest: str,
             return (f"normal form {pretty(norm)} does not match the shape "
                     f"of type {type_pretty(a)}")
         if isinstance(ev, Term):
-            joined = _engine(normalize, ev, fuel)[0]
+            joined = normalize(ev, args.fuel)
             if not isinstance(joined, Term) or not alpha_eq(joined, norm):
                 return "eval_cbn value does not rejoin the normal form"
     return None
 
 
 def cmd_difftest(args) -> int:
-    def emit(command, digest, outcome, fuel_used, wall_ms):
-        line = _record(command, digest, outcome, fuel_used, wall_ms)
-        print(line)
-
     def skip(name, reason):
         nonlocal skipped
         print(f"skipped {name}: {reason}", file=sys.stderr)
-        emit("difftest/skip", _digest(name.encode()), f"skipped: {reason}",
-             None, 0.0)
+        print(_record("difftest/skip", _digest(name.encode()),
+                      f"skipped: {reason}", None, 0.0))
         skipped += 1
 
     bad: list[str] = []
@@ -310,7 +297,7 @@ def cmd_difftest(args) -> int:
             except (ParseError, LinearityError, TypingError, OSError) as e:
                 skip(name, e)
                 continue
-            complaint = _difftest_term(t, a, args.fuel, digest, emit)
+            complaint = _difftest_term(args, t, a, digest)
             if complaint:
                 bad.append(f"{name}: {complaint}: {pretty(t)}")
         elif name.endswith(".pcf"):
@@ -327,14 +314,12 @@ def cmd_difftest(args) -> int:
                 skip(name, "not of ground type")
                 continue
             digest = _digest(data)
-            ref, used, wall = _engine(pcf_eval, prog, args.fuel)
+            ref = _engine(args, digest, pcf_eval, prog,
+                          stream="difftest/pcf-ref")[0]
             ref_n = ref.n if isinstance(ref, NumConst) else None
-            emit("difftest/pcf-ref", digest,
-                 *_settle(ref, args.fuel, used, "value")[:2], wall)
-            got, used, wall = _engine(force_numeral, compile_pcf(prog, []),
-                                      args.fuel * 100)
-            emit("difftest/pcf-compiled", digest,
-                 *_settle(got, args.fuel * 100, used, "value")[:2], wall)
+            got = _engine(args, digest, force_numeral, compile_pcf(prog, []),
+                          fuel=args.fuel * 100,
+                          stream="difftest/pcf-compiled")[0]
             comp_n = None if isinstance(got, FuelExhausted) else got
             if ref_n != comp_n:
                 src = data.decode().strip()
@@ -344,8 +329,7 @@ def cmd_difftest(args) -> int:
     rng = random.Random(args.seed)
     for i in range(args.n):
         t, a = random_closed(rng)
-        digest = _digest(pretty(t).encode())
-        complaint = _difftest_term(t, a, args.fuel, digest, emit)
+        complaint = _difftest_term(args, t, a, _digest(pretty(t).encode()))
         if complaint:
             bad.append(f"generated #{i} (seed {args.seed}): {complaint}: "
                        f"{pretty(t)}")
@@ -360,96 +344,84 @@ def cmd_difftest(args) -> int:
 
 # ----------------------------------------------------------------- main
 
+def _arg(*names, **kwargs):
+    return names, kwargs
+
+
+FILE = _arg("file")
+CALCULUS = _arg("--calculus", choices=["lrec", "llcim"], default="lrec")
+FUEL = _arg("--fuel", help="rule-instance budget (default 10^5, env "
+                           "LREC_FUEL)")
+REPORT = _arg("--report", metavar="PATH",
+              help="append a JSON run record to PATH")
+
+# (words, help, handler, arguments); a row with no handler is a group
+# whose subcommands follow it
+COMMANDS = (
+    (("check",), "parse, linearity, typing; print type", cmd_check,
+     (FILE, CALCULUS, _arg("--ground", action="store_true",
+                           help="instantiate leftover type variables to "
+                                "Nat"), REPORT)),
+    (("eval",), "big-step evaluation to weak head normal form", cmd_eval,
+     (FILE, _arg("--strategy", choices=["cbn", "cbv"], default="cbn"),
+      _arg("--force-nat", action="store_true",
+           help="force the result hereditarily to a number"),
+      _arg("--literal-let", action="store_true",
+           help="evaluate let by double application instead of "
+                "simultaneous substitution"), FUEL, REPORT)),
+    (("machine",), "run the stack machine", cmd_machine,
+     (FILE, _arg("--trace", action="store_true",
+                 help="print one line per transition"),
+      _arg("--force-nat", action="store_true"), FUEL, REPORT)),
+    (("normalize",), "leftmost-outermost reduction to normal form",
+     cmd_normalize, (FILE, CALCULUS, _arg("--trace", action="store_true",
+                                          help="print one line per step"),
+                     FUEL, REPORT)),
+    (("stdlib",), "print a catalog encoding", cmd_stdlib,
+     (_arg("name", help="entry name, e.g. add or Y"),
+      _arg("--type", help="type argument for indexed entries, e.g. "
+                          "'Nat -o Nat'"))),
+    (("pcf",), "PCF frontend", None, ()),
+    (("pcf", "check"), "type-check a PCF program", cmd_pcf_check, (FILE,)),
+    (("pcf", "eval"), "reference CBN evaluation", cmd_pcf_eval,
+     (FILE, FUEL)),
+    (("pcf", "compile"), "compile into the linear calculus and print the "
+                         "term", cmd_pcf_compile, (FILE,)),
+    (("difftest",), "run corpus and generated terms through every engine "
+                    "and compare", cmd_difftest,
+     (_arg("dir", help="corpus directory (*.lrec, *.pcf)"),
+      _arg("--seed", type=int, default=42),
+      _arg("--n", type=int, default=300, help="number of generated terms"),
+      FUEL)),
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # bad usage is bad input: one line, exit 1
+        raise ContractViolation(f"{self.prog}: {message}")
+
+
 @functools.cache  # built on first use, not at import
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="lrec",
-        description="Linear λ-calculus with a recursor: typing, "
-                    "reduction, evaluators, a stack machine, and a PCF "
-                    "compiler.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, fuel=True, report=True):
-        if fuel:
-            p.add_argument("--fuel", type=int,
-                           help="rule-instance budget (default 10^5, "
-                                "env LREC_FUEL)")
-        if report:
-            p.add_argument("--report", metavar="PATH",
-                           help="append a JSON run record to PATH")
-
-    p = sub.add_parser("check", help="parse, linearity, typing; print type")
-    p.add_argument("file")
-    p.add_argument("--calculus", choices=["lrec", "llcim"], default="lrec")
-    p.add_argument("--ground", action="store_true",
-                   help="instantiate leftover type variables to Nat")
-    common(p, fuel=False)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("eval", help="big-step evaluation to weak head "
-                                    "normal form")
-    p.add_argument("file")
-    p.add_argument("--strategy", choices=["cbn", "cbv"], default="cbn")
-    p.add_argument("--force-nat", action="store_true",
-                   help="force the result hereditarily to a number")
-    p.add_argument("--literal-let", action="store_true",
-                   help="evaluate let by double application instead of "
-                        "simultaneous substitution")
-    common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("machine", help="run the stack machine")
-    p.add_argument("file")
-    p.add_argument("--trace", action="store_true",
-                   help="print one line per transition")
-    p.add_argument("--force-nat", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_machine)
-
-    p = sub.add_parser("normalize", help="leftmost-outermost reduction "
-                                         "to normal form")
-    p.add_argument("file")
-    p.add_argument("--calculus", choices=["lrec", "llcim"], default="lrec")
-    p.add_argument("--trace", action="store_true",
-                   help="print one line per step")
-    common(p)
-    p.set_defaults(func=cmd_normalize)
-
-    p = sub.add_parser("stdlib", help="print a catalog encoding")
-    p.add_argument("name", help="entry name, e.g. add or Y")
-    p.add_argument("--type", help="type argument for indexed entries, "
-                                  "e.g. 'Nat -o Nat'")
-    p.set_defaults(func=cmd_stdlib)
-
-    pcfp = sub.add_parser("pcf", help="PCF frontend")
-    pcfsub = pcfp.add_subparsers(dest="pcf_command", required=True)
-    p = pcfsub.add_parser("check", help="type-check a PCF program")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_pcf_check)
-    p = pcfsub.add_parser("eval", help="reference CBN evaluation")
-    p.add_argument("file")
-    common(p, report=False)
-    p.set_defaults(func=cmd_pcf_eval)
-    p = pcfsub.add_parser("compile", help="compile into the linear "
-                                          "calculus and print the term")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_pcf_compile)
-
-    p = sub.add_parser("difftest", help="run corpus and generated terms "
-                                        "through every engine and compare")
-    p.add_argument("dir", help="corpus directory (*.lrec, *.pcf)")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--n", type=int, default=300,
-                   help="number of generated terms")
-    common(p, report=False)
-    p.set_defaults(func=cmd_difftest)
-
+    ap = _Parser(prog="lrec", description="Linear λ-calculus with a "
+                 "recursor: typing, reduction, evaluators, a stack machine, "
+                 "and a PCF compiler.")
+    groups = {(): ap.add_subparsers(dest="command", required=True)}
+    for words, text, func, arguments in COMMANDS:
+        p = groups[words[:-1]].add_parser(words[-1], help=text)
+        for names, kwargs in arguments:
+            p.add_argument(*names, **kwargs)
+        if func is None:
+            groups[words] = p.add_subparsers(
+                dest="_".join(words + ("command",)), required=True)
+        else:
+            p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if "fuel" in args:
             args.fuel = _fuel(args.fuel)
         return args.func(args)

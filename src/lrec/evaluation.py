@@ -164,8 +164,10 @@ def eval_cbv(t: Term, fuel: int | Fuel, literal_let: bool = False) -> Outcome:
     return eval_report(t, fuel, True, literal_let)
 
 
-def force_numeral(t: Term, fuel: int | Fuel,
-                  cbv: bool = False) -> int | FuelExhausted | None:
+def force_numeral(t: Term, fuel: int | Fuel, cbv: bool = False,
+                  literal_let: bool = False) -> int | FuelExhausted | None:
     """Evaluate hereditarily under S until 0: the numeral denoted by t.
-    None when some whnf along the way is not a number; FuelExhausted at t."""
-    return read_numeral(t, fuel, lambda u, cell: _whnf(u, cell, cbv, False))
+    None when some whnf along the way is not a number; FuelExhausted at t.
+    cbv and literal_let choose the evaluator as for `eval_report`."""
+    return read_numeral(t, fuel,
+                        lambda u, cell: _whnf(u, cell, cbv, literal_let))

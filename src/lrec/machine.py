@@ -80,16 +80,6 @@ class MachineConfig:
 # Rec node and the second component.
 _BOTTOM = (None,) * 6  # what an empty stack's top reads as
 
-# the transitions on a value, by the code's class and the top frame
-_ON_VALUE = {(Lam, Plain), (Pair, LetK), (Pair, RecK), (Zero, RecK2),
-             (Suc, RecK2)}
-
-
-def _applies(cls, stack) -> bool:
-    """Whether a transition leaves code of class cls on this stack."""
-    return (cls is App or cls is LetPair or cls is Rec
-            or (stack is not None and (cls, stack[0]) in _ON_VALUE))
-
 
 def _config(code: Term, env, stack) -> MachineConfig:
     return MachineConfig(unload(code, env), _observe(stack))
@@ -149,8 +139,10 @@ def _machine(code: Term, fuel: Fuel, on_step=None):
                 if not e[4]:
                     e[1] = e[2] = None
                 continue
-            if remaining == 0 and _applies(cls, stack):
-                raise OutOfFuel(_config(code, env, stack))
+            if stack is None and cls in VALUES:
+                return code, env
+            if remaining == 0:  # seen before a transition's side effects
+                at = _config(code, env, stack)
             nenv = env
             if cls is App:
                 nxt, rule = code.fun, "app"
@@ -182,11 +174,11 @@ def _machine(code: Term, fuel: Fuel, on_step=None):
                                                      q, qenv)
                     rule = "succ"
                     rest = (Plain, pending, penv, None, None, rest)
-                elif stack is None and cls in VALUES:
-                    return code, env
                 else:
                     raise Stuck("no transition applies",
                                 _config(code, env, stack))
+            if remaining == 0:
+                raise OutOfFuel(at)
             remaining -= 1
             if on_step is not None:
                 seen = _follow(seen, stack, rest)

@@ -26,24 +26,22 @@ values and change what terminates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .parser import ParseError, TokenStream, definitions, lex
-from .stdlib import cond_enc, dup, erase_term, fix, fst_enc, identity, snd_enc
+from .stdlib import (cond_enc, dup, erase_term, fix, identity, iszero_enc,
+                     pred_enc)
 from .terms import (App, ContractViolation, Fuel, FuelExhausted, Lam, LetPair,
                     Pair, Rec, Suc, Term, Var, Zero, _subst, children,
                     drive, fresh_name, numeral, rebuild, restore_scope)
-from .types import NAT, LinType, Lolli, Nat, TypingError
+from .types import NAT, LinType, Lolli, TypingError, type_pretty
 
 
 # ---------------------------------------------------------------- types
 
-def pcf_type_pretty(a: LinType, level: int = 0) -> str:
-    """PCF's syntax for a type: the linear type's, with -> for -o."""
-    if type(a) is Nat:
-        return "Nat"
-    s = f"{pcf_type_pretty(a.dom, 1)} -> {pcf_type_pretty(a.cod, 0)}"
-    return f"({s})" if level > 0 else s
+# PCF's syntax for a type: the linear type's, with -> for -o
+pcf_type_pretty = functools.partial(type_pretty, arrow="->")
 
 
 # ---------------------------------------------------------------- terms
@@ -381,17 +379,9 @@ def compile_body(t: PcfTerm, tenv: dict[str, LinType]) -> Term:
             return Lam("n", Rec(Pair(Var("n"), Zero()), Suc(Zero()),
                                 Lam("x", Suc(Var("x"))), identity()))
         case Pred():
-            step = Lam("x", LetPair(
-                App(dup(NAT), App(snd_enc(), Var("x"))), "t", "u",
-                Pair(Var("t"), Suc(Var("u")))))
-            return Lam("n", App(fst_enc(), Rec(
-                Pair(Var("n"), Zero()), Pair(Zero(), Zero()), step,
-                identity())))
+            return pred_enc(dup(NAT))
         case IsZero():
-            step = Lam("x", App(dup(NAT), App(snd_enc(), Var("x"))))
-            return Lam("n", App(fst_enc(), Rec(
-                Pair(Var("n"), Zero()), Pair(Zero(), Suc(Zero())), step,
-                identity())))
+            return iszero_enc(dup(NAT))
         case Cond(a=a):
             return cond_enc(a)
         case YComb(a=a):

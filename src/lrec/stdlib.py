@@ -61,18 +61,20 @@ def mult_enc() -> Term:
                                       App(add_enc(), Var("n")))))
 
 
-def pred_enc() -> Term:
-    # iterate <t,u> -> <u,S u> from <0,0>: after n steps, <n-1, n>
-    step = Lam("x", LetPair(App(copy_nat(), App(snd_enc(), Var("x"))),
+def pred_enc(copy: Term | None = None) -> Term:
+    """Iterate <t,u> -> <u,S u> from <0,0>: after n steps, <n-1, n>.
+    `copy` splits u in two, copy_nat() unless given (PCF uses dup)."""
+    step = Lam("x", LetPair(App(copy or copy_nat(), App(snd_enc(), Var("x"))),
                             "t", "u", Pair(Var("t"), Suc(Var("u")))))
     return Lam("n", App(fst_enc(), Rec(Pair(Var("n"), Zero()),
                                        Pair(Zero(), Zero()), step,
                                        identity())))
 
 
-def iszero_enc() -> Term:
-    # iterate <t,u> -> <u,u> from <0, S 0>: stays <1,1> after one step
-    step = Lam("x", App(copy_nat(), App(snd_enc(), Var("x"))))
+def iszero_enc(copy: Term | None = None) -> Term:
+    """Iterate <t,u> -> <u,u> from <0, S 0>: stays <1,1> after one step.
+    `copy` splits u in two, copy_nat() unless given (PCF uses dup)."""
+    step = Lam("x", App(copy or copy_nat(), App(snd_enc(), Var("x"))))
     return Lam("n", App(fst_enc(), Rec(Pair(Var("n"), Zero()),
                                        Pair(Zero(), numeral(1)), step,
                                        identity())))

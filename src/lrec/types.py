@@ -62,9 +62,10 @@ class _UnifyError(Exception):
         self.b = b
 
 
-def type_pretty(a: LinType, ground: bool = False) -> str:
+def type_pretty(a: LinType, ground: bool = False, arrow: str = "-o") -> str:
     """Concrete type syntax. MetaVars print as ?a, ?b, ... in order of
-    first appearance; ground=True shows them as Nat instead."""
+    first appearance; ground=True shows them as Nat instead. PCF prints
+    its types with arrow="->"."""
     seen: dict[int, int] = {}
 
     def name(i: int) -> str:
@@ -81,7 +82,7 @@ def type_pretty(a: LinType, ground: bool = False) -> str:
             case MetaVar(id=i):
                 return "Nat" if ground else f"?{name(i)}"
             case Lolli(dom=d, cod=c):
-                s = f"{go(d, 1)} -o {go(c, 0)}"
+                s = f"{go(d, 1)} {arrow} {go(c, 0)}"
                 return f"({s})" if level > 0 else s
             case Tensor(left=l, right=r):
                 s = f"{go(l, 2)} * {go(r, 1)}"

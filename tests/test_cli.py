@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, printed results, reports, difftest."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -129,6 +130,7 @@ def test_fuel_env_override(capsys, monkeypatch):
     ["eval", "--fuel", "-1", str(CORPUS / "delta.lrec")],
     ["machine", "--force-nat", "--fuel", "-5", str(CORPUS / "fix_id.lrec")],
     ["difftest", "--fuel", "-1", str(CORPUS)],
+    ["eval", "--fuel", "abc", str(CORPUS / "add23.lrec")],
 ])
 def test_negative_fuel_is_bad_input(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -147,6 +149,59 @@ def test_bad_fuel_env_is_bad_input(capsys, monkeypatch, value):
     # an explicit budget wins over it
     assert run_cli(capsys, "eval", "--fuel", "50",
                    str(CORPUS / "add23.lrec"))[0] == 0
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["eval", "--bogus", str(CORPUS / "add23.lrec")], ["--bogus"]),
+    ([], ["command"]),
+    (["pcf"], ["pcf_command"]),
+    (["difftest", "--n", "x", str(CORPUS)], ["--n", "'x'"]),
+    (["machine", "--trace", "--force-nat", str(CORPUS / "add23.lrec")],
+     ["--trace", "--force-nat"])],
+    ids=["unknown flag", "no command", "pcf alone", "bad --n",
+         "trace with force-nat"])
+def test_bad_usage_is_bad_input(capsys, argv, names):
+    """Every usage error is bad input: exit 1, one line, no usage block."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("invalid input: ")
+    assert all(name in err for name in names)
+
+
+# sha256 of each --help page at 80 columns, as argparse in Python 3.11
+# prints them; the command table must rebuild them byte for byte
+HELP_PAGES = {
+    "": "82d07936baeb4a34491621f882032657a264e19c50258d9cbab4d9d2f64e0839",
+    "check": "b09a4eac3d374a01f20e24149766866cdcffb804360bd3f3db991144b3b1e97d",
+    "eval": "7ee3fe6f250607160ca25ae823f807e45029da497a7b9026c25042c244bb1374",
+    "machine":
+        "ff09c61d43512bc2a3313881599a958a3f9a5c1575090dedefa7ae0582c08345",
+    "normalize":
+        "6b28db9d509234fc2efe437b9a472e4b580b971326829a6e57554fff675ec5ad",
+    "stdlib":
+        "1768c6fcd18577a16fdf548d3ef622bf1ab9ad5c1b701783bd74c03519f6b4d5",
+    "pcf": "06be0ec83acd80244b1cf5d06fce98120885a4493d0b34736bca6fd7d688209b",
+    "pcf check":
+        "35a15b40b36b8f7bfceec46caba6054420bcb8a71e55d987250b12e4d7ef70ae",
+    "pcf eval":
+        "8a5bc7b6548f31f167cd8ba869c305de9f6c4c9eba126153c8314cd00273bcd4",
+    "pcf compile":
+        "59f1140a5bf40388817f761398f4ecfa6d2f174a218d676cbf492990aaa5f89d",
+    "difftest":
+        "2ec2a17d0bb3279451bfe904b9db8edebc25ff5fdc374e565b22fb5f70500eaf",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse's help layout varies across releases")
+@pytest.mark.parametrize("words", sorted(HELP_PAGES))
+def test_help_pages_are_unchanged(capsys, monkeypatch, words):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main(words.split() + ["--help"])
+    assert exit_.value.code == 0
+    page = capsys.readouterr().out
+    assert hashlib.sha256(page.encode()).hexdigest() == HELP_PAGES[words]
 
 
 # ---------------------------------------------------------------- machine
@@ -281,6 +336,24 @@ def test_force_nat_reports_the_count(capsys, tmp_path):
             rec = json.loads(rep.read_text().splitlines()[-1])
             assert (got, rec["fuel_used"]) == (code, 4000 - cell.remaining)
             assert rec["fuel_used"] > 0
+
+
+def test_force_nat_literal_let_reports_its_count(capsys, tmp_path):
+    """eval --force-nat passes --literal-let to the readback: the double
+    application fires two Val and two App rules that the split does not."""
+    f = write(tmp_path, "let.lrec", "let <a, b> = <1, 2> in @add a b")
+    t = lrec.cli._load(f, "lrec")[0]
+    rep = tmp_path / "runs.jsonl"
+    for flags, literal_let, rules in (([], False, 20),
+                                      (["--literal-let"], True, 24)):
+        cell = Fuel(4000)
+        assert force_numeral(t, cell, literal_let=literal_let) == 3
+        assert 4000 - cell.remaining == rules
+        code, out, _ = run_cli(capsys, "eval", "--force-nat", *flags,
+                               "--fuel", "4000", "--report", str(rep), f)
+        assert (code, out) == (0, "3\n")
+        assert json.loads(rep.read_text().splitlines()[-1])["fuel_used"] \
+            == rules
 
 
 # ----------------------------------------------------------------- stdlib
