@@ -275,11 +275,15 @@ def _difftest_term(args, t: Term, a, digest: str) -> str | None:
 def cmd_difftest(args) -> int:
     def skip(name, reason):
         nonlocal skipped
+        if isinstance(reason, RecursionError):  # the front end recursed
+            reason = "nested too deeply"
         print(f"skipped {name}: {reason}", file=sys.stderr)
         print(_record("difftest/skip", _digest(name.encode()),
                       f"skipped: {reason}", None, 0.0))
         skipped += 1
 
+    if args.n < 0:
+        raise ContractViolation(f"--n must be non-negative, got {args.n}")
     bad: list[str] = []
     skipped = 0
     entries = 0
@@ -294,7 +298,8 @@ def cmd_difftest(args) -> int:
             try:
                 t, digest = _load(full, "lrec")
                 a = infer(t, [])
-            except (ParseError, LinearityError, TypingError, OSError) as e:
+            except (ParseError, LinearityError, TypingError, OSError,
+                    RecursionError) as e:
                 skip(name, e)
                 continue
             complaint = _difftest_term(args, t, a, digest)
@@ -307,7 +312,7 @@ def cmd_difftest(args) -> int:
                 if pcf_fv(prog):
                     raise ParseError("program is open", 1, 1)
                 pa = pcf_check(prog, {})
-            except (ParseError, TypingError, OSError) as e:
+            except (ParseError, TypingError, OSError, RecursionError) as e:
                 skip(name, e)
                 continue
             if not isinstance(pa, Nat):

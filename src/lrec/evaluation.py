@@ -1,36 +1,32 @@
-"""Big-step evaluation of closed terms, CBN and CBV, on environments.
+"""Big-step evaluation of closed terms, CBN and CBV, on the one
+environment loop that also runs the stack machine.
 
-Both evaluators share one derivation loop, which needs no Python
-recursion. The premises in tail position (function bodies, chosen
-branches, the Rec continuation) are iterated; the others (an
-application's operator, CBV's argument, the scrutinee of a split or a
-recursor, and the number in a recursor's scrutinee) push a frame on an
-explicit stack, which their value pops. This is the evaluator
-defunctionalised (Ager, Biernacki, Danvy and Midtgaard, "A functional
-correspondence between evaluators and abstract machines", PPDP 2003),
-so derivation depth is bounded by memory, not by the interpreter stack.
+The loop needs no Python recursion. The premises in tail position
+(function bodies, chosen branches, the Rec continuation) are iterated;
+the others (an application's operator, CBV's argument, the scrutinee
+of a split or a recursor, and the number in a recursor's scrutinee)
+push a frame, which their value pops. That is the evaluator
+defunctionalised, and so a stack machine (Ager, Biernacki, Danvy and
+Midtgaard, PPDP 2003): the machine (see `machine`) is this loop on
+another engine row, the costs of a value, a push and each pop plus how
+a stopped run is reported. The loop tests costs, never the engine.
 
-The loop substitutes nothing. It evaluates a term under a linear
-environment (see `terms`): where a rule substitutes (App's argument,
-CBV's value, Let's two components), it binds a closure in a cell, and a
-variable's one lookup moves the closure out and clears the cell. Rec2
-goes through `terms.recur`, which marks the cells under the step and
-update shared, since the recursor uses them again. Terms are rebuilt by
-`terms.unload` only where they are seen: the value returned and a
-Stuck's `at`. Numeral readback keeps the body of each S as a closure;
-an exhausted one reports its input term, as `eval_report` does.
+The loop substitutes nothing. It runs a term under a linear environment
+(see `terms`): where a rule substitutes, it binds a closure in a cell,
+and a variable's one lookup moves the closure out and clears the cell.
+Rec2 goes through `terms.recur`, which shares the cells under the step
+and update it reuses. `terms.unload` rebuilds a term only where one is
+seen: the value, and where a run stops.
 
-Fuel is one `terms.Fuel` budget for the whole derivation, one unit per
-rule instance: Val when a value is reached, including one that a frame
-then consumes; App once the operator is a λ, before CBV evaluates the
-argument; Let once the scrutinee is a pair; Rec1 or Rec2 once the
-number is 0 or S. A lookup is not a rule and costs nothing. The loop
-counts in a local and leaves the rest in the cell when it returns or
-raises. Constructor mismatches (applying a pair, splitting a number)
-are data errors, reported as the shared `terms.Stuck` outcome; an open
-input is a caller bug and faults. The entry points follow the engines'
-contract (see `terms`): a budget or a cell in, the bare value or the
-outcome out.
+The evaluators charge one unit of one `terms.Fuel` per rule instance:
+Val when a value is reached, before a frame tests it; App once the
+operator is a λ, before CBV evaluates the argument; Let once the
+scrutinee is a pair; Rec1 or Rec2 once the number is 0 or S. A lookup
+costs nothing. A constructor mismatch (applying a pair, splitting a
+number) is the shared `terms.Stuck` outcome; an open input, or a node of
+the minimiser calculus, is a caller bug and faults. An exhausted run
+carries nothing, so `drive` reports the input. The entry points follow
+the engines' contract (see `terms`).
 """
 
 from __future__ import annotations
@@ -40,109 +36,138 @@ from .terms import (VALUES, App, ContractViolation, Fuel, FuelExhausted, Lam,
                     Var, Zero, bind, drive, read_numeral, recur,
                     require_closed, take, unload)
 
-
-# Frames of the premises that are not in tail position, on a cons list
-# of cells (kind, p, penv, rest), where p under penv is a closure: an
-# application's operator under way (p: the argument), a CBV argument
-# under way (p: the operator's value), a split or a recursor's
-# scrutinee under way (p: the node), and the number in a recursor's
-# scrutinee under way (p: the recursor, on a cell that holds the
-# scrutinee's right component).
+# Frames, on a cons list of cells (kind, p, penv, rest), p under penv a
+# closure: an operator under way (p: the argument), a CBV argument under
+# way (p: the λ), a split's or a recursor's scrutinee under way (p: the
+# node), and the number in a recursor's scrutinee under way (p: the
+# recursor, on a cell holding the scrutinee's right component).
 _APP, _ARG, _LET, _REC, _HEAD = range(5)
 
 _VALUES = frozenset(VALUES)  # a set tests a class faster than a tuple
+_CLASSES = (Var, Lam, Pair, Zero, Suc, App, LetPair, Rec)
 
 
-def _whnf(t: Term, fuel: Fuel, cbv: bool, literal_let: bool):
-    """The value of t, a term or a closure, as a closure. The loop looks
-    variables up and binds them as terms.take and terms.bind do, inline
-    where it is hot."""
+def _stuck(reason: str | None, t: Term, env, stack):
+    if reason is None:  # a node no rule evaluates
+        return ContractViolation(f"cannot evaluate a {type(t).__name__} node")
+    return Stuck(reason, unload(t, env))
+
+
+# An engine row: the fuel a value, a push and a pop of an _APP, _LET,
+# _REC and _HEAD frame cost (CBV's _ARG pop is free), then
+# exhausted(t, env, stack) and stuck(reason, t, env, stack), the
+# exception to raise at (t, env) over the stack before the transition.
+EVALUATOR = (1, 0, 1, 1, 0, 1, lambda t, env, stack: OutOfFuel(), _stuck)
+
+
+def whnf(t: Term, fuel: Fuel, engine: tuple = EVALUATOR, cbv: bool = False,
+         literal_let: bool = False, observe=None):
+    """The value of t, a term or a closure, as a closure, charged as the
+    engine row says: a pop after its frame is tested and before any cell
+    is cleared. observe(remaining, t, env, stack), if given, sees each
+    push and each rule's pop. The loop looks variables up and binds them
+    as terms.take and terms.bind do, inline where it is hot."""
+    val, push, app, let, rec, head, exhausted, stuck = engine
     t, env = t if type(t) is tuple else (t, None)
     frames = None
     remaining = fuel.remaining
+    # names read at every step, as locals: they are faster than globals
+    Var_, Lam_, Pair_, Zero_, Suc_, App_, LetPair_, Rec_ = _CLASSES
+    values, APP, ARG, LET, REC, HEAD = _VALUES, _APP, _ARG, _LET, _REC, _HEAD
     try:
         while True:
             cls = type(t)
-            if cls is Var:
+            if cls is Var_:
                 e, name = env, t.name
                 while e[0] != name:
                     e = e[3]
                 t, env = e[1], e[2]
                 if not e[4]:
                     e[1] = e[2] = None
-            elif cls in _VALUES:
-                if remaining == 0:
-                    raise OutOfFuel()
-                remaining -= 1  # rule Val
+                continue
+            if cls in values:
+                if remaining < val:
+                    raise exhausted(t, env, frames)
+                remaining -= val  # rule Val
                 if frames is None:
                     return t, env
-                kind, p, penv, frames = frames
-                if kind == _APP:
-                    if cls is not Lam:
-                        raise Stuck("applied a non-function", unload(t, env))
-                    if remaining == 0:
-                        raise OutOfFuel()
-                    remaining -= 1  # rule App
+                top = frames
+                kind, p, penv, frames = top
+                if kind == APP:
+                    if cls is not Lam_:
+                        raise stuck("applied a non-function", t, env, top)
+                    if remaining < app:
+                        raise exhausted(t, env, top)
+                    remaining -= app  # rule App
                     if cbv:
-                        frames = (_ARG, t, env, frames)
+                        frames = (ARG, t, env, frames)
                         t, env = p, penv
                     else:
-                        if type(p) is Var:
+                        if type(p) is Var_:
                             p, penv = take(p.name, penv)
                         env = [t.binder, p, penv if p.fv else None, env, False]
                         t = t.body
-                elif kind == _ARG:
-                    env = [p.binder, t, env if t.fv else None, penv, False]
-                    t = p.body
-                elif kind == _LET:
-                    if cls is not Pair:
-                        raise Stuck("split a non-pair", unload(t, env))
-                    if remaining == 0:
-                        raise OutOfFuel()
-                    remaining -= 1  # rule Let
+                elif kind == REC:
+                    if cls is not Pair_:
+                        raise stuck("recursed on a non-pair", t, env, top)
+                    if remaining < rec:
+                        raise exhausted(t, env, top)
+                    remaining -= rec
+                    frames = (HEAD, p, penv, (HEAD, t.right, env, frames))
+                    t = t.left
+                elif kind == HEAD:
+                    if cls is not Zero_ and cls is not Suc_:
+                        raise stuck("recursed on a non-number", t, env, top)
+                    if remaining < head:
+                        raise exhausted(t, env, top)
+                    remaining -= head  # rule Rec1 or Rec2
+                    _, q, qenv, frames = frames
+                    if cls is Zero_:
+                        t, env = p.base, penv
+                    else:  # v applied to the next recursor
+                        t, env, p, penv = recur(p, penv, t.body, env, q, qenv)
+                        frames = (APP, p, penv, frames)
+                elif kind == LET:
+                    if cls is not Pair_:
+                        raise stuck("split a non-pair", t, env, top)
+                    if remaining < let:
+                        raise exhausted(t, env, top)
+                    remaining -= let  # rule Let
                     if literal_let:  # (\x. \y. body) left right
-                        frames = (_APP, t.left, env,
-                                  (_APP, t.right, env, frames))
+                        frames = (APP, t.left, env,
+                                  (APP, t.right, env, frames))
                         t, env = Lam(p.x, Lam(p.y, p.body)), penv
                     else:
                         env = bind(p.y, t.right, env,
                                    bind(p.x, t.left, env, penv))
                         t = p.body
-                elif kind == _REC:
-                    if cls is not Pair:
-                        raise Stuck("recursed on a non-pair", unload(t, env))
-                    frames = (_HEAD, p, penv, (_HEAD, t.right, env, frames))
-                    t = t.left
-                else:
-                    _, q, qenv, frames = frames
-                    if cls is not Zero and cls is not Suc:
-                        raise Stuck("recursed on a non-number", unload(t, env))
-                    if remaining == 0:
-                        raise OutOfFuel()
-                    remaining -= 1  # rule Rec1 or Rec2
-                    if cls is Zero:
-                        t, env = p.base, penv
-                    else:  # v applied to the next recursor
-                        t, env, p, penv = recur(p, penv, t.body, env, q, qenv)
-                        frames = (_APP, p, penv, frames)
-            elif cls is App:
-                frames = (_APP, t.arg, env, frames)
-                t = t.fun
-            elif cls is LetPair:
-                frames = (_LET, t, env, frames)
-                t = t.scrut
-            elif cls is Rec:
-                frames = (_REC, t, env, frames)
+                else:  # ARG, a CBV argument's value: no rule
+                    env = [p.binder, t, env if t.fv else None, penv, False]
+                    t = p.body
+                    continue
+            elif cls is App_:
+                if push:
+                    if remaining < push:
+                        raise exhausted(t, env, frames)
+                    remaining -= push
+                frames, t = (APP, t.arg, env, frames), t.fun
+            elif cls is LetPair_ or cls is Rec_:
+                if push:
+                    if remaining < push:
+                        raise exhausted(t, env, frames)
+                    remaining -= push
+                frames = (LET if cls is LetPair_ else REC, t, env, frames)
                 t = t.scrut
             else:
-                raise ContractViolation(
-                    f"cannot evaluate a {cls.__name__} node")
+                raise stuck(None, t, env, frames)
+            if observe is not None:
+                observe(remaining, t, env, frames)
     finally:
         fuel.remaining = remaining
 
 
 def _eval(t: Term, fuel: Fuel, cbv: bool, literal_let: bool) -> Term:
-    return unload(*_whnf(t, fuel, cbv, literal_let))
+    return unload(*whnf(t, fuel, EVALUATOR, cbv, literal_let))
 
 
 def eval_report(t: Term, fuel: int | Fuel, cbv: bool = False,
@@ -169,5 +194,5 @@ def force_numeral(t: Term, fuel: int | Fuel, cbv: bool = False,
     """Evaluate hereditarily under S until 0: the numeral denoted by t.
     None when some whnf along the way is not a number; FuelExhausted at t.
     cbv and literal_let choose the evaluator as for `eval_report`."""
-    return read_numeral(t, fuel,
-                        lambda u, cell: _whnf(u, cell, cbv, literal_let))
+    return read_numeral(t, fuel, lambda u, cell: whnf(u, cell, EVALUATOR,
+                                                      cbv, literal_let))

@@ -16,8 +16,9 @@ here: an engine takes a budget or a `Fuel` cell, which it leaves holding
 what remains, and returns its bare result (a term, a number, a PCF
 value), a `FuelExhausted` or a `Stuck`. `drive` runs an engine's loop
 that way; `read_numeral` is the one numeral readback loop. The
-evaluators and the machine substitute nothing: they run on the linear
-environments defined here, and `unload` rebuilds the terms they show.
+evaluators and the machine are one loop, `evaluation.whnf`, with two
+rows of costs: it substitutes nothing, runs on the linear environments
+defined here, and `unload` rebuilds the terms it shows.
 """
 
 from __future__ import annotations

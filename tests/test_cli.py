@@ -157,9 +157,10 @@ def test_bad_fuel_env_is_bad_input(capsys, monkeypatch, value):
     (["pcf"], ["pcf_command"]),
     (["difftest", "--n", "x", str(CORPUS)], ["--n", "'x'"]),
     (["machine", "--trace", "--force-nat", str(CORPUS / "add23.lrec")],
-     ["--trace", "--force-nat"])],
+     ["--trace", "--force-nat"]),
+    (["difftest", "--n", "-3", str(CORPUS)], ["--n", "-3"])],
     ids=["unknown flag", "no command", "pcf alone", "bad --n",
-         "trace with force-nat"])
+         "trace with force-nat", "negative --n"])
 def test_bad_usage_is_bad_input(capsys, argv, names):
     """Every usage error is bad input: exit 1, one line, no usage block."""
     code, out, err = run_cli(capsys, *argv)
@@ -563,6 +564,21 @@ def test_difftest_skips_non_utf8_files(capsys, tmp_path):
     skips = [json.loads(line) for line in out.splitlines()
              if '"difftest/skip"' in line]
     assert len(skips) == 4
+
+
+def test_difftest_skips_too_deep_files(capsys, tmp_path):
+    d = _small_corpus(tmp_path)
+    (d / "f_deep.lrec").write_text("((\\x. x) " * 8_000 + "0" + ")" * 8_000)
+    (d / "g_deep.pcf").write_text("(" * 50_000 + "0" + ")" * 50_000)
+    code, out, err = run_cli(capsys, "difftest", str(d), "--n", "1")
+    assert code == 0
+    assert "skipped f_deep.lrec: nested too deeply" in err
+    assert "skipped g_deep.pcf: nested too deeply" in err
+    assert "7 corpus entries (4 skipped)" in err
+    skips = [json.loads(line) for line in out.splitlines()
+             if '"difftest/skip"' in line]
+    assert [s["outcome"] for s in skips].count(
+        "skipped: nested too deeply") == 2
 
 
 # ----------------------------------------------------------------- main

@@ -1,14 +1,15 @@
-"""The flat engine loops against verbatim copies of the recursive ones.
+"""The flat engine loop against verbatim copies of the recursive ones.
 
-`evaluation._eval` runs its non-tail premises on a frame stack,
-`machine._run` keeps its stack as a cons list and dispatches on types,
-and `terms._subst` dispatches on types and descends only where the
-variable occurs. Below are the loops they replaced, copied unchanged:
-the recursive `_eval`, the tuple-stack `_step`/`_run` and the
-`match`-based `_subst` (with the `subst` that calls it). Each input runs
-through both sides under the same budget, and the outcome, the fuel
-left in the cell and, for the machine, every transition must agree,
-at the exact need, one unit below it and at budgets from 0 upwards.
+`evaluation._eval` and `machine._run` are one environment loop,
+`evaluation.whnf`, run on two engine rows, so the machine cannot check
+the evaluators; the loops below do. `terms._subst` dispatches on types
+and descends only where the variable occurs. Below are the loops they
+replaced, copied unchanged: the recursive `_eval`, the tuple-stack
+`_step`/`_run` and the `match`-based `_subst` (with the `subst` that
+calls it). Each input runs through both sides under the same budget,
+and the outcome, the fuel left in the cell and, for the machine, every
+transition must agree, at the exact need, one unit below it and at
+budgets from 0 upwards.
 """
 
 import dataclasses
@@ -215,7 +216,8 @@ def _engines(t: Term):
         return lambda i, rule, c: lines.append(
             (i, rule, len(c.stack), pretty(c.code)))
 
-    for cbv, literal in ((False, False), (True, False), (False, True)):
+    for cbv, literal in ((False, False), (True, False), (False, True),
+                         (True, True)):
         yield (f"eval cbv={cbv} literal_let={literal}",
                lambda cell, _, cbv=cbv, ll=literal:
                    drive(_eval, t, cell, cbv, ll),
@@ -230,6 +232,12 @@ def _engines(t: Term):
                    t, cell, lambda u, c: _eval(u, c, cbv, False)),
                lambda cell, _, cbv=cbv:
                    evaluation.force_numeral(t, cell, cbv))
+    for cbv in (False, True):
+        yield (f"readback cbv={cbv} literal_let=True",
+               lambda cell, _, cbv=cbv: read_numeral(
+                   t, cell, lambda u, c: _eval(u, c, cbv, True)),
+               lambda cell, _, cbv=cbv:
+                   evaluation.force_numeral(t, cell, cbv, literal_let=True))
     yield ("machine readback",
            lambda cell, _: read_numeral(t, cell, _run),
            lambda cell, _: machine.machine_force_numeral(t, cell))
