@@ -8,8 +8,9 @@ of a split or a recursor, and the number in a recursor's scrutinee)
 push a frame, which their value pops. That is the evaluator
 defunctionalised, and so a stack machine (Ager, Biernacki, Danvy and
 Midtgaard, PPDP 2003): the machine (see `machine`) is this loop on
-another engine row, the costs of a value, a push and each pop plus how
-a stopped run is reported. The loop tests costs, never the engine.
+another engine row, the costs of a value and a push plus how a stopped
+run is reported. The loop tests costs, never the engine. `top_frame`
+reads its stack, for the machine's configurations.
 
 The loop substitutes nothing. It runs a term under a linear environment
 (see `terms`): where a rule substitutes, it binds a closure in a cell,
@@ -41,10 +42,21 @@ from .terms import (VALUES, App, ContractViolation, Fuel, FuelExhausted, Lam,
 # way (p: the λ), a split's or a recursor's scrutinee under way (p: the
 # node), and the number in a recursor's scrutinee under way (p: the
 # recursor, on a cell holding the scrutinee's right component).
-_APP, _ARG, _LET, _REC, _HEAD = range(5)
+APP, ARG, LET, REC, HEAD = _KINDS = range(5)
 
 _VALUES = frozenset(VALUES)  # a set tests a class faster than a tuple
 _CLASSES = (Var, Lam, Pair, Zero, Suc, App, LetPair, Rec)
+
+
+def top_frame(stack):
+    """The top frame of a stack `whnf` built, as (kind, p, penv, q, qenv),
+    where (q, qenv) is the right component a HEAD frame holds (None,
+    None elsewhere), and the stack below it."""
+    kind, p, penv, below = stack
+    if kind == HEAD:
+        _, q, qenv, below = below
+        return (kind, p, penv, q, qenv), below
+    return (kind, p, penv, None, None), below
 
 
 def _stuck(reason: str | None, t: Term, env, stack):
@@ -53,27 +65,30 @@ def _stuck(reason: str | None, t: Term, env, stack):
     return Stuck(reason, unload(t, env))
 
 
-# An engine row: the fuel a value, a push and a pop of an _APP, _LET,
-# _REC and _HEAD frame cost (CBV's _ARG pop is free), then
-# exhausted(t, env, stack) and stuck(reason, t, env, stack), the
-# exception to raise at (t, env) over the stack before the transition.
-EVALUATOR = (1, 0, 1, 1, 0, 1, lambda t, env, stack: OutOfFuel(), _stuck)
+# An engine row: the fuel a value and a push cost, then exhausted(t, env,
+# stack) and stuck(reason, t, env, stack), the exception to raise at
+# (t, env) over the stack before the transition. The pop of an APP, LET
+# or HEAD frame costs 1, of a REC frame what a push does, of CBV's ARG
+# frame nothing.
+EVALUATOR = (1, 0, lambda t, env, stack: OutOfFuel(), _stuck)
 
 
 def whnf(t: Term, fuel: Fuel, engine: tuple = EVALUATOR, cbv: bool = False,
          literal_let: bool = False, observe=None):
     """The value of t, a term or a closure, as a closure, charged as the
     engine row says: a pop after its frame is tested and before any cell
-    is cleared. observe(remaining, t, env, stack), if given, sees each
-    push and each rule's pop. The loop looks variables up and binds them
-    as terms.take and terms.bind do, inline where it is hot."""
-    val, push, app, let, rec, head, exhausted, stuck = engine
+    is cleared. observe(remaining, t, env, stack, cls, kind), if given,
+    sees each push and each rule's pop: cls is the class of the node the
+    step began at and, if that is a value's, kind the frame it popped.
+    The loop looks variables up and binds them as terms.take and
+    terms.bind do, inline where it is hot."""
+    val, push, exhausted, stuck = engine
     t, env = t if type(t) is tuple else (t, None)
-    frames = None
+    frames = kind = None
     remaining = fuel.remaining
     # names read at every step, as locals: they are faster than globals
     Var_, Lam_, Pair_, Zero_, Suc_, App_, LetPair_, Rec_ = _CLASSES
-    values, APP, ARG, LET, REC, HEAD = _VALUES, _APP, _ARG, _LET, _REC, _HEAD
+    values, (APP, ARG, LET, REC, HEAD) = _VALUES, _KINDS
     try:
         while True:
             cls = type(t)
@@ -96,9 +111,9 @@ def whnf(t: Term, fuel: Fuel, engine: tuple = EVALUATOR, cbv: bool = False,
                 if kind == APP:
                     if cls is not Lam_:
                         raise stuck("applied a non-function", t, env, top)
-                    if remaining < app:
+                    if remaining < 1:
                         raise exhausted(t, env, top)
-                    remaining -= app  # rule App
+                    remaining -= 1  # rule App
                     if cbv:
                         frames = (ARG, t, env, frames)
                         t, env = p, penv
@@ -110,17 +125,17 @@ def whnf(t: Term, fuel: Fuel, engine: tuple = EVALUATOR, cbv: bool = False,
                 elif kind == REC:
                     if cls is not Pair_:
                         raise stuck("recursed on a non-pair", t, env, top)
-                    if remaining < rec:
+                    if remaining < push:
                         raise exhausted(t, env, top)
-                    remaining -= rec
+                    remaining -= push
                     frames = (HEAD, p, penv, (HEAD, t.right, env, frames))
                     t = t.left
                 elif kind == HEAD:
                     if cls is not Zero_ and cls is not Suc_:
                         raise stuck("recursed on a non-number", t, env, top)
-                    if remaining < head:
+                    if remaining < 1:
                         raise exhausted(t, env, top)
-                    remaining -= head  # rule Rec1 or Rec2
+                    remaining -= 1  # rule Rec1 or Rec2
                     _, q, qenv, frames = frames
                     if cls is Zero_:
                         t, env = p.base, penv
@@ -130,9 +145,9 @@ def whnf(t: Term, fuel: Fuel, engine: tuple = EVALUATOR, cbv: bool = False,
                 elif kind == LET:
                     if cls is not Pair_:
                         raise stuck("split a non-pair", t, env, top)
-                    if remaining < let:
+                    if remaining < 1:
                         raise exhausted(t, env, top)
-                    remaining -= let  # rule Let
+                    remaining -= 1  # rule Let
                     if literal_let:  # (\x. \y. body) left right
                         frames = (APP, t.left, env,
                                   (APP, t.right, env, frames))
@@ -161,7 +176,7 @@ def whnf(t: Term, fuel: Fuel, engine: tuple = EVALUATOR, cbv: bool = False,
             else:
                 raise stuck(None, t, env, frames)
             if observe is not None:
-                observe(remaining, t, env, frames)
+                observe(remaining, t, env, frames, cls, kind)
     finally:
         fuel.remaining = remaining
 

@@ -6,8 +6,8 @@ either pending arguments or one of three markers: a pending pair split,
 a recursor waiting for its scrutinee pair, and a recursor that has the
 second component in hand and is waiting for the first to become a
 number. The code and every entry are closures (see `terms`). The stack
-is the CBN evaluator's frames: an _APP, _LET or _REC frame, and two
-_HEAD frames for the last marker. The transitions are the loop's pushes
+is the CBN evaluator's frames: an APP, LET or REC frame, and a HEAD
+frame for the last marker. The transitions are the loop's pushes
 (app, let, rec) and pops (abs, pair1, pair2, zero, succ); `MACHINE`
 charges one unit for each, nothing for reaching a value, and reports a
 stop at the configuration before the transition, taken before any cell
@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .evaluation import _APP, _HEAD, _LET, _REC, whnf
-from .terms import (Fuel, FuelExhausted, Lam, OutOfFuel, Outcome, Stuck, Term,
-                    drive, read_numeral, require_closed, unload)
+from .evaluation import APP, HEAD, LET, REC, top_frame, whnf
+from .terms import (App, Fuel, FuelExhausted, Lam, LetPair, OutOfFuel, Outcome,
+                    Rec, Stuck, Term, Zero, drive, read_numeral,
+                    require_closed, unload)
 
 
 class ExtTerm:
@@ -73,46 +74,49 @@ def _config(code: Term, env, stack) -> MachineConfig:
     return MachineConfig(unload(code, env), _observe(stack))
 
 
-def _frame(cell) -> ExtTerm:
-    kind, p, penv, rest = cell
-    if kind == _APP:
+def _frame(kind, p, penv, q, qenv) -> ExtTerm:
+    """A frame of `evaluation.top_frame` as the marker it is."""
+    if kind == APP:
         return Plain(unload(p, penv))
-    if kind == _LET:  # x and y stay free in the body
+    if kind == LET:  # x and y stay free in the body
         body = unload(Lam(p.x, Lam(p.y, p.body)), penv).body.body
         return LetK(p.x, p.y, body)
     parts = (unload(p.base, penv), unload(p.step, penv),
              unload(p.update, penv))
-    if kind == _REC:
+    if kind == REC:
         return RecK(*parts)
-    return RecK2(unload(rest[1], rest[2]), *parts)
+    return RecK2(unload(q, qenv), *parts)
 
 
 def _observe(stack) -> Stack:
-    """The cons stack as a top-first tuple of ExtTerm."""
+    """The loop's stack as a top-first tuple of ExtTerm."""
     out = []
     while stack is not None:
-        out.append(_frame(stack))
-        stack = stack[3][3] if stack[0] == _HEAD else stack[3]
+        frame, stack = top_frame(stack)
+        out.append(_frame(*frame))
     return tuple(out)
 
 
-_PUSHED = {_APP: "app", _LET: "let", _REC: "rec"}
+_PUSHES = {App: "app", LetPair: "let", Rec: "rec"}
+_POPS = {APP: "abs", LET: "pair1", REC: "pair2", HEAD: "succ"}
+_NEW_TOP = {"app", "let", "rec", "pair2", "succ"}
 
 
-def _follow(seen: Stack, old, new) -> tuple[str, Stack]:
-    """The transition that took cons stack `old` to `new`, and `seen`,
-    the observed `old`, made `new`'s: only the new top is converted."""
-    if new is not None and new[3] is old:
-        return _PUSHED[new[0]], (_frame(new),) + seen
-    kind = old[0]
-    if kind == _APP or kind == _LET:
-        return ("abs" if kind == _APP else "pair1"), seen[1:]
-    if kind == _HEAD and new is old[3][3]:
-        return "zero", seen[1:]
-    return ("pair2" if kind == _REC else "succ"), (_frame(new),) + seen[1:]
+def _follow(seen: Stack, stack, cls, kind) -> tuple[str, Stack]:
+    """The transition a step from a cls node took, popping a kind frame
+    if cls is a value's, and `seen`, the observed stack before it, made
+    `stack`'s: only a new top is converted."""
+    if cls in _PUSHES:
+        rule = _PUSHES[cls]
+    else:
+        rule = "zero" if kind == HEAD and cls is Zero else _POPS[kind]
+        seen = seen[1:]
+    if rule in _NEW_TOP:
+        seen = (_frame(*top_frame(stack)[0]),) + seen
+    return rule, seen
 
 
-MACHINE = (0, 1, 1, 1, 1, 1,  # see evaluation.EVALUATOR
+MACHINE = (0, 1,  # see evaluation.EVALUATOR
            lambda code, env, stack: OutOfFuel(_config(code, env, stack)),
            lambda reason, code, env, stack: Stuck("no transition applies",
                                                   _config(code, env, stack)))
@@ -121,12 +125,11 @@ MACHINE = (0, 1, 1, 1, 1, 1,  # see evaluation.EVALUATOR
 def _run(code: Term, fuel: Fuel, on_step=None) -> Term:
     observe = None
     if on_step is not None:
-        budget, seen, old = fuel.remaining, (), None
+        budget, seen = fuel.remaining, ()
 
-        def observe(remaining, code, env, stack):
-            nonlocal seen, old
-            rule, seen = _follow(seen, old, stack)
-            old = stack
+        def observe(remaining, code, env, stack, cls, kind):
+            nonlocal seen
+            rule, seen = _follow(seen, stack, cls, kind)
             on_step(budget - remaining, rule,
                     MachineConfig(unload(code, env), seen))
     return unload(*whnf(code, fuel, MACHINE, observe=observe))
