@@ -9,7 +9,10 @@ disagreement, 2 fuel exhaustion, 3 stuck terms.
 Run reports are JSON lines with a fixed field order — command, input
 digest, outcome, fuel used, wall time. difftest streams them to
 stdout; the other commands append to --report PATH. Identical inputs
-give byte-identical reports except the wall-time field.
+give byte-identical reports except the wall-time field. A command
+carries its input's bytes, and only `_record` turns them into the
+sha256 digest: the digest is taken, and hashlib and json are imported,
+where a record is written, so a run without one pays for neither.
 
 The command tree is one table, `COMMANDS`: a row's words, help text,
 handler and arguments; `_build_parser` builds argparse from it. The
@@ -28,8 +31,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
-import json
 import os
 import random
 import sys
@@ -70,23 +71,24 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _record(command: str, digest: str, outcome: str,
+def _record(command: str, source: bytes, outcome: str,
             fuel_used: int | None, wall_ms: float) -> str:
-    rec = {"command": command, "input": digest, "outcome": outcome,
-           "fuel_used": fuel_used, "wall_ms": round(wall_ms, 3)}
+    """A run record; `input` is the sha256 of the source bytes. hashlib
+    and json load here, with the first record, not at import."""
+    import hashlib
+    import json
+    rec = {"command": command, "input": hashlib.sha256(source).hexdigest(),
+           "outcome": outcome, "fuel_used": fuel_used,
+           "wall_ms": round(wall_ms, 3)}
     return json.dumps(rec)
 
 
 def _report(args, outcome: str, fuel_used: int | None, wall_ms: float,
-            digest: str):
+            source: bytes):
     path = getattr(args, "report", None)
     if path:
         with open(path, "a") as fh:
-            fh.write(_record(args.command, digest, outcome, fuel_used,
+            fh.write(_record(args.command, source, outcome, fuel_used,
                              wall_ms) + "\n")
 
 
@@ -104,11 +106,11 @@ def _text(data: bytes) -> str:
                          e.start - data.rfind(b"\n", 0, e.start)) from None
 
 
-def _load(path: str, calculus: str) -> tuple[Term, str]:
+def _load(path: str, calculus: str) -> tuple[Term, bytes]:
     with open(path, "rb") as fh:
         data = fh.read()
     _, prog = parse_defs(_text(data), calculus, _resolver)
-    return prog, _digest(data)
+    return prog, data
 
 
 def _load_pcf(path: str):
@@ -118,7 +120,7 @@ def _load_pcf(path: str):
     return prog, data
 
 
-def _engine(args, digest: str, fn, t, word: str = "value",
+def _engine(args, source: bytes, fn, t, word: str = "value",
             noun: str = "value", fuel: int | None = None,
             stream: str | None = None, **kwargs):
     """Run engine fn on t with a fresh cell of `fuel` (args.fuel by
@@ -152,29 +154,29 @@ def _engine(args, digest: str, fn, t, word: str = "value",
                 pcf_pretty(out) if isinstance(out, PcfTerm) else pretty(out))
         rec, code = f"{word} {text}", 0
     if stream:
-        print(_record(stream, digest, rec, used, wall))
+        print(_record(stream, source, rec, used, wall))
     else:
         print(text, file=sys.stdout if code == 0 else sys.stderr)
-        _report(args, rec, used, wall, digest)
+        _report(args, rec, used, wall, source)
     return out, code
 
 
 # ------------------------------------------------------------- commands
 
 def cmd_check(args) -> int:
-    t, digest = _load(args.file, args.calculus)
+    t, data = _load(args.file, args.calculus)
     t0 = time.perf_counter()
     a = (mtype if args.calculus == "llcim" else infer)(t, [])
     out = type_pretty(a, ground=args.ground)
     print(out)
     _report(args, f"type {out}", None, (time.perf_counter() - t0) * 1000,
-            digest)
+            data)
     return 0
 
 
 def cmd_eval(args) -> int:
-    t, digest = _load(args.file, "lrec")
-    return _engine(args, digest,
+    t, data = _load(args.file, "lrec")
+    return _engine(args, data,
                    force_numeral if args.force_nat else eval_report, t,
                    cbv=args.strategy == "cbv",
                    literal_let=args.literal_let)[1]
@@ -183,24 +185,24 @@ def cmd_eval(args) -> int:
 def cmd_machine(args) -> int:
     if args.trace and args.force_nat:
         raise ContractViolation("--trace excludes --force-nat")
-    t, digest = _load(args.file, "lrec")
+    t, data = _load(args.file, "lrec")
     if args.force_nat:
-        return _engine(args, digest, machine_force_numeral, t,
+        return _engine(args, data, machine_force_numeral, t,
                        noun="machine value")[1]
     trace = ((lambda i, rule, config:
               print(f"{i} {rule} |stack|={len(config.stack)} "
                     f"{pretty(config.code)}"))
              if args.trace else None)
-    return _engine(args, digest, run, t, "halted", on_step=trace)[1]
+    return _engine(args, data, run, t, "halted", on_step=trace)[1]
 
 
 def cmd_normalize(args) -> int:
-    t, digest = _load(args.file, args.calculus)
+    t, data = _load(args.file, args.calculus)
     trace = ((lambda i, rule, path, term:
               print(f"{i} {rule} {path or 'root'} {pretty(term)}"))
              if args.trace else None)
     engine = normalize_m if args.calculus == "llcim" else normalize
-    return _engine(args, digest, engine, t, "normal-form", on_step=trace)[1]
+    return _engine(args, data, engine, t, "normal-form", on_step=trace)[1]
 
 
 def cmd_stdlib(args) -> int:
@@ -225,7 +227,7 @@ def cmd_pcf_check(args) -> int:
 def cmd_pcf_eval(args) -> int:
     prog, data = _load_pcf(args.file)
     pcf_check(prog, {})
-    return _engine(args, _digest(data), pcf_eval, prog)[1]
+    return _engine(args, data, pcf_eval, prog)[1]
 
 
 def cmd_pcf_compile(args) -> int:
@@ -250,12 +252,12 @@ def _shape_ok(t: Term, a) -> bool:
     return False
 
 
-def _difftest_term(args, t: Term, a, digest: str) -> str | None:
+def _difftest_term(args, t: Term, a, source: bytes) -> str | None:
     """Run the three engines; None when they agree, else a complaint."""
-    norm = _engine(args, digest, normalize, t, "normal-form",
+    norm = _engine(args, source, normalize, t, "normal-form",
                    stream="difftest/normalize")[0]
-    ev = _engine(args, digest, eval_report, t, stream="difftest/eval")[0]
-    mc = _engine(args, digest, run, t, "halted", stream="difftest/machine")[0]
+    ev = _engine(args, source, eval_report, t, stream="difftest/eval")[0]
+    mc = _engine(args, source, run, t, "halted", stream="difftest/machine")[0]
 
     if isinstance(ev, Term) != isinstance(mc, Term):
         return "machine and eval_cbn disagree on convergence"
@@ -278,7 +280,7 @@ def cmd_difftest(args) -> int:
         if isinstance(reason, RecursionError):  # the front end recursed
             reason = "nested too deeply"
         print(f"skipped {name}: {reason}", file=sys.stderr)
-        print(_record("difftest/skip", _digest(name.encode()),
+        print(_record("difftest/skip", name.encode(),
                       f"skipped: {reason}", None, 0.0))
         skipped += 1
 
@@ -296,13 +298,13 @@ def cmd_difftest(args) -> int:
         if name.endswith(".lrec"):
             entries += 1
             try:
-                t, digest = _load(full, "lrec")
+                t, data = _load(full, "lrec")
                 a = infer(t, [])
             except (ParseError, LinearityError, TypingError, OSError,
                     RecursionError) as e:
                 skip(name, e)
                 continue
-            complaint = _difftest_term(args, t, a, digest)
+            complaint = _difftest_term(args, t, a, data)
             if complaint:
                 bad.append(f"{name}: {complaint}: {pretty(t)}")
         elif name.endswith(".pcf"):
@@ -318,11 +320,10 @@ def cmd_difftest(args) -> int:
             if not isinstance(pa, Nat):
                 skip(name, "not of ground type")
                 continue
-            digest = _digest(data)
-            ref = _engine(args, digest, pcf_eval, prog,
+            ref = _engine(args, data, pcf_eval, prog,
                           stream="difftest/pcf-ref")[0]
             ref_n = ref.n if isinstance(ref, NumConst) else None
-            got = _engine(args, digest, force_numeral, compile_pcf(prog, []),
+            got = _engine(args, data, force_numeral, compile_pcf(prog, []),
                           fuel=args.fuel * 100,
                           stream="difftest/pcf-compiled")[0]
             comp_n = None if isinstance(got, FuelExhausted) else got
@@ -334,7 +335,7 @@ def cmd_difftest(args) -> int:
     rng = random.Random(args.seed)
     for i in range(args.n):
         t, a = random_closed(rng)
-        complaint = _difftest_term(args, t, a, _digest(pretty(t).encode()))
+        complaint = _difftest_term(args, t, a, pretty(t).encode())
         if complaint:
             bad.append(f"generated #{i} (seed {args.seed}): {complaint}: "
                        f"{pretty(t)}")

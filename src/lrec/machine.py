@@ -22,39 +22,37 @@ transition, and the configuration a run stops at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .evaluation import APP, HEAD, LET, REC, top_frame, whnf
 from .terms import (App, Fuel, FuelExhausted, Lam, LetPair, OutOfFuel, Outcome,
-                    Rec, Stuck, Term, Zero, drive, read_numeral,
+                    Rec, Record, Stuck, Term, Zero, drive, read_numeral,
                     require_closed, unload)
 
 
-class ExtTerm:
+class ExtTerm(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Plain(ExtTerm):
+    __slots__ = ("term",)
     term: Term
 
 
-@dataclass(frozen=True)
 class LetK(ExtTerm):
+    __slots__ = ("x", "y", "body")
     x: str
     y: str
     body: Term
 
 
-@dataclass(frozen=True)
 class RecK(ExtTerm):
+    __slots__ = ("base", "step", "update")
     base: Term
     step: Term
     update: Term
 
 
-@dataclass(frozen=True)
 class RecK2(ExtTerm):
+    __slots__ = ("second", "base", "step", "update")
     second: Term
     base: Term
     step: Term
@@ -64,8 +62,8 @@ class RecK2(ExtTerm):
 Stack = tuple  # of ExtTerm, top first
 
 
-@dataclass(frozen=True)
-class MachineConfig:
+class MachineConfig(Record):
+    __slots__ = ("code", "stack")
     code: Term
     stack: Stack
 

@@ -12,7 +12,8 @@ against its own earlier definitions first.
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple, Optional, TypeVar
+from collections import namedtuple
+from collections.abc import Callable
 
 from .terms import (App, Iter, Lam, LetPair, Min, Rec, Suc, Term, Var,
                     Violation, check_linear, freshen, mk_tuple, numeral)
@@ -38,11 +39,7 @@ class LinearityError(Exception):
         self.violations = violations
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
+Token = namedtuple("Token", "kind text line col")  # str, str, int, int
 
 
 # One alternative per token kind, named after it and tried in this order
@@ -74,7 +71,7 @@ _TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
     ("bad", r"."),
 )), re.DOTALL)
 
-_new_token = tuple.__new__  # Token(...) without NamedTuple's Python-level __new__
+_new_token = tuple.__new__  # Token(...) without namedtuple's Python-level __new__
 
 
 def lex(src: str) -> list[Token]:
@@ -111,8 +108,7 @@ _CALLS = {"rec": ("lrec", 4, Rec), "iter": ("llcim", 3, Iter),
           "min": ("llcim", 3, Min)}
 
 # resolver: (name, type-argument text or None) -> Term, or None when unknown
-Resolver = Callable[[str, Optional[str]], Optional[Term]]
-T = TypeVar("T")
+Resolver = Callable[[str, str | None], Term | None]
 
 
 class TokenStream:
@@ -319,8 +315,8 @@ def parse_type(text: str) -> LinType:
     return a
 
 
-def definitions(p: TokenStream, term: Callable[[], T],
-                local: dict[str, T]) -> T:
+def definitions(p: TokenStream, term: Callable[[], object],
+                local: dict[str, object]) -> object:
     """The definition-file loop shared by both languages: `name = term;`
     entries, stored in order in `local` (which the caller's resolver
     reads, so later entries can refer to earlier ones), the last one

@@ -27,13 +27,12 @@ values and change what terminates.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .parser import ParseError, TokenStream, definitions, lex
 from .stdlib import (cond_enc, dup, erase_term, fix, identity, iszero_enc,
                      pred_enc)
 from .terms import (App, ContractViolation, Fuel, FuelExhausted, Lam, LetPair,
-                    Pair, Rec, Suc, Term, Var, Zero, _subst, children,
+                    Pair, Rec, Record, Suc, Term, Var, Zero, _subst, children,
                     drive, fresh_name, numeral, rebuild, restore_scope)
 from .types import NAT, LinType, Lolli, TypingError, type_pretty
 
@@ -46,56 +45,68 @@ pcf_type_pretty = functools.partial(type_pretty, arrow="->")
 
 # ---------------------------------------------------------------- terms
 
-class PcfTerm:
-    pass
+class PcfTerm(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class NumConst(PcfTerm):
+    __slots__ = ("n",)
     n: int
 
+    def __init__(self, n: int):
+        self.n = n
 
-@dataclass(frozen=True)
+
 class Succ(PcfTerm):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Pred(PcfTerm):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class IsZero(PcfTerm):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Cond(PcfTerm):
+    __slots__ = ("a",)
     a: LinType
 
 
-@dataclass(frozen=True)
 class YComb(PcfTerm):
+    __slots__ = ("a",)
     a: LinType
 
 
-@dataclass(frozen=True)
 class PVar(PcfTerm):
+    __slots__ = ("name",)
     name: str
 
+    def __init__(self, name: str):
+        self.name = name
 
-@dataclass(frozen=True)
+
 class PLam(PcfTerm):
+    __slots__ = ("binder", "annot", "body")
     binder: str
     annot: LinType
     body: PcfTerm
 
+    def __init__(self, binder: str, annot: LinType, body: PcfTerm):
+        self.binder = binder
+        self.annot = annot
+        self.body = body
 
-@dataclass(frozen=True)
+
 class PApp(PcfTerm):
+    __slots__ = ("fun", "arg")
     fun: PcfTerm
     arg: PcfTerm
+
+    def __init__(self, fun: PcfTerm, arg: PcfTerm):
+        self.fun = fun
+        self.arg = arg
 
 
 def pcf_fv(t: PcfTerm) -> frozenset[str]:

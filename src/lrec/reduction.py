@@ -41,16 +41,15 @@ none into the term: every node it enters gets the root-rule test.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .terms import (VALUES, App, ContractViolation, Fuel, FuelExhausted,
-                    Iter, Lam, LetPair, Min, OutOfFuel, Pair, Rec, Suc, Term,
-                    Zero, children, pretty, rebuild, subst)
+                    Iter, Lam, LetPair, Min, OutOfFuel, Pair, Rec, Record,
+                    Suc, Term, Zero, children, pretty, rebuild, subst)
 
 
-@dataclass(frozen=True)
-class Stepped:
+class Stepped(Record):
+    __slots__ = ("next", "rule", "path")
     next: Term
     rule: str
     path: str  # dot-separated child indices, "" for the root

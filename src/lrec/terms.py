@@ -19,14 +19,19 @@ that way; `read_numeral` is the one numeral readback loop. The
 evaluators and the machine are one loop, `evaluation.whnf`, with two
 rows of costs: it substitutes nothing, runs on the linear environments
 defined here, and `unload` rebuilds the terms it shows.
+
+Every other value class of the package (types, PCF terms, machine
+frames, outcomes, linearity violations) is a `Record`: a plain slotted
+class whose equality, hash, repr and match arguments follow from its
+field names, as a frozen dataclass's would, so importing the package
+loads no `dataclasses`.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
 from operator import attrgetter
-from typing import Callable
 
 # Deep chains of S constructors are the only tall structures around;
 # most traversals peel them iteratively, the rest need headroom.
@@ -44,14 +49,57 @@ def require_closed(t: Term):
         raise ContractViolation(f"input is open: free {sorted(t.fv)}")
 
 
+class Record:
+    """A value with named fields, in place of a frozen dataclass. The
+    fields are a subclass's own `__slots__`, in order, and are also its
+    `__match_args__`. Records of one class are equal when their fields
+    are, hash as the tuple of their fields and print as
+    `Name(field=value, ...)`. This `__init__` takes the fields in order;
+    a class built per node or per step writes its own."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = cls.__match_args__ = cls.__dict__.get("__slots__", ())
+        # _values(record): its fields as a tuple, read in C by attrgetter,
+        # which returns a single field bare and needs at least one name
+        if len(names) > 1:
+            cls._values = staticmethod(attrgetter(*names))
+        elif names:
+            one = attrgetter(*names)
+            cls._values = staticmethod(lambda r: (one(r),))
+        else:
+            cls._values = staticmethod(lambda r: ())
+
+    def __init__(self, *values):
+        if len(values) != len(self.__match_args__):
+            raise TypeError(f"{type(self).__name__} takes the fields "
+                            f"{self.__match_args__}, got {len(values)} values")
+        for name, value in zip(self.__match_args__, values):
+            setattr(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in
+                           zip(self.__match_args__, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+
 # --------------------------------------------------------------------------
 # engine outcomes and fuel, shared by every engine
 
 
-@dataclass(frozen=True)
-class FuelExhausted:
+class FuelExhausted(Record):
     """The budget ran out; `at` is where the engine stopped: a term, or a
     machine configuration."""
+    __slots__ = ("at",)
     at: object
 
 
@@ -263,8 +311,8 @@ def rebuild(t: Term, kids: list[Term]) -> Term:
 # linearity
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
+    __slots__ = ("path", "constraint", "kind", "names")
     path: str  # dot-separated child indices from the root, "" for the root
     constraint: str
     kind: str  # "shared" | "unused" | "dup-pattern"

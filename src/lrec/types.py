@@ -13,36 +13,44 @@ binder on the way down and restoring what it shadowed on the way up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .terms import (App, Iter, Lam, LetPair, Min, Pair, Rec, Suc, Term, Var,
-                    Zero, check_linear, pretty, restore_scope)
+from .terms import (App, Iter, Lam, LetPair, Min, Pair, Rec, Suc, Record,
+                    Term, Var, Zero, check_linear, pretty, restore_scope)
 
 
-class LinType:
+class LinType(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Nat(LinType):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Lolli(LinType):
+    __slots__ = ("dom", "cod")
     dom: LinType
     cod: LinType
 
+    def __init__(self, dom: LinType, cod: LinType):
+        self.dom = dom
+        self.cod = cod
 
-@dataclass(frozen=True)
+
 class Tensor(LinType):
+    __slots__ = ("left", "right")
     left: LinType
     right: LinType
 
+    def __init__(self, left: LinType, right: LinType):
+        self.left = left
+        self.right = right
 
-@dataclass(frozen=True)
+
 class MetaVar(LinType):
+    __slots__ = ("id",)
     id: int
+
+    def __init__(self, id: int):
+        self.id = id
 
 
 NAT = Nat()

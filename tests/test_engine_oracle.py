@@ -12,7 +12,6 @@ transition must agree, at the exact need, one unit below it and at
 budgets from 0 upwards.
 """
 
-import dataclasses
 import random
 from pathlib import Path
 
@@ -189,7 +188,7 @@ def _where(at):
     if isinstance(at, MachineConfig):
         return ("config", pretty(at.code), len(at.stack),
                 tuple((type(k).__name__,) + tuple(
-                    _text(getattr(k, f.name)) for f in dataclasses.fields(k))
+                    _text(getattr(k, name)) for name in k.__match_args__)
                       for k in at.stack))
     return ("term", pretty(at))
 

@@ -1,6 +1,5 @@
 """The stack machine: transitions, halting taxonomy, stack discipline."""
 
-import dataclasses
 import random
 
 import pytest
@@ -102,8 +101,8 @@ def test_machine_agrees_with_cbn_spot():
 def _ext_eq(a: ExtTerm, b: ExtTerm) -> bool:
     if type(a) is not type(b):
         return False
-    for f in dataclasses.fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
+    for name in a.__match_args__:
+        x, y = getattr(a, name), getattr(b, name)
         if isinstance(x, str):
             if x != y:
                 return False
@@ -163,8 +162,9 @@ def test_stack_append_property():
 def test_no_environment_in_data_model():
     # configurations carry terms and names only: no binding maps anywhere
     for cls in (Plain, LetK, RecK, RecK2, MachineConfig):
-        for f in dataclasses.fields(cls):
-            assert f.type in ("Term", "str", "Stack"), (cls, f.name, f.type)
+        assert cls.__match_args__ == tuple(cls.__annotations__), cls
+        for name, kind in cls.__annotations__.items():
+            assert kind in ("Term", "str", "Stack"), (cls, name, kind)
 
 
 def test_trace_reports_stack_depth():
