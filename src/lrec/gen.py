@@ -14,11 +14,13 @@ produces divergence would starve the properties being tested.
 
 from __future__ import annotations
 
-import random
-
 from .stdlib import erase_term
 from .terms import App, Lam, LetPair, Pair, Rec, Suc, Term, Var, numeral
 from .types import LinType, Lolli, NAT, Tensor
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # random.Random is only annotated here; callers import it
+    import random
 
 
 def random_type(rng: random.Random, depth: int = 2) -> LinType:

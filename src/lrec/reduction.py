@@ -40,12 +40,15 @@ none into the term: every node it enters gets the root-rule test.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Callable
 
 from .terms import (VALUES, App, ContractViolation, Fuel, FuelExhausted,
                     Iter, Lam, LetPair, Min, OutOfFuel, Pair, Rec, Record,
                     Suc, Term, Zero, children, pretty, rebuild, subst)
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only; step_random imports it to draw
+    import random
 
 
 class Stepped(Record):
@@ -238,6 +241,7 @@ def step_at(t: Term, path: tuple[int, ...]) -> tuple[Term, str]:
 def step_random(t: Term, rng: random.Random | int) -> Stepped | None:
     """One step at a uniformly chosen enabled redex; None on normal forms."""
     if isinstance(rng, int):
+        import random  # only this step draws
         rng = random.Random(rng)
     paths = enumerate_redexes(t)
     if not paths:

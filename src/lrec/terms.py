@@ -2,12 +2,18 @@
 
 Terms are immutable trees. Every node caches its free-variable set at
 construction, so the closedness tests that drive closed reduction are
-set lookups rather than traversals. A node holds nothing else besides
-its fields, and no engine writes into one, so a term can be shared by
-any number of calls and engines. Linearity is *checkable*, not
-enforced by constructors: ill-formed terms can be built (and reported
-on) by check_linear, but the parser and every engine operation only
-produce terms for which check_linear returns no violations.
+set lookups rather than traversals. The sets are shared: a node reuses
+a child's set when that set already is the answer (its other children
+are closed, or a binder does not occur), and every closed node holds
+the one `EMPTY`, so a union or difference is built only when it makes
+a new set. No term forms a cycle either, so reference counting frees
+it and the cyclic collector finds nothing in it (see `cli.GC_GEN0`).
+A node holds nothing else besides its fields, and no engine writes
+into one, so a term can be shared by any number of calls and engines.
+Linearity is *checkable*, not enforced by constructors: ill-formed
+terms can be built (and reported on) by check_linear, but the parser
+and every engine operation only produce terms for which check_linear
+returns no violations.
 
 The same node classes serve both calculi: Rec belongs to the recursor
 calculus, Iter and Min to the minimiser calculus. Engines guard the
@@ -153,6 +159,11 @@ def drive(loop: Callable, t, fuel: int | Fuel, *args):
         return e.with_traceback(None)
 
 
+def _join(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    """a | b, reusing a or b when the other is empty."""
+    return (a | b if b else a) if a else b
+
+
 class Term:
     # fv: cached free variables, the only slot besides a node's fields
     __slots__ = ("fv",)
@@ -191,7 +202,8 @@ class App(Term):
     def __init__(self, fun: Term, arg: Term):
         self.fun = fun
         self.arg = arg
-        self.fv = fun.fv | arg.fv
+        f, a = fun.fv, arg.fv  # _join, inlined: the most built node
+        self.fv = (f | a if a else f) if f else a
 
 
 class Lam(Term):
@@ -200,7 +212,8 @@ class Lam(Term):
     def __init__(self, binder: str, body: Term):
         self.binder = binder
         self.body = body
-        self.fv = body.fv - {binder}
+        fv = body.fv
+        self.fv = (fv - {binder} or EMPTY) if binder in fv else fv
 
 
 class Pair(Term):
@@ -209,7 +222,7 @@ class Pair(Term):
     def __init__(self, left: Term, right: Term):
         self.left = left
         self.right = right
-        self.fv = left.fv | right.fv
+        self.fv = _join(left.fv, right.fv)
 
 
 class LetPair(Term):
@@ -222,7 +235,10 @@ class LetPair(Term):
         self.x = x
         self.y = y
         self.body = body
-        self.fv = scrut.fv | (body.fv - {x, y})
+        fv = body.fv
+        if x in fv or y in fv:
+            fv = fv - {x, y} or EMPTY
+        self.fv = _join(scrut.fv, fv)
 
 
 class Rec(Term):
@@ -235,7 +251,7 @@ class Rec(Term):
         self.base = base
         self.step = step
         self.update = update
-        self.fv = scrut.fv | base.fv | step.fv | update.fv
+        self.fv = _join(_join(scrut.fv, base.fv), _join(step.fv, update.fv))
 
 
 class Iter(Term):
@@ -247,7 +263,7 @@ class Iter(Term):
         self.count = count
         self.base = base
         self.step = step
-        self.fv = count.fv | base.fv | step.fv
+        self.fv = _join(_join(count.fv, base.fv), step.fv)
 
 
 class Min(Term):
@@ -259,7 +275,7 @@ class Min(Term):
         self.scrut = scrut
         self.counter = counter
         self.fn = fn
-        self.fv = scrut.fv | counter.fv | fn.fv
+        self.fv = _join(_join(scrut.fv, counter.fv), fn.fv)
 
 
 Outcome = Term | FuelExhausted | Stuck  # of an engine whose result is a term
@@ -839,51 +855,85 @@ def restore_scope(env: dict, name: str, outer):
 # printing
 
 
+# the call-shaped nodes, by the text that opens them
+_KEYWORD = {Rec: "rec(", Iter: "iter(", Min: "min("}
+
+
 def pretty(t: Term) -> str:
-    """Concrete syntax; parse(pretty(t)) is alpha-equivalent to t."""
-    return _pretty(t, 0)
+    """Concrete syntax; parse(pretty(t)) is alpha-equivalent to t.
 
-
-def _pretty(t: Term, level: int) -> str:
-    # level 0: full term, 1: application operand/operator, 2: atom slot
-    match t:
-        case Zero():
-            return "0"
-        case Var(name=n):
-            return n
-        case Suc():
-            sucs = 0
-            inner = t
-            while isinstance(inner, Suc):
-                inner = inner.body
-                sucs += 1
-            if isinstance(inner, Zero):
-                return str(sucs)
-            head = "S " * sucs
-            return f"{head}{_pretty(inner, 2)}"
-        case Lam():
+    One walk over a worklist of text pieces and (term, level) slots,
+    where level 0 is a full term, 1 an application's operator and 2 an
+    atom slot (an operand, or under S). The pieces are joined once, and
+    no depth of nesting recurses."""
+    out: list[str] = []
+    emit = out.append
+    work: list = [(t, 0)]
+    pop, push = work.pop, work.append
+    while work:
+        item = pop()
+        if type(item) is str:
+            emit(item)
+            continue
+        t, level = item
+        cls = type(t)
+        if cls is Var:
+            emit(t.name)
+        elif cls is App:
+            # the operator spine f a1 ... an prints without parentheses
+            if level > 1:
+                emit("(")
+                push(")")
+            while type(t) is App:
+                push((t.arg, 2))
+                push(" ")
+                t = t.fun
+            push((t, 1))
+        elif cls is Lam:
+            if level > 0:
+                emit("(")
+                push(")")
             binders = []
-            body = t
-            while isinstance(body, Lam):
-                binders.append(body.binder)
-                body = body.body
-            s = f"\\{' '.join(binders)}. {_pretty(body, 0)}"
-            return f"({s})" if level > 0 else s
-        case App(fun=f, arg=a):
-            s = f"{_pretty(f, 1)} {_pretty(a, 2)}"
-            return f"({s})" if level > 1 else s
-        case Pair(left=l, right=r):
-            return f"<{_pretty(l, 0)}, {_pretty(r, 0)}>"
-        case LetPair(scrut=sc, x=x, y=y, body=b):
-            s = f"let <{x}, {y}> = {_pretty(sc, 0)} in {_pretty(b, 0)}"
-            return f"({s})" if level > 0 else s
-        case Rec(scrut=sc, base=u, step=v, update=w):
-            parts = ", ".join(_pretty(p, 0) for p in (sc, u, v, w))
-            return f"rec({parts})"
-        case Iter(count=c, base=u, step=v):
-            parts = ", ".join(_pretty(p, 0) for p in (c, u, v))
-            return f"iter({parts})"
-        case Min(scrut=sc, counter=u, fn=f):
-            parts = ", ".join(_pretty(p, 0) for p in (sc, u, f))
-            return f"min({parts})"
-    raise AssertionError(f"unhandled node {type(t).__name__}")
+            while type(t) is Lam:
+                binders.append(t.binder)
+                t = t.body
+            emit(f"\\{' '.join(binders)}. ")
+            push((t, 0))
+        elif cls is Zero:
+            emit("0")
+        elif cls is Suc:
+            sucs = 0
+            while type(t) is Suc:
+                t = t.body
+                sucs += 1
+            if type(t) is Zero:
+                emit(str(sucs))
+            else:
+                emit("S " * sucs)
+                push((t, 2))
+        elif cls is Pair:
+            emit("<")
+            push(">")
+            push((t.right, 0))
+            push(", ")
+            push((t.left, 0))
+        elif cls is LetPair:
+            if level > 0:
+                emit("(")
+                push(")")
+            emit(f"let <{t.x}, {t.y}> = ")
+            push((t.body, 0))
+            push(" in ")
+            push((t.scrut, 0))
+        elif cls in _KEYWORD:
+            emit(_KEYWORD[cls])
+            push(")")
+            kids = children(t)
+            for i in range(len(kids) - 1, 0, -1):
+                push((kids[i], 0))
+                push(", ")
+            push((kids[0], 0))
+        else:
+            raise AssertionError(f"unhandled node {cls.__name__}")
+    return "".join(out)
+

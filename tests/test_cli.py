@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, printed results, reports, difftest."""
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -597,6 +598,44 @@ def test_main_builds_the_parser_tree_once(capsys, monkeypatch):
     # an earlier test may have built the tree already
     assert built.count("lrec") <= 1
     assert len(built) == len(set(built))     # each subcommand's at most once
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["normalize", str(CORPUS / "mult34.lrec")], 0),
+    (["normalize", str(CORPUS / "nonexistent.lrec")], 1),
+    (["normalize", "--fuel", "x", str(CORPUS / "mult34.lrec")], 1),
+    (["normalize", "--fuel", "5", str(CORPUS / "mult34.lrec")], 2),
+    (["check"], 1),
+])
+def test_main_runs_a_command_under_its_threshold_and_restores_the_callers(
+        capsys, monkeypatch, tmp_path, argv, code):
+    seen = []
+    engine = lrec.cli.normalize
+
+    def spy(*args, **kwargs):
+        seen.append(gc.get_threshold())
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(lrec.cli, "normalize", spy)
+    bad = write(tmp_path, "bad.lrec", "\\x. (x")
+    callers = gc.get_threshold()
+    try:
+        for thresholds in ((700, 10, 10), (1234, 5, 6), (0, 10, 10),
+                           (10**6, 10, 10)):
+            gc.set_threshold(*thresholds)
+            seen.clear()
+            assert run_cli(capsys, *argv)[0] == code
+            assert gc.get_threshold() == thresholds
+            # a parse error (exit 1) is restored from too
+            assert run_cli(capsys, "normalize", bad)[0] == 1
+            assert gc.get_threshold() == thresholds
+            # inside, generation 0 waits for GC_GEN0 allocations, unless
+            # the caller waits longer or has turned collection off
+            gen0 = (thresholds[0] if thresholds[0] in (0, 10**6)
+                    else lrec.cli.GC_GEN0)
+            assert seen == ([(gen0, *thresholds[1:])] if code != 1 else [])
+    finally:
+        gc.set_threshold(*callers)
 
 
 # ---------------------------------------------------------------- entry

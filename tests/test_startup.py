@@ -3,8 +3,8 @@
 Each case runs in a fresh `python -S` interpreter with `src` on its
 path, so no site hook has preloaded a module. The command line must
 load neither `dataclasses` (nor `inspect`, which it pulls in) nor
-`typing` at all, and `hashlib` and `json` only once a run writes a
-record.
+`typing` at all, nor `random` outside the commands that draw (difftest),
+and `hashlib` and `json` only once a run writes a record.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
-NEVER = ("dataclasses", "inspect", "typing")
+NEVER = ("dataclasses", "inspect", "typing", "random")
 ON_RECORD = ("hashlib", "json")
 
 # the child prints, after each stage, which of the watched modules it has

@@ -4,21 +4,26 @@ follows: a budget or a Fuel cell in, the bare result, FuelExhausted or
 Stuck out."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+from lrec import terms
+from lrec.cli import _load, _load_pcf, _resolver
 from lrec.evaluation import eval_report, force_numeral
 from lrec.gen import random_closed
 from lrec.machine import MachineConfig, machine_force_numeral, run
 from lrec.minext import lin_pred, normalize_m
 from lrec.parser import parse
-from lrec.pcf import NumConst, parse_pcf, pcf_eval
+from lrec.pcf import NumConst, compile_pcf, parse_pcf, pcf_eval
 from lrec.reduction import normalize
 from lrec.terms import (App, ContractViolation, Fuel, FuelExhausted, Iter,
                         Lam, LetPair, Min, Pair, Rec, Stuck, Suc, Term, Var,
                         Zero, alpha_eq, check_linear, children, freshen,
                         mk_tuple, numeral, numeral_value, pretty, rebuild,
                         subst)
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def lam(x, b):
@@ -47,6 +52,82 @@ def test_free_vars():
     assert t.fv == {"p"}
     r = Rec(Var("s"), Var("u"), Var("v"), Var("w"))
     assert r.fv == {"s", "u", "v", "w"}
+
+
+# --------------------------------------------------- shared free sets
+
+def _old_fv(t: Term) -> frozenset[str]:
+    """The free set as every constructor built it before sets were
+    shared, from the children's sets."""
+    match t:
+        case Zero():
+            return frozenset()
+        case Var(name=n):
+            return frozenset((n,))
+        case Lam(binder=x, body=b):
+            return b.fv - {x}
+        case LetPair(scrut=s, x=x, y=y, body=b):
+            return s.fv | (b.fv - {x, y})
+    out = frozenset()
+    for k in children(t):
+        out = out | k.fv
+    return out
+
+
+def _front_end_terms() -> list[Term]:
+    """Every corpus file as the command line reads it, PCF compiled, and
+    the 2000-deep `@pred` nest."""
+    out = []
+    for f in sorted(CORPUS.iterdir()):
+        if f.suffix == ".lrec":
+            out.append(_load(str(f), "lrec")[0])
+        elif f.suffix == ".pcf":
+            out.append(compile_pcf(_load_pcf(str(f))[0], []))
+    out.append(parse("@pred (" * 2000 + "0" + ")" * 2000, "lrec", _resolver))
+    return out
+
+
+def test_every_closed_node_shares_the_empty_set():
+    closed = 0
+    for t in _front_end_terms():
+        for node in _nodes(t):
+            if not node.fv:
+                assert node.fv is terms.EMPTY, pretty(node)
+                closed += 1
+    assert closed > 10_000
+
+
+def test_free_sets_equal_the_old_formula():
+    rng = random.Random(5)
+    ts = _front_end_terms() + [random_closed(rng)[0] for _ in range(500)]
+    x, y = Var("x"), Var("y")
+    # open and non-linear shapes, which the parser never builds
+    ts += [App(x, x), App(x, y), Lam("z", x), Lam("x", App(x, y)),
+           Pair(Zero(), x), LetPair(x, "a", "b", y),
+           LetPair(y, "x", "b", App(x, Var("b"))), LetPair(x, "x", "x", x),
+           Rec(x, Zero(), y, Zero()), Iter(Zero(), x, x),
+           Min(x, Zero(), Lam("x", x))]
+    nodes = 0
+    for t in ts:
+        for node in _nodes(t):
+            assert node.fv == _old_fv(node), pretty(node)
+            assert type(node.fv) is frozenset
+            nodes += 1
+    assert nodes > 50_000
+
+
+def test_a_node_reuses_the_set_that_is_its_answer():
+    x, c = Var("x"), Lam("z", Var("z"))
+    assert c.fv is terms.EMPTY
+    assert App(x, c).fv is x.fv and App(c, x).fv is x.fv
+    assert Pair(c, x).fv is x.fv
+    assert Lam("y", x).fv is x.fv
+    assert LetPair(x, "a", "b", Zero()).fv is x.fv
+    assert Rec(Zero(), c, x, Zero()).fv is x.fv
+    assert Iter(Zero(), Zero(), x).fv is x.fv
+    assert Min(x, Zero(), c).fv is x.fv
+    assert Lam("x", x).fv is terms.EMPTY
+    assert LetPair(Zero(), "x", "y", Pair(x, Var("y"))).fv is terms.EMPTY
 
 
 def test_check_linear_accepts():
@@ -349,6 +430,84 @@ def test_pretty_numerals_and_sucs():
     assert pretty(Suc(Suc(Var("x")))) == "S S x"
     assert pretty(lam("x", Suc(Var("x")))) == "\\x. S x"
     assert pretty(App(Var("f"), Suc(Var("x")))) == "f S x"
+
+
+# the printer is one iterative walk; the recursive one it replaced is
+# kept here verbatim as the reference
+def _old_pretty(t: Term, level: int = 0) -> str:
+    # level 0: full term, 1: application operand/operator, 2: atom slot
+    match t:
+        case Zero():
+            return "0"
+        case Var(name=n):
+            return n
+        case Suc():
+            sucs = 0
+            inner = t
+            while isinstance(inner, Suc):
+                inner = inner.body
+                sucs += 1
+            if isinstance(inner, Zero):
+                return str(sucs)
+            head = "S " * sucs
+            return f"{head}{_old_pretty(inner, 2)}"
+        case Lam():
+            binders = []
+            body = t
+            while isinstance(body, Lam):
+                binders.append(body.binder)
+                body = body.body
+            s = f"\\{' '.join(binders)}. {_old_pretty(body, 0)}"
+            return f"({s})" if level > 0 else s
+        case App(fun=f, arg=a):
+            s = f"{_old_pretty(f, 1)} {_old_pretty(a, 2)}"
+            return f"({s})" if level > 1 else s
+        case Pair(left=l, right=r):
+            return f"<{_old_pretty(l, 0)}, {_old_pretty(r, 0)}>"
+        case LetPair(scrut=sc, x=x, y=y, body=b):
+            s = f"let <{x}, {y}> = {_old_pretty(sc, 0)} in {_old_pretty(b, 0)}"
+            return f"({s})" if level > 0 else s
+        case Rec(scrut=sc, base=u, step=v, update=w):
+            parts = ", ".join(_old_pretty(p, 0) for p in (sc, u, v, w))
+            return f"rec({parts})"
+        case Iter(count=c, base=u, step=v):
+            parts = ", ".join(_old_pretty(p, 0) for p in (c, u, v))
+            return f"iter({parts})"
+        case Min(scrut=sc, counter=u, fn=f):
+            parts = ", ".join(_old_pretty(p, 0) for p in (sc, u, f))
+            return f"min({parts})"
+    raise AssertionError(f"unhandled node {type(t).__name__}")
+
+
+def test_pretty_matches_the_printer_it_replaced():
+    rng = random.Random(11)
+    ts = _front_end_terms()[:-1] + [random_closed(rng)[0]
+                                    for _ in range(3000)]
+    normalize(parse("@pred 6", "lrec", _resolver), 10_000,
+              on_step=lambda i, rule, path, term: ts.append(term))
+    x, y = Var("x"), Var("y")
+    ts += [App(lin_pred(), numeral(4)), Suc(App(x, y)), Suc(lam("x", x)), App(x, Suc(y)),
+           App(App(lam("a", Var("a")), App(x, y)), LetPair(
+               Var("p"), "a", "b", Pair(Var("a"), Var("b")))),
+           App(x, LetPair(y, "a", "b", Var("a"))), lam("x", lam("y", x)),
+           Min(Zero(), x, App(lam("q", Var("q")), Suc(y))),
+           Iter(numeral(3), lam("x", x), Rec(x, y, Zero(), numeral(2)))]
+    for t in ts:
+        assert pretty(t) == _old_pretty(t)
+
+
+def test_pretty_prints_a_deep_spine_without_recursing():
+    # one name throughout: distinct ones would give each node a set of
+    # its own, quadratic memory in all
+    x = Var("x")
+    t = x
+    for _ in range(50_000):
+        t = App(t, x)
+    assert pretty(t) == " ".join(["x"] * 50_001)
+    t = Var("y")
+    for i in range(50_000):
+        t = App(Var("f"), t)
+    assert pretty(t) == "f (" * 49_999 + "f y" + ")" * 49_999
 
 
 def test_every_engine_rejects_a_negative_budget():
