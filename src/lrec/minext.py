@@ -33,9 +33,10 @@ def check_mterm(t: Term):
 
 def normalize_m(t: Term, fuel: int | Fuel,
                 on_step=None) -> Term | FuelExhausted:
-    """reduction's leftmost-outermost normaliser on a guarded term."""
+    """reduction's leftmost-outermost normaliser on a guarded term, on
+    the zipper alone: the environment loop has no Iter or Min rule."""
     check_mterm(t)
-    return _normalize_with(t, fuel, on_step)
+    return _normalize_with(t, fuel, on_step, closed=False)
 
 
 def mtype(t: Term, env: list) -> LinType:

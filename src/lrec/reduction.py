@@ -29,22 +29,59 @@ root only at child 0 (App(Lam), LetPair(Pair), Rec(Pair), Iter and Min
 on a numeral) or at child 0 of child 0 (Rec(Pair(0 | S _, _))), and
 needs a value constructor there (λ, pair, 0 or S); anywhere else it
 reads free-variable sets only. So an ancestor that was not a redex can
-become one only when the contractum is a value in child 0 of its
-parent: then the parent may, and the grandparent too when the parent
-is child 0 of it. The walk climbs to exactly those; higher ancestors
-stay non-redexes, and everything to the left of the focus stays
-redex-free. A debug-mode assertion checks that each contraction keeps
-the free variables. The walk keeps no state between calls and writes
-none into the term: every node it enters gets the root-rule test.
+become one only when the contractum is a value in child 0 of it: the
+parent, if that is no value, or the grandparent, if that is a recursor
+and the parent a pair. The walk climbs to exactly those; other
+ancestors stay non-redexes, and everything to the left of the focus
+stays redex-free. A debug-mode assertion checks that each contraction
+keeps the free variables. The walk keeps no state between calls and
+writes none into the term.
+
+`normalize` hands each closed App, LetPair and Rec node to the
+evaluators' environment loop, `evaluation.whnf`, which substitutes
+nothing. In a closed term every subterm on the head spine (operators,
+scrutinees, and the number in a recursor's pair: always child 0) is
+closed, and so is every part a rule at its end needs, so the head
+redex's side condition holds. It is also the first redex in pre-order:
+the spine's nodes come before all others, and each node above the
+head redex lacks the value its rule needs in child 0. So the
+leftmost-outermost steps of a closed term, up to its weak head normal
+form, are call by name's App, Let, Rec1 and Rec2, in that order. The
+loop runs on its own engine row, which charges only those four, so
+fuel, step counts and traces are the zipper's. The handoff:
+
+- The zipper enters such a node, or a part of a value the loop
+  returned that is no value, and the loop runs it to a value. Where
+  that value can make a redex above it, it is rebuilt as a term and the
+  walk climbs as after a contraction. Elsewhere the walk goes on into
+  it: a pair's or S's parts stay closures, entered in turn (a numeral
+  is built once, as `terms.read_numeral` reads one), and a λ is
+  rebuilt, since its body is open.
+- Exhausted fuel stops the loop before the rule it cannot pay for, and
+  the normaliser reports the whole term there, as the zipper would.
+- Where the loop has no rule (it applies a pair, splits a number, or
+  meets an Iter or Min node), the node it stopped at and the frames
+  above it become the zipper's focus and frames. That node is a value,
+  an Iter or a Min, none of which the zipper hands to the loop, so the
+  zipper walks on from it and hands on the closed subterms it meets.
+- A step's path is the zipper's path to the subterm, then one `0` per
+  APP, LET or REC frame of the loop and `0.0` per HEAD frame, which
+  stands for a recursor and its pair. After Rec2 the redex was the
+  recursor under the new APP frame, so the frames below that one give
+  the path. `normalize_m` keeps to the zipper, since the loop has no
+  Iter or Min rule.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
+from .evaluation import APP, HEAD, REC, top_frame, whnf
+from .machine import LetK, Plain, RecK, RecK2, _frame
 from .terms import (VALUES, App, ContractViolation, Fuel, FuelExhausted,
                     Iter, Lam, LetPair, Min, OutOfFuel, Pair, Rec, Record,
-                    Suc, Term, Zero, children, pretty, rebuild, subst)
+                    Stuck, Suc, Term, Var, Zero, children, pretty, rebuild,
+                    subst, take, unload)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only; step_random imports it to draw
@@ -103,7 +140,9 @@ def step_root(t: Term) -> tuple[Term, str] | None:
     return None
 
 
-Frame = list  # [node, index of the focused child, its children, changed]
+# [node, index of the focused child, its children, changed]; a child is
+# a term, or a closure (term, env) while the walk has not entered it
+Frame = list
 
 
 def _up(stack: list[Frame], focus: Term) -> Term:
@@ -119,7 +158,9 @@ def _up(stack: list[Frame], focus: Term) -> Term:
 def _plug(stack: list[Frame], focus: Term) -> Term:
     """The whole term, focus in place; the frames are left as they are."""
     for node, i, kids, _ in reversed(stack):
-        focus = rebuild(node, kids[:i] + [focus] + kids[i + 1:])
+        kids = [focus if j == i else unload(*k) if type(k) is tuple else k
+                for j, k in enumerate(kids)]
+        focus = rebuild(node, kids)
     return focus
 
 
@@ -127,13 +168,48 @@ def _path(stack: list[Frame]) -> str:
     return ".".join(str(frame[1]) for frame in stack)
 
 
-def _seek(stack: list[Frame], focus: Term
-          ) -> tuple[Term, tuple[Term, str] | None]:
+def _climb(stack: list[Frame]) -> int:
+    """How many frames up a value landing at the focus can have made a
+    redex: 1 when it is child 0 of a parent that is no value, 2 when it
+    is child 0 of a pair in child 0 of a recursor, else 0."""
+    if stack and stack[-1][1] == 0:
+        parent = type(stack[-1][0])
+        if parent not in VALUES:
+            return 1
+        if (parent is Pair and len(stack) > 1 and stack[-2][1] == 0
+                and type(stack[-2][0]) is Rec):
+            return 2
+    return 0
+
+
+_WHNF = "whnf"  # what _seek returns with a subterm for the loop
+_LOOP = frozenset((App, LetPair, Rec))  # the non-values the loop reduces
+
+
+def _seek(stack: list[Frame], focus, closed: bool = False):
     """Walk on in pre-order from focus, which the frames place in the
     whole term, to the next redex: return it and its contraction. On
     reaching the end, return the whole term (the frames are used up)
-    and None."""
+    and None. With closed, stop first at a closed App, LetPair or Rec
+    node, or at a closure that is not a value, and return it and _WHNF;
+    a closure that is a pair or S is entered part by part."""
     while True:
+        if closed:
+            if type(focus) is tuple:  # a closed part of a value
+                t, env = focus
+                while type(t) is Var:
+                    t, env = take(t.name, env)
+                cls = type(t)
+                if t.fv and (cls is Pair or cls is Suc):
+                    kids = [(k, env) for k in children(t)]
+                    stack.append([t, 0, kids, True])
+                    focus = kids[0]
+                    continue
+                if t.fv and cls is not Lam:
+                    return (t, env), _WHNF
+                focus = unload(t, env)
+            if type(focus) in _LOOP and not focus.fv:
+                return focus, _WHNF
         r = step_root(focus)
         if r is not None:
             assert r[0].fv == focus.fv, \
@@ -171,32 +247,99 @@ def step_lo(t: Term) -> Stepped | None:
     return Stepped(_plug(stack, r[0]), r[1], _path(stack))
 
 
+def _enclose(focus: Term, frames) -> list[Term]:
+    """The loop's frames around focus as the nodes they stand for,
+    innermost first: focus, then one node per APP, LET or REC frame and
+    two per HEAD frame, a pair and the recursor over it."""
+    nodes = [focus]
+    while frames is not None:
+        frame, frames = top_frame(frames)
+        match _frame(*frame):
+            case Plain(arg):
+                focus = App(focus, arg)
+            case LetK(x, y, body):
+                focus = LetPair(focus, x, y, body)
+            case RecK(u, v, w):
+                focus = Rec(focus, u, v, w)
+            case RecK2(q, u, v, w):
+                focus = Pair(focus, q)
+                nodes.append(focus)
+                focus = Rec(focus, u, v, w)
+        nodes.append(focus)
+    return nodes
+
+
+# The engine row of a closed subterm (see evaluation.EVALUATOR): values
+# and pushes are free, so the loop charges just the rules it shares with
+# leftmost-outermost reduction, and a stop carries the term it stopped
+# at and the frames above it.
+NORMALIZER = (0, 0,
+              lambda t, env, frames: OutOfFuel(unload(t, env), frames),
+              lambda reason, t, env, frames: Stuck(reason,
+                                                   (unload(t, env), frames)))
+
+
 OnStep = Callable[[int, str, str, Term], None]
 
 
-def _normalize_with(t: Term, fuel: int | Fuel,
-                    on_step: OnStep | None) -> Term | FuelExhausted:
+def _observer(stack: list[Frame], budget: int, on_step: OnStep):
+    """whnf's observe hook for a closed subterm at the zipper's focus:
+    each rule it fires, reported as the normaliser's step."""
+    def observe(remaining, t, env, frames, cls, kind):
+        if cls not in VALUES or kind == REC:  # a push, or no rule
+            return
+        if kind == HEAD:
+            rule = "RecZero" if cls is Zero else "RecSuc"
+        else:
+            rule = "Beta" if kind == APP else "Let"
+        nodes = _enclose(unload(t, env), frames)
+        # Rec2's redex is the recursor below the APP frame it pushed
+        depth = len(nodes) - (2 if rule == "RecSuc" else 1)
+        path = [str(frame[1]) for frame in stack] + ["0"] * depth
+        on_step(budget - remaining, rule, ".".join(path),
+                _plug(stack, nodes[-1]))
+    return observe
+
+
+def _normalize_with(t: Term, fuel: int | Fuel, on_step: OnStep | None,
+                    closed: bool = True) -> Term | FuelExhausted:
+    """Leftmost-outermost reduction on the zipper; with closed, every
+    closed App, LetPair and Rec node runs on the environment loop."""
     cell = Fuel.of(fuel)
     budget = cell.remaining
     stack: list[Frame] = []
     focus = t
+    observe = None
+    if closed and on_step is not None:
+        observe = _observer(stack, budget, on_step)
     try:
         while True:
-            focus, r = _seek(stack, focus)
+            focus, r = _seek(stack, focus, closed)
             if r is None:
                 return focus
-            cell.tick()
-            focus = r[0]
-            if on_step is not None:
-                on_step(budget - cell.remaining, r[1], _path(stack),
-                        _plug(stack, focus))
-            # a value in child 0 can make the parent a redex, and the
-            # grandparent when the parent is its child 0
-            if type(focus) in VALUES and stack and stack[-1][1] == 0:
+            if r is _WHNF:
+                try:
+                    v, env = whnf(focus, cell, NORMALIZER, observe=observe)
+                except Stuck as e:  # no rule of the loop's: walk on there
+                    nodes = _enclose(*e.at)
+                    stack.extend([node, 0, list(children(node)), False]
+                                 for node in reversed(nodes[1:]))
+                    focus = nodes[0]
+                    continue
+                up = _climb(stack)
+                focus = unload(v, env) if up else (v, env)
+            else:
+                cell.tick()
+                focus = r[0]
+                if on_step is not None:
+                    on_step(budget - cell.remaining, r[1], _path(stack),
+                            _plug(stack, focus))
+                up = _climb(stack) if type(focus) in VALUES else 0
+            for _ in range(up):
                 focus = _up(stack, focus)
-                if stack and stack[-1][1] == 0:
-                    focus = _up(stack, focus)
-    except OutOfFuel:
+    except OutOfFuel as e:
+        if e.args:  # the loop's, where it stopped
+            focus = _enclose(*e.args)[-1]
         return FuelExhausted(_plug(stack, focus))
 
 

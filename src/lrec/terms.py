@@ -22,9 +22,10 @@ here: an engine takes a budget or a `Fuel` cell, which it leaves holding
 what remains, and returns its bare result (a term, a number, a PCF
 value), a `FuelExhausted` or a `Stuck`. `drive` runs an engine's loop
 that way; `read_numeral` is the one numeral readback loop. The
-evaluators and the machine are one loop, `evaluation.whnf`, with two
-rows of costs: it substitutes nothing, runs on the linear environments
-defined here, and `unload` rebuilds the terms it shows.
+evaluators, the machine and the normaliser's closed subterms run on one
+loop, `evaluation.whnf`, with three rows of costs: it substitutes
+nothing, runs on the linear environments defined here, and `unload`
+rebuilds the terms it shows.
 
 Every other value class of the package (types, PCF terms, machine
 frames, outcomes, linearity violations) is a `Record`: a plain slotted

@@ -2,8 +2,12 @@
 
 `normalize` resumes at each contractum instead of searching again from
 the root, climbing to the parent only when a value lands in its child 0
-and on to the grandparent only when the parent is its child 0. These
-tests pin down that it still fires the first redex in pre-order at
+and the parent is no value, or to the grandparent when that is a
+recursor and the parent its pair. It hands each closed subterm that is
+not a value to the environment loop, which stops where fuel runs out or
+where it has no rule; the oracle checks both stops at every budget, and
+the numerals the loop's closures are read back into. These tests pin
+down that it still fires the first redex in pre-order at
 every step, that it needs no recursion, that it re-tests no parent it
 need not, that it does a bounded number of root-rule checks per step,
 and that the invariant which makes the resumption sound is checked.
@@ -186,25 +190,31 @@ def test_a_numeral_under_a_recursor_pair_makes_the_grandparent_fire(
 
 
 def test_a_value_in_child_1_does_not_retest_the_parent(monkeypatch):
-    out, steps, asked = _checks(monkeypatch, "<0, (\\x. x) (\\y. y)>")
-    assert steps == [("Beta", "1", "<0, \\y. y>")]
-    assert asked == ["<0, (\\x. x) (\\y. y)>", "0", "(\\x. x) (\\y. y)",
-                     "\\y. y", "y"]
+    # the redex is open, so the zipper contracts it, not the loop
+    out, steps, asked = _checks(monkeypatch, "\\z. <0, (\\x. <x, z>) 0>")
+    assert steps == [("Beta", "0.1", "\\z. <0, <0, z>>")]
+    assert asked == ["\\z. <0, (\\x. <x, z>) 0>", "<0, (\\x. <x, z>) 0>",
+                     "0", "(\\x. <x, z>) 0", "<0, z>", "0", "z"]
 
 
 def test_a_non_value_in_child_0_does_not_retest_the_parent(monkeypatch):
-    # the first contractum, an application, lands in the root's child 0:
-    # the root is re-tested only once the second lands there as a λ
+    # the first contractum, an application, lands in the body's child 0:
+    # the body is re-tested only once the second lands there as a λ; the
+    # redexes are open (z), so the zipper contracts them, until the last,
+    # a closed one, which the loop contracts without a root-rule test
     out, steps, asked = _checks(
-        monkeypatch, "(\\f. f (\\w. w)) (\\y. y) 0")
-    assert [s[:2] for s in steps] == [("Beta", "0"), ("Beta", "0"),
-                                      ("Beta", "")]
-    assert asked == ["(\\f. f (\\w. w)) (\\y. y) 0",
-                     "(\\f. f (\\w. w)) (\\y. y)",
-                     "(\\y. y) (\\w. w)",
-                     "(\\w. w) 0",
-                     "0"]
-    assert out == "0"
+        monkeypatch, "\\z. (\\f. (\\y. \\v. <y v, z>) f) (\\w. w) 0")
+    assert [s[:2] for s in steps] == [("Beta", "0.0"), ("Beta", "0.0"),
+                                      ("Beta", "0"), ("Beta", "0.0")]
+    assert asked == ["\\z. (\\f. (\\y v. <y v, z>) f) (\\w. w) 0",
+                     "(\\f. (\\y v. <y v, z>) f) (\\w. w) 0",
+                     "(\\f. (\\y v. <y v, z>) f) (\\w. w)",
+                     "(\\y v. <y v, z>) (\\w. w)",
+                     "(\\v. <(\\w. w) v, z>) 0",
+                     "<(\\w. w) 0, z>",
+                     "0",
+                     "z"]
+    assert out == "\\z. <0, z>"
 
 
 def test_fuel_cell_holds_the_steps_taken():
@@ -213,6 +223,44 @@ def test_fuel_cell_holds_the_steps_taken():
     steps = []
     normalize(_pred(3), 1000, on_step=lambda i, *rest: steps.append(i))
     assert 1000 - cell.remaining == steps[-1] == len(steps)
+
+
+def _budgets(make):
+    """(fuel, the oracle's outcome) for every budget from 0 to the steps
+    the term takes, read off one oracle run: a budget of k stops at the
+    term after k steps."""
+    lines, end = _oracle(make(), 10**6)
+    terms = [pretty(make())] + [line[3] for line in lines]
+    for fuel in range(len(lines)):
+        yield fuel, (lines[:fuel], ("fuel-exhausted", terms[fuel]))
+    yield len(lines), (lines, end)
+
+
+# closed terms the loop gets stuck on: it applies a pair, splits a
+# number, recurses on a λ
+STUCK = ["<(\\x. x) 0, 1> 2", "let <a, b> = 0 in <a, b>",
+         "rec(<\\x. x, 0>, 0, \\y. y, \\z. z)"]
+
+
+def test_every_fuel_budget_stops_where_the_oracle_does():
+    # the budgets run out in APP, LET, REC and HEAD frames, and right
+    # after Rec2
+    makers = [(name, lambda name=name: _load(str(CORPUS / name), "lrec")[0])
+              for name in ("add23.lrec", "fact4.lrec", "mult34.lrec")]
+    makers += [(f"@pred {n}", lambda n=n: _pred(n)) for n in range(3, 7)]
+    makers += [(src, lambda src=src: parse(src)) for src in STUCK]
+    for name, make in makers:
+        for fuel, want in _budgets(make):
+            assert _zipper(normalize, make(), fuel) == want, (name, fuel)
+
+
+def test_long_numerals_match_the_oracle():
+    for src in ("@factorial 6", "@mult 12 12"):
+        def make(src=src):
+            return parse(src, resolve=lambda name, arg: catalog_lookup(name))
+        want = _oracle(make(), 10**6)
+        assert want[1][0] == "normal-form"
+        assert _zipper(normalize, make(), 10**6) == want, src
 
 
 @pytest.mark.skipif(not __debug__, reason="the guard is a debug assertion")
@@ -225,7 +273,7 @@ def test_a_contraction_that_changes_free_variables_trips_the_guard(
 
     monkeypatch.setattr(reduction, "step_root", leaky)
     with pytest.raises(AssertionError, match="Leak changed the free variables"):
-        _normalize_with(parse("<0, (\\x. x) 0>"), 10, None)
+        _normalize_with(parse("\\z. (\\x. <x, z>) 0"), 10, None)
     with pytest.raises(AssertionError, match="Leak changed the free variables"):
         step_lo(parse("(\\x. x) 0"))
 

@@ -5,8 +5,9 @@ resolve, such as `lrec.cli.normalize`. A refactor that moves a call off
 those names would silently zero a per-layer metric, so each command
 below runs under the tracer and must record a call in each of its spans.
 The evaluators and the machine run on environments, so their commands
-must record no `terms.subst` call at all, while `normalize` still
-substitutes and keeps the binding guarded.
+must record no `terms.subst` call at all. So must `normalize` on a
+closed input, which it runs on the same loop; it substitutes only in an
+open redex, and one such input keeps the binding guarded.
 """
 
 import contextlib
@@ -35,7 +36,7 @@ CASES = [
      ["evaluation.force_numeral"]),
     (["machine", "{add23}"], ["machine.run"]),
     (["machine", "--force-nat", "{add23}"], ["machine.force_numeral"]),
-    (["normalize", "{add23}"], ["reduction.normalize", "terms.subst"]),
+    (["normalize", "{open}"], ["reduction.normalize", "terms.subst"]),
     (["normalize", "--calculus", "llcim", "{lin}"], ["minext.normalize_m"]),
     (["pcf", "eval", "{shared}"], ["pcf.parse", "pcf.check", "pcf.eval"]),
     (["pcf", "compile", "{shared}"], ["pcf.compile", "pcf.close_var_calls"]),
@@ -47,7 +48,8 @@ CASES = [
 
 SUBST_FREE = [["eval", "{add23}"],
               ["eval", "--strategy", "cbv", "--force-nat", "{add23}"],
-              ["machine", "--force-nat", "{add23}"]]
+              ["machine", "--force-nat", "{add23}"],
+              ["normalize", "{add23}"]]
 
 
 def _tracer_module():
@@ -73,10 +75,12 @@ def tracer():
 def inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("traced")
     (d / "lin.lrec").write_text(pretty(App(lin_pred(), numeral(2))))
+    (d / "open.lrec").write_text("\\z. (\\x. <x, z>) 0")  # an open redex
     (d / "corpus").mkdir()
     for name in ("id0.lrec", "beta.pcf"):
         shutil.copy(CORPUS / name, d / "corpus" / name)
     return {"add23": str(CORPUS / "add23.lrec"), "lin": str(d / "lin.lrec"),
+            "open": str(d / "open.lrec"),
             "shared": str(CORPUS / "shared.pcf"), "dir": str(d / "corpus")}
 
 
