@@ -9,9 +9,10 @@ push a frame, which their value pops. That is the evaluator
 defunctionalised, and so a stack machine (Ager, Biernacki, Danvy and
 Midtgaard, PPDP 2003): the machine (see `machine`) is this loop on
 another engine row, the costs of a value and a push plus how a stopped
-run is reported, and `reduction.normalize` runs each closed subterm on
-a third. The loop tests costs, never the engine. `top_frame` reads its
-stack, for the machine's configurations and the normaliser's terms.
+run is reported, and an untraced `reduction.normalize` runs each closed
+subterm on a third, which reports a stop as the machine does. The loop
+tests costs, never the engine. `top_frame` reads its stack, for the
+machine's configurations.
 
 The loop substitutes nothing. It runs a term under a linear environment
 (see `terms`): where a rule substitutes, it binds a closure in a cell,

@@ -17,7 +17,8 @@ readback are the engines' shared ones (see `terms`).
 The observable `MachineConfig`, whose code and top-first tuple of
 markers hold terms rebuilt by `terms.unload`, is made only when someone
 looks: an `on_step` observer, which converts only the top entry after a
-transition, and the configuration a run stops at.
+transition, and the configuration a run stops at, which is also how the
+normaliser's loop (`reduction.NORMALIZER`) reports a stop.
 """
 
 from __future__ import annotations

@@ -71,6 +71,12 @@ _TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
     ("bad", r"."),
 )), re.DOTALL)
 
+# The largest numeral literal, in both languages. A numeral is a chain
+# of S nodes, so a literal's value bounds the term every command builds
+# from it; a longer run of digits is refused before int() reads it.
+MAX_NAT = 100_000
+_NAT_DIGITS = len(str(MAX_NAT))
+
 _new_token = tuple.__new__  # Token(...) without namedtuple's Python-level __new__
 
 
@@ -96,6 +102,11 @@ def lex(src: str) -> list[Token]:
                 raise ParseError(f"unexpected character {text[0]!r}", line, col)
         elif kind == "bad":
             raise ParseError(f"unexpected character {text!r}", line, col)
+        elif kind == "nat" and len(text) >= _NAT_DIGITS:
+            text = text.lstrip("0") or "0"  # so int() reads a short run
+            if len(text) > _NAT_DIGITS or int(text) > MAX_NAT:
+                raise ParseError(f"numeral literal larger than {MAX_NAT}",
+                                 line, col)
         append(_new_token(Token, (kind, text, line, col)))
     append(Token("eof", "", line, len(src) - start + 1))
     return out

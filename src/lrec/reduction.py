@@ -48,7 +48,7 @@ head redex lacks the value its rule needs in child 0. So the
 leftmost-outermost steps of a closed term, up to its weak head normal
 form, are call by name's App, Let, Rec1 and Rec2, in that order. The
 loop runs on its own engine row, which charges only those four, so
-fuel, step counts and traces are the zipper's. The handoff:
+fuel and step counts are the zipper's. The handoff:
 
 - The zipper enters such a node, or a part of a value the loop
   returned that is no value, and the loop runs it to a value. Where
@@ -57,27 +57,28 @@ fuel, step counts and traces are the zipper's. The handoff:
   it: a pair's or S's parts stay closures, entered in turn (a numeral
   is built once, as `terms.read_numeral` reads one), and a λ is
   rebuilt, since its body is open.
-- Exhausted fuel stops the loop before the rule it cannot pay for, and
-  the normaliser reports the whole term there, as the zipper would.
+- The loop reports a stop as the machine does, with its configuration
+  (`machine.MachineConfig`): the code, and the markers of its stack,
+  which stand for the nodes above the code. Exhausted fuel stops the
+  loop before the rule it cannot pay for, and the normaliser reports
+  the whole term there, as the zipper would.
 - Where the loop has no rule (it applies a pair, splits a number, or
-  meets an Iter or Min node), the node it stopped at and the frames
+  meets an Iter or Min node), the code it stopped at and the nodes
   above it become the zipper's focus and frames. That node is a value,
   an Iter or a Min, none of which the zipper hands to the loop, so the
   zipper walks on from it and hands on the closed subterms it meets.
-- A step's path is the zipper's path to the subterm, then one `0` per
-  APP, LET or REC frame of the loop and `0.0` per HEAD frame, which
-  stands for a recursor and its pair. After Rec2 the redex was the
-  recursor under the new APP frame, so the frames below that one give
-  the path. `normalize_m` keeps to the zipper, since the loop has no
-  Iter or Min rule.
+
+A traced run (one with `on_step`) and `normalize_m` keep to the zipper:
+a traced step builds the whole term anyway, so the loop saves nothing
+there, and the loop has no Iter or Min rule.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-from .evaluation import APP, HEAD, REC, top_frame, whnf
-from .machine import LetK, Plain, RecK, RecK2, _frame
+from .evaluation import whnf
+from .machine import MACHINE, LetK, MachineConfig, Plain, RecK, RecK2
 from .terms import (VALUES, App, ContractViolation, Fuel, FuelExhausted,
                     Iter, Lam, LetPair, Min, OutOfFuel, Pair, Rec, Record,
                     Stuck, Suc, Term, Var, Zero, children, pretty, rebuild,
@@ -247,14 +248,14 @@ def step_lo(t: Term) -> Stepped | None:
     return Stepped(_plug(stack, r[0]), r[1], _path(stack))
 
 
-def _enclose(focus: Term, frames) -> list[Term]:
-    """The loop's frames around focus as the nodes they stand for,
-    innermost first: focus, then one node per APP, LET or REC frame and
-    two per HEAD frame, a pair and the recursor over it."""
+def _enclose(config: MachineConfig) -> list[Term]:
+    """The markers of a stopped loop's stack around its code, as the
+    nodes they stand for, innermost first: the code, then one node per
+    marker, and for a RecK2 two, a pair and the recursor over it."""
+    focus = config.code
     nodes = [focus]
-    while frames is not None:
-        frame, frames = top_frame(frames)
-        match _frame(*frame):
+    for marker in config.stack:
+        match marker:
             case Plain(arg):
                 focus = App(focus, arg)
             case LetK(x, y, body):
@@ -271,47 +272,23 @@ def _enclose(focus: Term, frames) -> list[Term]:
 
 # The engine row of a closed subterm (see evaluation.EVALUATOR): values
 # and pushes are free, so the loop charges just the rules it shares with
-# leftmost-outermost reduction, and a stop carries the term it stopped
-# at and the frames above it.
-NORMALIZER = (0, 0,
-              lambda t, env, frames: OutOfFuel(unload(t, env), frames),
-              lambda reason, t, env, frames: Stuck(reason,
-                                                   (unload(t, env), frames)))
+# leftmost-outermost reduction, and a stop carries the machine's
+# configuration there.
+NORMALIZER = (0, 0) + MACHINE[2:]
 
 
 OnStep = Callable[[int, str, str, Term], None]
 
 
-def _observer(stack: list[Frame], budget: int, on_step: OnStep):
-    """whnf's observe hook for a closed subterm at the zipper's focus:
-    each rule it fires, reported as the normaliser's step."""
-    def observe(remaining, t, env, frames, cls, kind):
-        if cls not in VALUES or kind == REC:  # a push, or no rule
-            return
-        if kind == HEAD:
-            rule = "RecZero" if cls is Zero else "RecSuc"
-        else:
-            rule = "Beta" if kind == APP else "Let"
-        nodes = _enclose(unload(t, env), frames)
-        # Rec2's redex is the recursor below the APP frame it pushed
-        depth = len(nodes) - (2 if rule == "RecSuc" else 1)
-        path = [str(frame[1]) for frame in stack] + ["0"] * depth
-        on_step(budget - remaining, rule, ".".join(path),
-                _plug(stack, nodes[-1]))
-    return observe
-
-
 def _normalize_with(t: Term, fuel: int | Fuel, on_step: OnStep | None,
                     closed: bool = True) -> Term | FuelExhausted:
     """Leftmost-outermost reduction on the zipper; with closed, every
-    closed App, LetPair and Rec node runs on the environment loop."""
+    closed App, LetPair and Rec node runs on the environment loop, whose
+    steps on_step does not see."""
     cell = Fuel.of(fuel)
     budget = cell.remaining
     stack: list[Frame] = []
     focus = t
-    observe = None
-    if closed and on_step is not None:
-        observe = _observer(stack, budget, on_step)
     try:
         while True:
             focus, r = _seek(stack, focus, closed)
@@ -319,9 +296,9 @@ def _normalize_with(t: Term, fuel: int | Fuel, on_step: OnStep | None,
                 return focus
             if r is _WHNF:
                 try:
-                    v, env = whnf(focus, cell, NORMALIZER, observe=observe)
+                    v, env = whnf(focus, cell, NORMALIZER)
                 except Stuck as e:  # no rule of the loop's: walk on there
-                    nodes = _enclose(*e.at)
+                    nodes = _enclose(e.at)
                     stack.extend([node, 0, list(children(node)), False]
                                  for node in reversed(nodes[1:]))
                     focus = nodes[0]
@@ -339,7 +316,7 @@ def _normalize_with(t: Term, fuel: int | Fuel, on_step: OnStep | None,
                 focus = _up(stack, focus)
     except OutOfFuel as e:
         if e.args:  # the loop's, where it stopped
-            focus = _enclose(*e.args)[-1]
+            focus = _enclose(e.args[0])[-1]
         return FuelExhausted(_plug(stack, focus))
 
 
@@ -348,8 +325,9 @@ def normalize(t: Term, fuel: int | Fuel,
     """Leftmost-outermost reduction to normal form, at most fuel steps.
     fuel is a budget, or a Fuel cell that is left holding what remains.
     on_step(i, rule, path, term) observes each step, for tracing; the
-    path and the whole term are built only for it."""
-    return _normalize_with(t, fuel, on_step)
+    path and the whole term are built only for it, and a traced run
+    keeps to the zipper."""
+    return _normalize_with(t, fuel, on_step, closed=on_step is None)
 
 
 def enumerate_redexes(t: Term) -> list[tuple[int, ...]]:

@@ -16,7 +16,7 @@ import lrec.cli
 from lrec.cli import main
 from lrec.evaluation import eval_cbn, eval_cbv, force_numeral
 from lrec.machine import machine_force_numeral, run
-from lrec.parser import parse, parse_type
+from lrec.parser import MAX_NAT, ParseError, lex, parse, parse_type
 from lrec.terms import (App, Fuel, Lam, LetPair, Pair, Term, Var, alpha_eq,
                         numeral)
 from lrec.types import NAT, check
@@ -551,6 +551,32 @@ def test_deep_nesting_is_bad_input(capsys, tmp_path, argv, text):
     code, out, err = run_cli(capsys, *argv, write(tmp_path, "deep.lrec", text))
     assert (code, out) == (1, "")
     assert err == "invalid input: nested too deeply\n"
+
+
+@pytest.mark.parametrize("text,where", [
+    ("9" * 5000, "line 1, col 1"), ("100001", "line 1, col 1"),
+    ("-- after a comment\n  100001", "line 2, col 3"),
+    ("0" * 5000 + "100001", "line 1, col 1")],
+    ids=["5000 digits", "just over", "on line 2", "zero-padded"])
+@pytest.mark.parametrize("argv,suffix", [
+    (["check"], ".lrec"), (["normalize"], ".lrec"),
+    (["pcf", "eval"], ".pcf"), (["pcf", "compile"], ".pcf")],
+    ids=["check", "normalize", "pcf eval", "pcf compile"])
+def test_a_numeral_over_the_limit_is_bad_input(capsys, tmp_path, argv,
+                                               suffix, text, where):
+    code, out, err = run_cli(capsys, *argv, write(tmp_path, "big" + suffix,
+                                                  text))
+    assert (code, out) == (1, "")
+    assert err == f"syntax: {where}: numeral literal larger than {MAX_NAT}\n"
+
+
+def test_the_numeral_limit_is_inclusive():
+    for text, n in (("100000", 100_000), ("0" * 5000 + "100000", 100_000),
+                    ("99999", 99_999), ("007", 7)):
+        assert [tok.kind for tok in lex(text)] == ["nat", "eof"], n
+        assert alpha_eq(parse(text), numeral(n)), n
+    with pytest.raises(ParseError, match="larger than 100000"):
+        lex("100001")
 
 
 def test_difftest_skips_non_utf8_files(capsys, tmp_path):

@@ -67,6 +67,12 @@ def cases(work: Path) -> dict[str, list[str]]:
                        ("machine", ["machine"]),
                        ("machine-nat", ["machine", "--force-nat"])):
         out[f"{name} stuck"] = [*argv, stuck, "--fuel", FUEL]
+    for size in ("long", "over"):  # numeral literals past the limit
+        for name, argv, suffix in (("check", ["check"], ".lrec"),
+                                   ("normalize", ["normalize"], ".lrec"),
+                                   ("pcf-eval", ["pcf", "eval"], ".pcf"),
+                                   ("pcf-compile", ["pcf", "compile"], ".pcf")):
+            out[f"{name} {size}-literal"] = [*argv, str(work / (size + suffix))]
     out["eval no-fuel"] = ["eval", str(CORPUS / "id0.lrec"), "--fuel", "0"]
     out["difftest"] = ["difftest", str(work / "corpus"), "--n", "30",
                        "--fuel", FUEL]
@@ -75,9 +81,13 @@ def cases(work: Path) -> dict[str, list[str]]:
 
 def prepare(work: Path):
     """Write the generated inputs: lin_pred 3, an untypable term that
-    gets stuck, and a copy of the .lrec corpus."""
+    gets stuck, numeral literals of 5,000 digits and just over the
+    limit, and a copy of the .lrec corpus."""
     (work / "lin_pred.lrec").write_text(pretty(App(lin_pred(), numeral(3))))
     (work / "stuck.lrec").write_text("0 0")
+    for suffix in (".lrec", ".pcf"):
+        (work / ("long" + suffix)).write_text("9" * 5000)
+        (work / ("over" + suffix)).write_text("100001")
     (work / "corpus").mkdir()
     for f in CORPUS.glob("*.lrec"):
         shutil.copy(f, work / "corpus" / f.name)

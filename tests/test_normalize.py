@@ -3,14 +3,16 @@
 `normalize` resumes at each contractum instead of searching again from
 the root, climbing to the parent only when a value lands in its child 0
 and the parent is no value, or to the grandparent when that is a
-recursor and the parent its pair. It hands each closed subterm that is
-not a value to the environment loop, which stops where fuel runs out or
-where it has no rule; the oracle checks both stops at every budget, and
-the numerals the loop's closures are read back into. These tests pin
-down that it still fires the first redex in pre-order at
-every step, that it needs no recursion, that it re-tests no parent it
-need not, that it does a bounded number of root-rule checks per step,
-and that the invariant which makes the resumption sound is checked.
+recursor and the parent its pair. A traced run keeps to the zipper; an
+untraced one hands each closed subterm that is not a value to the
+environment loop, which stops where fuel runs out or where it has no
+rule. The oracle checks every traced run's steps, and every untraced
+run's outcome and fuel spent, at every budget, on the numerals the
+loop's closures are read back into too. These tests pin down that it
+still fires the first redex in pre-order at every step, that it needs
+no recursion, that it re-tests no parent it need not, that the zipper
+does a bounded number of root-rule checks per step, and that the
+invariant which makes the resumption sound is checked.
 The oracle also checks that `enumerate_redexes` lists every redex.
 Neither walk keeps state between calls: the same term object costs the
 same root-rule checks every time it is normalised or enumerated.
@@ -69,13 +71,32 @@ def _oracle(t, fuel: int):
         lines.append((i, rule, ".".join(map(str, paths[0])), pretty(t)))
 
 
+def _outcome(out):
+    if isinstance(out, FuelExhausted):
+        return "fuel-exhausted", pretty(out.at)
+    return "normal-form", pretty(out)
+
+
 def _zipper(engine, t, fuel: int):
+    """A traced run: its steps, as _oracle lists them, and its outcome."""
     lines = []
     out = engine(t, fuel, on_step=lambda i, rule, path, term:
                  lines.append((i, rule, path, pretty(term))))
-    if isinstance(out, FuelExhausted):
-        return lines, ("fuel-exhausted", pretty(out.at))
-    return lines, ("normal-form", pretty(out))
+    return lines, _outcome(out)
+
+
+def _untraced(t, fuel: int):
+    """An untraced normalize, which runs closed subterms on the loop:
+    its outcome and the fuel it spent, to match the oracle's outcome and
+    step count."""
+    cell = Fuel(fuel)
+    out = normalize(t, cell)
+    return _outcome(out), fuel - cell.remaining
+
+
+def _matches(want):
+    """What _untraced gives where the oracle gives want."""
+    return want[1], len(want[0])
 
 
 def _inputs():
@@ -104,6 +125,7 @@ def test_normalize_matches_the_first_redex_oracle():
             want = _oracle(make(), fuel)
             got = _zipper(normalize, make(), fuel)
         assert got == want, name
+        assert _untraced(make(), fuel) == _matches(want), name
         checked += 1
         if want[1][0] == "fuel-exhausted":
             exhausted.add(name)
@@ -131,10 +153,12 @@ def test_root_rule_checks_per_step_are_bounded(monkeypatch):
         calls += 1
         return step_root(t)
 
+    # on the zipper alone: the loop would run @pred 60, which is closed,
+    # with next to no root-rule checks
     t = _pred(60)
     cell = Fuel(100_000)
     monkeypatch.setattr(reduction, "step_root", counting)
-    got = normalize(t, cell)
+    got = _normalize_with(t, cell, None, closed=False)
     assert pretty(got) == "59"
     # a restart from the root costs about 92 checks per step here
     assert calls / (100_000 - cell.remaining) <= 4
@@ -151,26 +175,28 @@ def test_at_most_two_root_rule_checks_per_step(monkeypatch):
     t = _pred(60)
     cell = Fuel(100_000)
     monkeypatch.setattr(reduction, "step_root", counting)
-    assert pretty(normalize(t, cell)) == "59"
+    assert pretty(_normalize_with(t, cell, None, closed=False)) == "59"
     # climbing two frames after every contraction costs about 3 here
     assert calls / (100_000 - cell.remaining) <= 2
 
 
 def _checks(monkeypatch, src: str, fuel: int = 100):
-    """The steps of normalize on src, and every term step_root was asked
-    about, in order."""
-    asked, steps = [], []
+    """The normal form and steps of normalize on src, and every term
+    step_root was asked about, in order, by an untraced run (which hands
+    closed subterms to the loop; a traced one keeps to the zipper)."""
+    asked = []
 
     def recording(t):
         asked.append(pretty(t))
         return step_root(t)
 
     monkeypatch.setattr(reduction, "step_root", recording)
-    out = normalize(parse(src), fuel, on_step=lambda i, rule, path, term:
-                    steps.append((rule, path, pretty(term))))
+    out = _outcome(normalize(parse(src), fuel))
     monkeypatch.undo()
-    assert _zipper(normalize, parse(src), fuel) == _oracle(parse(src), fuel)
-    return pretty(out), steps, asked
+    steps, end = _zipper(normalize, parse(src), fuel)
+    assert (steps, end) == _oracle(parse(src), fuel)
+    assert out == end
+    return end[1], [step[1:] for step in steps], asked
 
 
 def test_a_numeral_under_a_recursor_pair_makes_the_grandparent_fire(
@@ -252,6 +278,7 @@ def test_every_fuel_budget_stops_where_the_oracle_does():
     for name, make in makers:
         for fuel, want in _budgets(make):
             assert _zipper(normalize, make(), fuel) == want, (name, fuel)
+            assert _untraced(make(), fuel) == _matches(want), (name, fuel)
 
 
 def test_long_numerals_match_the_oracle():
@@ -261,6 +288,7 @@ def test_long_numerals_match_the_oracle():
         want = _oracle(make(), 10**6)
         assert want[1][0] == "normal-form"
         assert _zipper(normalize, make(), 10**6) == want, src
+        assert _untraced(make(), 10**6) == _matches(want), src
 
 
 @pytest.mark.skipif(not __debug__, reason="the guard is a debug assertion")
