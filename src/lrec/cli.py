@@ -46,7 +46,7 @@ from .machine import MachineConfig, machine_force_numeral, run
 from .minext import mtype, normalize_m
 from .parser import LinearityError, ParseError, parse_defs, parse_type
 from .pcf import (NumConst, PcfTerm, compile_pcf, parse_pcf_defs, pcf_check,
-                  pcf_eval, pcf_fv, pcf_pretty, pcf_type_pretty)
+                  pcf_eval, pcf_pretty, pcf_type_pretty)
 from .reduction import normalize
 from .stdlib import catalog_lookup, catalog_names
 from .terms import (ContractViolation, Fuel, FuelExhausted, Lam, Pair, Stuck,
@@ -96,10 +96,6 @@ def _report(args, outcome: str, fuel_used: int | None, wall_ms: float,
                              wall_ms) + "\n")
 
 
-def _resolver(name: str, arg: str | None) -> Term | None:
-    return catalog_lookup(name, parse_type(arg) if arg is not None else None)
-
-
 def _text(data: bytes) -> str:
     """Source bytes as text; a byte that is not UTF-8 is a syntax error."""
     try:
@@ -113,7 +109,7 @@ def _text(data: bytes) -> str:
 def _load(path: str, calculus: str) -> tuple[Term, bytes]:
     with open(path, "rb") as fh:
         data = fh.read()
-    _, prog = parse_defs(_text(data), calculus, _resolver)
+    _, prog = parse_defs(_text(data), calculus)
     return prog, data
 
 
@@ -132,8 +128,8 @@ def _engine(args, source: bytes, fn, t, word: str = "value",
     `word` names a success in the record: value, halted or normal-form.
     A readback's None (not a number) is stuck; `noun` names its result.
     A result prints by its type: a number, a PCF value or a term. A
-    command prints the result, or on a nonzero code the diagnostic, and
-    appends its --report record; difftest names its record `stream` and
+    command appends its --report record, then prints the result, or on a
+    nonzero code the diagnostic; difftest names its record `stream` and
     prints only that. Callers name fn at call time, so a wrapper
     installed on this module sees it."""
     fuel = args.fuel if fuel is None else fuel
@@ -160,8 +156,8 @@ def _engine(args, source: bytes, fn, t, word: str = "value",
     if stream:
         print(_record(stream, source, rec, used, wall))
     else:
-        print(text, file=sys.stdout if code == 0 else sys.stderr)
         _report(args, rec, used, wall, source)
+        print(text, file=sys.stdout if code == 0 else sys.stderr)
     return out, code
 
 
@@ -172,9 +168,9 @@ def cmd_check(args) -> int:
     t0 = time.perf_counter()
     a = (mtype if args.calculus == "llcim" else infer)(t, [])
     out = type_pretty(a, ground=args.ground)
-    print(out)
     _report(args, f"type {out}", None, (time.perf_counter() - t0) * 1000,
             data)
+    print(out)
     return 0
 
 
@@ -210,7 +206,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_stdlib(args) -> int:
-    a = parse_type(args.type) if args.type else None
+    a = parse_type(args.type) if args.type is not None else None
     t = catalog_lookup(args.name, a)
     if t is None:
         return _fail(
@@ -315,8 +311,6 @@ def cmd_difftest(args) -> int:
             entries += 1
             try:
                 prog, data = _load_pcf(full)
-                if pcf_fv(prog):
-                    raise ParseError("program is open", 1, 1)
                 pa = pcf_check(prog, {})
             except (ParseError, TypingError, OSError, RecursionError) as e:
                 skip(name, e)

@@ -4,9 +4,10 @@ One token stream serves both calculi and the type language. The parser
 freshens binders after building the tree (so input may reuse names) and
 then rejects anything that is not syntactically linear.
 
-References (`@name`, `@Y[Nat]`) are resolved during parsing through a
-caller-supplied hook; a file of `name = term;` definitions resolves
-against its own earlier definitions first.
+References resolve during parsing. An untyped `@name` names an earlier
+definition of its file, or else a stdlib catalog entry; a typed one,
+`@Y[Nat]`, names a catalog entry at the type parsed between the
+brackets.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import re
 from collections import namedtuple
 from collections.abc import Callable
 
+from .stdlib import catalog_lookup
 from .terms import (App, Iter, Lam, LetPair, Min, Rec, Suc, Term, Var,
                     Violation, check_linear, freshen, mk_tuple, numeral)
-from .types import LinType, Lolli, NAT, Tensor
+from .types import LinType, Lolli, NAT, Tensor, type_pretty
 
 
 class ParseError(Exception):
@@ -118,10 +120,6 @@ _KEYWORDS = {"let", "in", "rec", "iter", "min", "S"}
 _CALLS = {"rec": ("lrec", 4, Rec), "iter": ("llcim", 3, Iter),
           "min": ("llcim", 3, Min)}
 
-# resolver: (name, type-argument text or None) -> Term, or None when unknown
-Resolver = Callable[[str, str | None], Term | None]
-
-
 class TokenStream:
     """Cursor over a token list, shared by the term, type and PCF parsers."""
 
@@ -156,10 +154,11 @@ class TokenStream:
 
 
 class _Parser(TokenStream):
-    def __init__(self, tokens: list[Token], calculus: str, resolve: Resolver | None):
+    def __init__(self, tokens: list[Token], calculus: str,
+                 local: dict[str, Term]):
         if calculus not in ("lrec", "llcim"):
             raise ValueError(f"unknown calculus {calculus!r}")
-        super().__init__(tokens, resolve)
+        super().__init__(tokens, local.get)
         self.calculus = calculus
 
     # -- terms -------------------------------------------------------------
@@ -227,17 +226,17 @@ class _Parser(TokenStream):
         if t.kind == "at":
             self.next()
             name = self.expect("ident", "a reference name").text
-            arg: str | None = None
+            a = None
             if self.peek().kind == "lbracket":
                 self.next()
-                pieces = []
-                while self.peek().kind not in ("rbracket", "eof"):
-                    pieces.append(self.next().text)
+                a = self.type_()
                 self.expect("rbracket", "']'")
-                arg = " ".join(pieces)
-            term = self.resolve(name, arg) if self.resolve else None
+            # an untyped reference names an earlier definition first
+            term = self.resolve(name) if a is None else None
             if term is None:
-                shown = f"{name}[{arg}]" if arg is not None else name
+                term = catalog_lookup(name, a)
+            if term is None:
+                shown = name if a is None else f"{name}[{type_pretty(a)}]"
                 raise ParseError(f"unknown reference @{shown}", t.line, t.col)
             return term
         if t.kind == "ident":
@@ -311,16 +310,16 @@ def _finish(t: Term) -> Term:
     return t
 
 
-def parse(text: str, calculus: str = "lrec", resolve: Resolver | None = None) -> Term:
+def parse(text: str, calculus: str = "lrec") -> Term:
     """Parse one term. Binders are freshened; non-linear terms are rejected."""
-    p = _Parser(lex(text), calculus, resolve)
+    p = _Parser(lex(text), calculus, {})
     t = p.term()
     p.expect("eof", "end of input")
     return _finish(t)
 
 
 def parse_type(text: str) -> LinType:
-    p = _Parser(lex(text), "lrec", None)
+    p = _Parser(lex(text), "lrec", {})
     a = p.type_()
     p.expect("eof", "end of input")
     return a
@@ -329,8 +328,8 @@ def parse_type(text: str) -> LinType:
 def definitions(p: TokenStream, term: Callable[[], object],
                 local: dict[str, object]) -> object:
     """The definition-file loop shared by both languages: `name = term;`
-    entries, stored in order in `local` (which the caller's resolver
-    reads, so later entries can refer to earlier ones), the last one
+    entries, stored in order in `local` (which the parser's references
+    read, so later entries can refer to earlier ones), the last one
     being the program; or else a single bare term."""
     if not (p.peek().kind == "ident" and p.peek(1).kind == "eq"):
         t = term()
@@ -350,18 +349,12 @@ def definitions(p: TokenStream, term: Callable[[], object],
     return t
 
 
-def parse_defs(text: str, calculus: str = "lrec",
-               resolve: Resolver | None = None) -> tuple[list[tuple[str, Term]], Term]:
+def parse_defs(text: str, calculus: str = "lrec"
+               ) -> tuple[list[tuple[str, Term]], Term]:
     """Parse a definition file: `name = term;` entries, the last one being
-    the program, or a single bare term. References resolve against earlier
-    definitions before falling back to the caller's resolver."""
+    the program, or a single bare term. An untyped reference resolves
+    against earlier definitions before the catalog."""
     local: dict[str, Term] = {}
-
-    def chained(name: str, arg: str | None) -> Term | None:
-        if arg is None and name in local:
-            return local[name]
-        return resolve(name, arg) if resolve else None
-
-    p = _Parser(lex(text), calculus, chained)
+    p = _Parser(lex(text), calculus, local)
     program = definitions(p, lambda: _finish(p.term()), local)
     return list(local.items()), program

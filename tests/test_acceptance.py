@@ -16,12 +16,12 @@ from lrec.evaluation import eval_cbn, eval_cbv, eval_report, force_numeral
 from lrec.gen import _Gen, random_closed
 from lrec.machine import run
 from lrec.minext import lin_pred, mu_enc, normalize_m
-from lrec.parser import parse_defs, parse_type
+from lrec.parser import parse_defs
 from lrec.pcf import NumConst, compile_pcf, parse_pcf, parse_pcf_defs, \
     pcf_check, pcf_eval
 from lrec.reduction import FuelExhausted, normalize, step_at, step_random, \
     step_root
-from lrec.stdlib import add_enc, catalog_lookup, delta, dup, erase_term, \
+from lrec.stdlib import add_enc, delta, dup, erase_term, \
     fix, identity, iszero_enc, maker, min_enc, mult_enc, pred_enc
 from lrec.terms import App, Iter, Lam, LetPair, Pair, Rec, Suc, Term, Var, \
     Zero, alpha_eq, numeral, numeral_value, pretty
@@ -49,13 +49,9 @@ class _gate:
         return False
 
 
-def _resolve(name, arg):
-    return catalog_lookup(name, parse_type(arg) if arg is not None else None)
-
-
 def _lrec_corpus():
     for p in sorted(CORPUS.glob("*.lrec")):
-        _, t = parse_defs(p.read_text(), "lrec", _resolve)
+        _, t = parse_defs(p.read_text(), "lrec")
         yield p.name, t
 
 

@@ -358,6 +358,18 @@ def test_force_nat_literal_let_reports_its_count(capsys, tmp_path):
             == rules
 
 
+@pytest.mark.parametrize("argv", [
+    ["check"], ["eval"], ["eval", "--force-nat"], ["machine"],
+    ["normalize"]])
+def test_a_report_that_cannot_be_written_prints_no_result(capsys, tmp_path,
+                                                          argv):
+    # the record is written before the result is printed
+    f = write(tmp_path, "pred3.lrec", "@pred 3")
+    code, out, err = run_cli(capsys, *argv, "--report", str(tmp_path), f)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and "Is a directory" in err
+
+
 # ----------------------------------------------------------------- stdlib
 
 def test_stdlib_prints_encoding(capsys):
@@ -379,6 +391,13 @@ def test_stdlib_unknown_and_missing_type(capsys):
     assert code == 1 and out == "" and "nosuch" in err
     code, out, err = run_cli(capsys, "stdlib", "Y")
     assert code == 1 and "--type" in err
+
+
+@pytest.mark.parametrize("name", ["I", "Y"])
+def test_stdlib_empty_type_is_a_syntax_error(capsys, name):
+    code, out, err = run_cli(capsys, "stdlib", name, "--type", "")
+    assert (code, out, err) == (1, "", "syntax: line 1, col 1: expected a "
+                                       "type\n")
 
 
 # -------------------------------------------------------------------- pcf
@@ -606,6 +625,33 @@ def test_difftest_skips_too_deep_files(capsys, tmp_path):
              if '"difftest/skip"' in line]
     assert [s["outcome"] for s in skips].count(
         "skipped: nested too deeply") == 2
+
+
+def test_difftest_skips_an_open_pcf_program(capsys, tmp_path):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    (d / "open.pcf").write_text("succ y")
+    code, out, err = run_cli(capsys, "difftest", str(d), "--n", "0")
+    assert code == 0
+    skips = [line for line in err.splitlines() if line.startswith("skipped")]
+    assert skips == ["skipped open.pcf: unbound variable y"]
+    assert [json.loads(line)["outcome"] for line in out.splitlines()] == [
+        "skipped: unbound variable y"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a = 0;\nb = 1;\n  x = @Y[Nat -o];", "line 3, col 16: expected a type"),
+    ("main = @Y[Nat -o];", "line 1, col 17: expected a type"),
+    ("main = @Y[];", "line 1, col 11: expected a type"),
+    ("@Y[Nat -o Nat ; ]", "line 1, col 15: expected ']', found ';'"),
+    ("main = @nope[(Nat)];", "line 1, col 8: unknown reference @nope[Nat]"),
+])
+def test_type_argument_diagnostics_point_into_the_file(capsys, tmp_path,
+                                                       text, message):
+    f = write(tmp_path, "t.lrec", text)
+    for argv in (["check"], ["eval"], ["normalize"]):
+        code, out, err = run_cli(capsys, *argv, f)
+        assert (code, out, err) == (1, "", f"syntax: {message}\n")
 
 
 # ----------------------------------------------------------------- main

@@ -14,7 +14,6 @@ import tracemalloc
 
 import pytest
 
-from lrec.cli import _resolver
 from lrec.evaluation import force_numeral
 from lrec.machine import machine_force_numeral
 from lrec.parser import parse
@@ -27,7 +26,7 @@ READBACKS = {
 
 
 def _peak(readback, n: int) -> int:
-    t = parse(f"@pred {n}", resolve=_resolver)
+    t = parse(f"@pred {n}")
     gc.collect()
     tracemalloc.start()
     try:

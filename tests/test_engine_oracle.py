@@ -16,7 +16,7 @@ import random
 from pathlib import Path
 
 from lrec import evaluation, machine, terms
-from lrec.cli import _load, _load_pcf, _resolver
+from lrec.cli import _load, _load_pcf
 from lrec.gen import random_closed
 from lrec.machine import LetK, MachineConfig, Plain, RecK, RecK2
 from lrec.minext import lin_pred
@@ -296,7 +296,7 @@ TRACED = 4_000  # transitions printed in full: each costs a pretty(code)
 
 
 def _pred(n: int) -> Term:
-    return parse(f"@pred {n}", resolve=_resolver)
+    return parse(f"@pred {n}")
 
 
 # ------------------------------------------------------------------ tests
@@ -319,7 +319,7 @@ def test_catalog_arithmetic_agrees():
     for n in range(1, 41):
         _check(f"@pred {n}", _pred(n), 100_000, rng, sweep=n <= 10 or n == 40)
     for src in ("@mult 3 4", "@mult 0 5", "@factorial 3", "@factorial 0"):
-        _check(src, parse(src, resolve=_resolver), 100_000, rng)
+        _check(src, parse(src), 100_000, rng)
 
 
 def test_generated_terms_agree():
@@ -346,7 +346,7 @@ def test_subst_agrees_on_every_binder():
     # terms, with a closed and a variable payload
     rng = random.Random(5)
     pool = [random_closed(rng)[0] for _ in range(200)]
-    pool += [_pred(5), lin_pred(), parse("@factorial 2", resolve=_resolver)]
+    pool += [_pred(5), lin_pred(), parse("@factorial 2")]
     pool += [compile_pcf(_load_pcf(str(p))[0], [])
              for p in sorted(CORPUS.glob("*.pcf"))]
     seen = 0

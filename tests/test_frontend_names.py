@@ -23,7 +23,7 @@ from lrec.gen import random_closed
 from lrec.parser import parse
 from lrec.pcf import (Cond, NumConst, PApp, PLam, PVar, Pred, Succ,
                       compile_pcf, parse_pcf, parse_pcf_defs, pcf_check)
-from lrec.stdlib import catalog_lookup, dup
+from lrec.stdlib import dup
 from lrec.terms import (App, ContractViolation, Iter, Lam, LetPair, Min, Pair,
                         Rec, Suc, Term, Var, Zero, _subst, children,
                         fresh_name, freshen, mk_tuple, pretty)
@@ -173,10 +173,6 @@ def _ref_close_var(x, t, a):
 
 # ------------------------------------------------------------- inputs
 
-def _resolve(name, arg):
-    return catalog_lookup(name)
-
-
 def _nest(depth: int) -> str:
     return "@pred (" * depth + "0" + ")" * depth
 
@@ -274,8 +270,8 @@ def test_pred_nests_parse_to_the_same_text(reference):
     # quadratic (about 2 s at depth 300)
     for depth in [*range(1, 61), 120, 300]:
         src = _nest(depth)
-        want = pretty(reference(parse, src, "lrec", _resolve))
-        assert pretty(parse(src, "lrec", _resolve)) == want, depth
+        want = pretty(reference(parse, src, "lrec"))
+        assert pretty(parse(src, "lrec")) == want, depth
 
 
 def test_generated_terms_freshen_to_the_same_text():
@@ -290,7 +286,7 @@ def test_generated_terms_freshen_to_the_same_text():
 def test_nest_2000_prints_as_before():
     """The 2000-deep nest prints exactly as under the quadratic freshen
     (hash recorded with it, which took 60 s; this takes about 1 s)."""
-    text = pretty(parse(_nest(2000), "lrec", _resolve))
+    text = pretty(parse(_nest(2000), "lrec"))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "387718cf61773d6dc4e0a79891051f961c2605e1ee40101098726ad8547a5624"
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from lrec import parser, terms, types
-from lrec.cli import _load_pcf, _resolver, main
+from lrec.cli import _load_pcf, main
 from lrec.gen import random_closed
 from lrec.parser import ParseError, parse, parse_defs
 from lrec.pcf import compile_pcf
@@ -417,7 +417,7 @@ def _raw_corpus_terms() -> list[Term]:
     with pytest.MonkeyPatch.context() as m:
         m.setattr(parser, "_finish", lambda t: t)
         for f in sorted(CORPUS.glob("*.lrec")):
-            out.append(parse_defs(f.read_text(), "lrec", _resolver)[1])
+            out.append(parse_defs(f.read_text(), "lrec")[1])
     return out
 
 

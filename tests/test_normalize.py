@@ -32,7 +32,7 @@ from lrec.minext import lin_pred, mu_enc, normalize_m
 from lrec.parser import parse
 from lrec.reduction import (FuelExhausted, _normalize_with, enumerate_redexes,
                             normalize, step_at, step_lo, step_root)
-from lrec.stdlib import catalog_lookup, iter_enc, min_enc, pred_enc
+from lrec.stdlib import iter_enc, min_enc, pred_enc
 from lrec.terms import (App, Fuel, Iter, Lam, LetPair, Min, Pair, Rec, Suc,
                         Var, Zero, children, numeral, pretty, subst)
 
@@ -40,7 +40,7 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _pred(n: int):
-    return parse(f"@pred {n}", resolve=lambda name, arg: catalog_lookup(name))
+    return parse(f"@pred {n}")
 
 
 def _redexes(t):
@@ -284,7 +284,7 @@ def test_every_fuel_budget_stops_where_the_oracle_does():
 def test_long_numerals_match_the_oracle():
     for src in ("@factorial 6", "@mult 12 12"):
         def make(src=src):
-            return parse(src, resolve=lambda name, arg: catalog_lookup(name))
+            return parse(src)
         want = _oracle(make(), 10**6)
         assert want[1][0] == "normal-form"
         assert _zipper(normalize, make(), 10**6) == want, src

@@ -2,9 +2,11 @@
 
 import pytest
 
+from lrec.evaluation import force_numeral
 from lrec.parser import LinearityError, ParseError, parse, parse_defs, parse_type
+from lrec.stdlib import dup, fix
 from lrec.terms import (App, Lam, LetPair, Min, Iter, Pair, Rec, Suc, Var,
-                        Zero, alpha_eq, numeral, pretty)
+                        Zero, alpha_eq, freshen, numeral, pretty)
 from lrec.types import Lolli, NAT, Tensor
 
 
@@ -177,14 +179,23 @@ def test_parse_defs_unknown_ref():
         parse_defs("main = @nope;")
 
 
-def test_parse_defs_external_resolver():
-    def resolve(name, arg):
-        if name == "k" and arg == "Nat":
-            return numeral(9)
-        return None
+def test_typed_reference_is_the_catalog_entry_at_the_parsed_type():
+    _, program = parse_defs("main = @dup[Nat * Nat];")
+    assert alpha_eq(program, freshen(dup(Tensor(NAT, NAT))))
 
-    defs, program = parse_defs("main = @k[Nat];", resolve=resolve)
-    assert alpha_eq(program, numeral(9))
+
+def test_local_definition_shadows_an_untyped_catalog_name():
+    _, program = parse_defs("pred = 7; main = @pred;")
+    assert alpha_eq(program, numeral(7))
+
+
+def test_typed_reference_skips_local_definitions():
+    _, program = parse_defs("Y = 0; main = @Y[Nat];")
+    assert alpha_eq(program, freshen(fix(NAT)))
+
+
+def test_parse_resolves_catalog_references():
+    assert force_numeral(parse("@add 2 3"), 10_000) == 5
 
 
 def test_ref_spliced_twice_stays_linear():

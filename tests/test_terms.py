@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from lrec import terms
-from lrec.cli import _load, _load_pcf, _resolver
+from lrec.cli import _load, _load_pcf
 from lrec.evaluation import eval_report, force_numeral
 from lrec.gen import random_closed
 from lrec.machine import MachineConfig, machine_force_numeral, run
@@ -83,7 +83,7 @@ def _front_end_terms() -> list[Term]:
             out.append(_load(str(f), "lrec")[0])
         elif f.suffix == ".pcf":
             out.append(compile_pcf(_load_pcf(str(f))[0], []))
-    out.append(parse("@pred (" * 2000 + "0" + ")" * 2000, "lrec", _resolver))
+    out.append(parse("@pred (" * 2000 + "0" + ")" * 2000, "lrec"))
     return out
 
 
@@ -483,7 +483,7 @@ def test_pretty_matches_the_printer_it_replaced():
     rng = random.Random(11)
     ts = _front_end_terms()[:-1] + [random_closed(rng)[0]
                                     for _ in range(3000)]
-    normalize(parse("@pred 6", "lrec", _resolver), 10_000,
+    normalize(parse("@pred 6", "lrec"), 10_000,
               on_step=lambda i, rule, path, term: ts.append(term))
     x, y = Var("x"), Var("y")
     ts += [App(lin_pred(), numeral(4)), Suc(App(x, y)), Suc(lam("x", x)), App(x, Suc(y)),
