@@ -106,10 +106,10 @@ def _text(data: bytes) -> str:
                          e.start - data.rfind(b"\n", 0, e.start)) from None
 
 
-def _load(path: str, calculus: str) -> tuple[Term, bytes]:
+def _load(path: str, calculus: str, named=True) -> tuple[Term, bytes]:
     with open(path, "rb") as fh:
         data = fh.read()
-    _, prog = parse_defs(_text(data), calculus)
+    _, prog = parse_defs(_text(data), calculus, named)
     return prog, data
 
 
@@ -164,9 +164,15 @@ def _engine(args, source: bytes, fn, t, word: str = "value",
 # ------------------------------------------------------------- commands
 
 def cmd_check(args) -> int:
-    t, data = _load(args.file, args.calculus)
-    t0 = time.perf_counter()
-    a = (mtype if args.calculus == "llcim" else infer)(t, [])
+    typer = mtype if args.calculus == "llcim" else infer
+    try:  # typing needs no names: the term as written
+        t, data = _load(args.file, args.calculus, named=False)
+        t0 = time.perf_counter()
+        a = typer(t, [])
+    except (LinearityError, TypingError):  # reported from the named term
+        t, data = _load(args.file, args.calculus)
+        t0 = time.perf_counter()
+        a = typer(t, [])
     out = type_pretty(a, ground=args.ground)
     _report(args, f"type {out}", None, (time.perf_counter() - t0) * 1000,
             data)

@@ -1,8 +1,9 @@
 """Concrete syntax: lexer, term parser, type parser.
 
-One token stream serves both calculi and the type language. The parser
-freshens binders after building the tree (so input may reuse names) and
-then rejects anything that is not syntactically linear.
+One token stream serves both calculi and the type language. Input may
+reuse binder names. Once parsed, each definition is certified linear
+and named, its binders freshened for the printed text; `check`, which
+prints no term, asks for the names as written instead.
 
 References resolve during parsing. An untyped `@name` names an earlier
 definition of its file, or else a stdlib catalog entry; a typed one,
@@ -303,6 +304,7 @@ class _Parser(TokenStream):
 
 
 def _finish(t: Term) -> Term:
+    """Name and certify one definition."""
     t = freshen(t)
     bad = check_linear(t)
     if bad:
@@ -310,8 +312,13 @@ def _finish(t: Term) -> Term:
     return t
 
 
+def _certify(t: Term) -> Term:
+    """Certify one definition as written; `_finish` reports a violation."""
+    return _finish(t) if check_linear(t) else t
+
+
 def parse(text: str, calculus: str = "lrec") -> Term:
-    """Parse one term. Binders are freshened; non-linear terms are rejected."""
+    """Parse one term and name it; non-linear terms are rejected."""
     p = _Parser(lex(text), calculus, {})
     t = p.term()
     p.expect("eof", "end of input")
@@ -349,12 +356,14 @@ def definitions(p: TokenStream, term: Callable[[], object],
     return t
 
 
-def parse_defs(text: str, calculus: str = "lrec"
+def parse_defs(text: str, calculus: str = "lrec", named: bool = True
                ) -> tuple[list[tuple[str, Term]], Term]:
     """Parse a definition file: `name = term;` entries, the last one being
     the program, or a single bare term. An untyped reference resolves
-    against earlier definitions before the catalog."""
+    against earlier definitions before the catalog. Each definition is
+    certified and, unless `named` is false, named."""
     local: dict[str, Term] = {}
     p = _Parser(lex(text), calculus, local)
-    program = definitions(p, lambda: _finish(p.term()), local)
+    finish = _finish if named else _certify
+    program = definitions(p, lambda: finish(p.term()), local)
     return list(local.items()), program

@@ -13,7 +13,8 @@ into one, so a term can be shared by any number of calls and engines.
 Linearity is *checkable*, not enforced by constructors: ill-formed
 terms can be built (and reported on) by check_linear, but the parser
 and every engine operation only produce terms for which check_linear
-returns no violations.
+returns no violations. It decides on the term as written, whatever its
+binder names; `freshen` renames binders only for the printed text.
 
 The same node classes serve both calculi: Rec belongs to the recursor
 calculus, Iter and Min to the minimiser calculus. Engines guard the
@@ -354,33 +355,30 @@ def _disjointness(parts: list[tuple[str, Term]], bad: list[tuple]):
 def check_linear(t: Term) -> list[Violation]:
     """Every constraint of the term grammar, at every subterm.
 
-    Returns the empty list when the term is syntactically linear. A
-    light walk certifies most linear terms, every freshened one among
-    them; only the rest take the full walk, which lists each violation
-    with its path.
+    Returns the empty list when the term is syntactically linear,
+    whatever its binder names. An exact walk that builds no message
+    decides that; only a term with a violation takes the full walk,
+    which lists each violation with its path.
     """
     return [] if _certified(t) else _violations(t)
 
 
 def _certified(t: Term) -> bool:
-    """True when every variable occurrence has a name of its own and every
-    binder occurs in its body. Then no constraint can fail: sharing needs
-    two occurrences of one name. False does not mean a violation, only
-    that the full walk must decide (reused names in disjoint scopes)."""
-    seen: set[str] = set()
+    """True exactly when `_violations(t)` is empty, without its messages
+    or paths. A let's or a call's parts share no free variable exactly
+    when its set, the union of theirs (less the pattern), is as large as
+    theirs together."""
     work = [t]
     pop, push = work.pop, work.append
     while work:
         node = pop()
         cls = type(node)
-        if cls is Var:
-            n = node.name
-            if n in seen:
+        if cls is App:
+            f, a = node.fun, node.arg
+            if not f.fv.isdisjoint(a.fv):
                 return False
-            seen.add(n)
-        elif cls is App:
-            push(node.arg)
-            push(node.fun)
+            push(a)
+            push(f)
         elif cls is Lam:
             if node.binder not in node.body.fv:
                 return False
@@ -391,16 +389,23 @@ def _certified(t: Term) -> bool:
                 node = node.body
             push(node)
         elif cls is Pair:
-            push(node.right)
-            push(node.left)
+            l, r = node.left, node.right
+            if not l.fv.isdisjoint(r.fv):
+                return False
+            push(r)
+            push(l)
         elif cls is LetPair:
-            x, y, b = node.x, node.y, node.body
-            if x == y or x not in b.fv or y not in b.fv:
+            x, y, s, b = node.x, node.y, node.scrut, node.body
+            if (x == y or x not in b.fv or y not in b.fv
+                    or len(node.fv) != len(s.fv) + len(b.fv) - 2):
                 return False
             push(b)
-            push(node.scrut)
-        elif cls is not Zero:
-            work += children(node)
+            push(s)
+        elif cls is not Var and cls is not Zero:
+            kids = children(node)
+            if len(node.fv) != sum(len(k.fv) for k in kids):
+                return False
+            work += kids
     return True
 
 

@@ -27,10 +27,11 @@ CORPUS = ROOT / "corpus"
 
 ENGINES = ["reduction.normalize", "evaluation.eval_report", "machine.run"]
 CASES = [
-    (["check", "{add23}"], ["parser.lex", "parser.parse", "terms.freshen",
+    (["check", "{add23}"], ["parser.lex", "parser.parse",
                             "terms.check_linear", "types.infer",
                             "stdlib.catalog_lookup"]),
-    (["eval", "{add23}"], ["evaluation.eval_report", "terms.pretty"]),
+    (["eval", "{add23}"], ["terms.freshen", "evaluation.eval_report",
+                           "terms.pretty"]),
     (["eval", "--force-nat", "{add23}"], ["evaluation.force_numeral"]),
     (["eval", "--strategy", "cbv", "--force-nat", "{add23}"],
      ["evaluation.force_numeral"]),
