@@ -17,11 +17,11 @@ where a record is written, so a run without one pays for neither.
 The command tree is one table, `COMMANDS`: a row's words, help text,
 handler and arguments; `_build_parser` builds argparse from it. The
 default fuel is 10^5 rule instances, overridable with LREC_FUEL;
-`_fuel` alone checks a budget, and a negative or malformed one is bad
-input. Every engine run, PCF's reference evaluator and difftest's
-records included, goes through `_engine`, which runs it on a fresh
-`Fuel` cell and turns its outcome into a record, an exit code and a
-message, printed or streamed. difftest gives the compiled side of PCF
+`_fuel` alone checks a budget, and one that is not a run of ASCII
+digits is bad input. Every engine run, PCF's reference evaluator and
+difftest's records included, goes through `_engine`, which runs it on a
+fresh `Fuel` cell and turns its outcome into a record, an exit code and
+a message, printed or streamed. difftest gives the compiled side of PCF
 comparisons 100x the fuel: the encodings spend a recursor loop per
 source step, so equal budgets would misreport slow-but-sound
 compilations as divergent.
@@ -50,24 +50,24 @@ from .pcf import (NumConst, PcfTerm, compile_pcf, parse_pcf_defs, pcf_check,
 from .reduction import normalize
 from .stdlib import catalog_lookup, catalog_names
 from .terms import (ContractViolation, Fuel, FuelExhausted, Lam, Pair, Stuck,
-                    Term, alpha_eq, numeral_value, pretty)
+                    Term, alpha_eq, freshen, numeral_value, pretty)
 from .types import (EnvDomainError, Lolli, MetaVar, Nat, Tensor, TypingError,
                     infer, type_pretty)
 
 
 def _fuel(given: str | None) -> int:
-    """The budget: --fuel, else LREC_FUEL, else 10^5."""
+    """The budget: --fuel, else LREC_FUEL, else 10^5. It must be a run
+    of ASCII digits."""
     where, value = "--fuel", given
     if given is None:
         where, value = "LREC_FUEL", os.environ.get("LREC_FUEL", "100000")
     try:
-        fuel = int(value)
-    except ValueError:
-        fuel = -1
-    if fuel < 0:
-        raise ContractViolation(
-            f"{where} must be a non-negative integer, got {value!r}")
-    return fuel
+        if value.isascii() and value.isdigit():  # as the lexer reads a numeral
+            return int(value)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ContractViolation(
+        f"{where} must be a non-negative integer, got {value!r}")
 
 
 def _fail(msg: str, code: int) -> int:
@@ -96,28 +96,29 @@ def _report(args, outcome: str, fuel_used: int | None, wall_ms: float,
                              wall_ms) + "\n")
 
 
-def _text(data: bytes) -> str:
-    """Source bytes as text; a byte that is not UTF-8 is a syntax error."""
+def _read(path: str) -> tuple[str, bytes]:
+    """A file's text and bytes; a byte that is not UTF-8 is a syntax
+    error."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        return data.decode()
+        return data.decode(), data
     except UnicodeDecodeError as e:
         raise ParseError(f"input is not UTF-8 ({e.reason})",
                          data.count(b"\n", 0, e.start) + 1,
                          e.start - data.rfind(b"\n", 0, e.start)) from None
 
 
-def _load(path: str, calculus: str, named=True) -> tuple[Term, bytes]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    _, prog = parse_defs(_text(data), calculus, named)
-    return prog, data
+def _load(path: str, calculus: str) -> tuple[Term, bytes]:
+    """The named program of a definition file, for a command that
+    prints terms, and the file's bytes."""
+    text, data = _read(path)
+    return freshen(parse_defs(text, calculus)[1]), data
 
 
 def _load_pcf(path: str):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    _, prog = parse_pcf_defs(_text(data))
-    return prog, data
+    text, data = _read(path)
+    return parse_pcf_defs(text)[1], data
 
 
 def _engine(args, source: bytes, fn, t, word: str = "value",
@@ -164,15 +165,14 @@ def _engine(args, source: bytes, fn, t, word: str = "value",
 # ------------------------------------------------------------- commands
 
 def cmd_check(args) -> int:
+    text, data = _read(args.file)
+    t = parse_defs(text, args.calculus)[1]  # typing needs no names
     typer = mtype if args.calculus == "llcim" else infer
-    try:  # typing needs no names: the term as written
-        t, data = _load(args.file, args.calculus, named=False)
-        t0 = time.perf_counter()
+    t0 = time.perf_counter()
+    try:
         a = typer(t, [])
-    except (LinearityError, TypingError):  # reported from the named term
-        t, data = _load(args.file, args.calculus)
-        t0 = time.perf_counter()
-        a = typer(t, [])
+    except TypingError:  # worded on the named term, as printed
+        a = typer(freshen(t), [])
     out = type_pretty(a, ground=args.ground)
     _report(args, f"type {out}", None, (time.perf_counter() - t0) * 1000,
             data)

@@ -1,9 +1,10 @@
 """Concrete syntax: lexer, term parser, type parser.
 
 One token stream serves both calculi and the type language. Input may
-reuse binder names. Once parsed, each definition is certified linear
-and named, its binders freshened for the printed text; `check`, which
-prints no term, asks for the names as written instead.
+reuse binder names. Each definition is certified linear as written;
+binder names matter only to printed text, so `parse` names its term,
+`parse_defs` names an earlier definition where it splices one, and a
+caller that prints names the program with `freshen`.
 
 References resolve during parsing. An untyped `@name` names an earlier
 definition of its file, or else a stdlib catalog entry; a typed one,
@@ -19,7 +20,8 @@ from collections.abc import Callable
 
 from .stdlib import catalog_lookup
 from .terms import (App, Iter, Lam, LetPair, Min, Rec, Suc, Term, Var,
-                    Violation, check_linear, freshen, mk_tuple, numeral)
+                    Violation, _certified, check_linear, freshen, mk_tuple,
+                    numeral)
 from .types import LinType, Lolli, NAT, Tensor, type_pretty
 
 
@@ -156,10 +158,10 @@ class TokenStream:
 
 class _Parser(TokenStream):
     def __init__(self, tokens: list[Token], calculus: str,
-                 local: dict[str, Term]):
+                 resolve: Callable[[str], Term | None] = {}.get):
         if calculus not in ("lrec", "llcim"):
             raise ValueError(f"unknown calculus {calculus!r}")
-        super().__init__(tokens, local.get)
+        super().__init__(tokens, resolve)
         self.calculus = calculus
 
     # -- terms -------------------------------------------------------------
@@ -303,30 +305,24 @@ class _Parser(TokenStream):
         raise AssertionError
 
 
-def _finish(t: Term) -> Term:
-    """Name and certify one definition."""
-    t = freshen(t)
-    bad = check_linear(t)
-    if bad:
-        raise LinearityError(bad)
-    return t
-
-
 def _certify(t: Term) -> Term:
-    """Certify one definition as written; `_finish` reports a violation."""
-    return _finish(t) if check_linear(t) else t
+    """Certify one definition as written. A violation is reported on
+    the named term, so its message shows the binders as printed."""
+    if not _certified(t):
+        raise LinearityError(check_linear(freshen(t)))
+    return t
 
 
 def parse(text: str, calculus: str = "lrec") -> Term:
     """Parse one term and name it; non-linear terms are rejected."""
-    p = _Parser(lex(text), calculus, {})
+    p = _Parser(lex(text), calculus)
     t = p.term()
     p.expect("eof", "end of input")
-    return _finish(t)
+    return freshen(_certify(t))
 
 
 def parse_type(text: str) -> LinType:
-    p = _Parser(lex(text), "lrec", {})
+    p = _Parser(lex(text), "lrec")
     a = p.type_()
     p.expect("eof", "end of input")
     return a
@@ -356,14 +352,21 @@ def definitions(p: TokenStream, term: Callable[[], object],
     return t
 
 
-def parse_defs(text: str, calculus: str = "lrec", named: bool = True
+def parse_defs(text: str, calculus: str = "lrec"
                ) -> tuple[list[tuple[str, Term]], Term]:
     """Parse a definition file: `name = term;` entries, the last one being
     the program, or a single bare term. An untyped reference resolves
     against earlier definitions before the catalog. Each definition is
-    certified and, unless `named` is false, named."""
+    certified and kept as written; one is named the first time it is
+    spliced, so `freshen(program)` names the program."""
     local: dict[str, Term] = {}
-    p = _Parser(lex(text), calculus, local)
-    finish = _finish if named else _certify
-    program = definitions(p, lambda: finish(p.term()), local)
+    named: dict[str, Term] = {}
+
+    def resolve(name: str) -> Term | None:
+        if name not in named and name in local:
+            named[name] = freshen(local[name])
+        return named.get(name)
+
+    p = _Parser(lex(text), calculus, resolve)
+    program = definitions(p, lambda: _certify(p.term()), local)
     return list(local.items()), program

@@ -3,11 +3,13 @@ that print a term name its binders.
 
 Linearity is decided on the cached free-variable sets, so it needs no
 renaming: `terms._certified` is exact, true precisely when the full walk
-`_violations` finds nothing, whatever the binder names. `check` hands
-the parsed tree to inference unrenamed and names the term only to
-report a failure, so every message is the one the named term gives.
-The expected outputs below were recorded while `check` still named every
-definition before typing it.
+`_violations` finds nothing, whatever the binder names. `parse_defs`
+keeps each definition as written and splices an earlier one named, so
+`freshen` of its program is the named program. `check` reads and parses
+its file once, hands the tree to inference unrenamed, and names it only
+to word a typing failure, so every message is the one the named term
+gives. The expected outputs below were recorded while `check` still
+named every definition before typing it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from lrec import parser, terms
+from lrec import cli, parser, terms
 from lrec.cli import main
 from lrec.gen import random_closed
 from lrec.minext import lin_pred
@@ -164,9 +166,20 @@ def test_output_is_unchanged(files, case):
 
 def test_check_names_no_binder(files, monkeypatch):
     calls = []
-    monkeypatch.setattr(parser, "freshen",
-                        lambda t: calls.append(t) or terms.freshen(t))
+    for module in (parser, cli):
+        monkeypatch.setattr(module, "freshen",
+                            lambda t: calls.append(t) or terms.freshen(t))
     assert _run(["check", files["fact4.lrec"]]) == NAT
     assert calls == []
     assert _run(["eval", files["fact4.lrec"]])[2] == 0
     assert calls
+
+
+@pytest.mark.parametrize("name", ["delta.lrec", "add23.lrec",
+                                  "defs_type_err.lrec", "defs_lin_err.lrec"])
+def test_check_parses_once(files, monkeypatch, name):
+    calls = []
+    monkeypatch.setattr(cli, "parse_defs",
+                        lambda *a: calls.append(a) or parser.parse_defs(*a))
+    assert _run(["check", files[name]]) == EXPECTED[f"check {name}"]
+    assert len(calls) == 1

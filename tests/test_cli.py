@@ -132,6 +132,11 @@ def test_fuel_env_override(capsys, monkeypatch):
     ["machine", "--force-nat", "--fuel", "-5", str(CORPUS / "fix_id.lrec")],
     ["difftest", "--fuel", "-1", str(CORPUS)],
     ["eval", "--fuel", "abc", str(CORPUS / "add23.lrec")],
+    # int() reads these, but a budget is a run of ASCII digits
+    *(["eval", "--fuel", v, str(CORPUS / "add23.lrec")]
+      for v in ("١٢", "1_000", " 7 ", "+9")),
+    # ASCII digits, but more than int() converts
+    ["eval", "--fuel", "9" * 5000, str(CORPUS / "add23.lrec")],
 ])
 def test_negative_fuel_is_bad_input(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -139,7 +144,8 @@ def test_negative_fuel_is_bad_input(capsys, argv):
     assert err.count("\n") == 1 and "--fuel" in err
 
 
-@pytest.mark.parametrize("value", ["abc", "-3", ""])
+@pytest.mark.parametrize("value", ["abc", "-3", "", "١٢", "1_000", " 7 ",
+                                   "+9"])
 def test_bad_fuel_env_is_bad_input(capsys, monkeypatch, value):
     monkeypatch.setenv("LREC_FUEL", value)
     code, out, err = run_cli(capsys, "eval", str(CORPUS / "add23.lrec"))

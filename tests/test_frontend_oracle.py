@@ -413,12 +413,8 @@ def check(t: Term, env: TypeEnv, a: LinType) -> LinType:
 def _raw_corpus_terms() -> list[Term]:
     """Each corpus .lrec program as parsed, before freshening: library
     terms from the catalog reuse binder names across definitions."""
-    out = []
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(parser, "_finish", lambda t: t)
-        for f in sorted(CORPUS.glob("*.lrec")):
-            out.append(parse_defs(f.read_text(), "lrec")[1])
-    return out
+    return [parse_defs(f.read_text(), "lrec")[1]
+            for f in sorted(CORPUS.glob("*.lrec"))]
 
 
 def _compiled_corpus() -> list[Term]:

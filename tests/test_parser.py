@@ -2,6 +2,7 @@
 
 import pytest
 
+from lrec import parser
 from lrec.evaluation import force_numeral
 from lrec.parser import LinearityError, ParseError, parse, parse_defs, parse_type
 from lrec.stdlib import dup, fix
@@ -168,6 +169,15 @@ def test_parse_defs_and_refs():
     assert alpha_eq(program, App(Lam("x", Var("x")), numeral(2)))
 
 
+def test_parse_defs_splices_named_and_keeps_the_program_as_written():
+    _, program = parse_defs("f = (\\x. x) (\\x_1. x_1); g = \\x. @f x; "
+                            "main = (\\x_1. @g x_1) 0;")
+    assert pretty(program) == ("(\\x_1. (\\x. (\\x_1. x_1) (\\x_1_1. x_1_1) "
+                               "x) x_1) 0")
+    assert pretty(freshen(program)) == (
+        "(\\x_1. (\\x. (\\x_1_1. x_1_1) (\\x_1_1_1. x_1_1_1) x) x_1) 0")
+
+
 def test_parse_defs_bare_term():
     defs, program = parse_defs("(\\x. x) 1")
     assert defs == []
@@ -203,3 +213,14 @@ def test_ref_spliced_twice_stays_linear():
         "id = \\x. x;\n"
         "main = @id (@id 3);\n")
     assert alpha_eq(program, App(Lam("x", Var("x")), App(Lam("y", Var("y")), numeral(3))))
+
+
+def test_parse_defs_names_a_spliced_definition_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(parser, "freshen",
+                        lambda t: calls.append(t) or freshen(t))
+    _, program = parse_defs("id = \\x. x; unused = \\y. y; "
+                            "main = @id (@id (@id 3));")
+    assert [pretty(t) for t in calls] == ["\\x. x"]
+    assert alpha_eq(program, App(Lam("x", Var("x")), App(
+        Lam("x", Var("x")), App(Lam("x", Var("x")), numeral(3)))))
