@@ -215,6 +215,8 @@ def cmd_stdlib(args) -> int:
     a = parse_type(args.type) if args.type is not None else None
     t = catalog_lookup(args.name, a)
     if t is None:
+        if a is not None and catalog_lookup(args.name) is not None:
+            return _fail(f"catalog entry {args.name!r} takes no --type", 1)
         return _fail(
             f"unknown catalog entry {args.name!r}"
             + (" (this entry needs --type)" if a is None

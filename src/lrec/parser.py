@@ -252,6 +252,8 @@ class _Parser(TokenStream):
                 self.expect("langle", "'<'")
                 x = self.expect("ident", "a pattern variable").text
                 self.expect("comma", "','")
+                if self.peek().text == x:
+                    self.fail(f"pattern binds {x} twice")
                 y = self.expect("ident", "a pattern variable").text
                 self.expect("rangle", "'>'")
                 self.expect("eq", "'='")

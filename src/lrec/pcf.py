@@ -495,7 +495,8 @@ class _PcfParser(TokenStream):
                 raise ParseError(f"{tok.text!r} cannot appear here",
                                  tok.line, tok.col)
             return PVar(tok.text)
-        raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
+        raise ParseError(f"unexpected {tok.text or 'end of input'!r}",
+                         tok.line, tok.col)
 
     def type_(self) -> LinType:
         left = self.type_atom()
@@ -512,7 +513,8 @@ class _PcfParser(TokenStream):
             a = self.type_()
             self.expect("rparen", "')'")
             return a
-        raise ParseError(f"expected a type, found {tok.text!r}",
+        raise ParseError(f"expected a type, found "
+                         f"{tok.text or 'end of input'!r}",
                          tok.line, tok.col)
 
 

@@ -11,8 +11,9 @@ mechanism at construction time.
 
 from __future__ import annotations
 
-from .terms import (App, ContractViolation, Lam, LetPair, Pair, Rec, Suc,
-                    Term, Var, Zero, _disjointness, fresh_name, numeral)
+from .terms import (App, ContractViolation, Iter, Lam, LetPair, Pair, Rec,
+                    Suc, Term, Var, Zero, _PARTS, _disjointness, fresh_name,
+                    numeral)
 from .types import NAT, LinType, Lolli, Nat, Tensor, _meta_ids
 
 
@@ -24,7 +25,7 @@ def iter_enc(t: Term, u: Term, v: Term) -> Term:
     """Bounded iteration: rec counts the first component down while the
     identity update leaves the (unused) second component alone."""
     bad: list[tuple] = []
-    _disjointness([("count", t), ("base", u), ("step", v)], bad)
+    _disjointness(_PARTS[Iter], (t, u, v), bad)
     if bad:
         raise ContractViolation(bad[0][0])
     return Rec(Pair(t, Zero()), u, v, identity())

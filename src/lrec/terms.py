@@ -28,6 +28,12 @@ loop, `evaluation.whnf`, with three rows of costs: it substitutes
 nothing, runs on the linear environments defined here, and `unload`
 rebuilds the terms it shows.
 
+A walk over a term gives a node class a rule of its own only where it
+treats that class differently; every other class it takes through
+`children` and `rebuild`. What a message calls each part of a node is in
+one table, `_PARTS`, and S chains are peeled and built by one pair of
+helpers, `_peel` and `_sucs`.
+
 Every other value class of the package (types, PCF terms, machine
 frames, outcomes, linearity violations) is a `Record`: a plain slotted
 class whose equality, hash, repr and match arguments follow from its
@@ -341,14 +347,26 @@ class Violation(Record):
         return f"at {where}: {self.constraint}"
 
 
-def _disjointness(parts: list[tuple[str, Term]], bad: list[tuple]):
+# per node class whose parts share no free variable, what a message
+# calls each part, in textual order
+_PARTS: dict[type, tuple[str, ...]] = {
+    App: ("operator", "operand"),
+    Pair: ("left component", "right component"),
+    Rec: ("scrutinee", "base", "step", "update"),
+    Iter: ("count", "base", "step"),
+    Min: ("scrutinee", "counter", "function"),
+}
+
+
+def _disjointness(labels: tuple[str, ...], parts: tuple[Term, ...],
+                  bad: list[tuple]):
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
-            shared = parts[i][1].fv & parts[j][1].fv
+            shared = parts[i].fv & parts[j].fv
             if shared:
                 names = ", ".join(sorted(shared))
                 bad.append((
-                    f"variable(s) {names} occur in both {parts[i][0]} and {parts[j][0]}",
+                    f"variable(s) {names} occur in both {labels[i]} and {labels[j]}",
                     "shared", frozenset(shared)))
 
 
@@ -430,14 +448,11 @@ def _violations(t: Term) -> list[Violation]:
     while work:
         node, cell = work.pop()
         bad: list[tuple[str, str, frozenset[str]]] = []
+        kids = children(node)
         match node:
             case Lam(binder=x, body=b):
                 if x not in b.fv:
                     bad.append((f"binder {x} unused in the body", "unused", frozenset((x,))))
-            case App(fun=f, arg=a):
-                _disjointness([("operator", f), ("operand", a)], bad)
-            case Pair(left=l, right=r):
-                _disjointness([("left component", l), ("right component", r)], bad)
             case LetPair(scrut=s, x=x, y=y, body=b):
                 if x == y:
                     bad.append((f"pattern binds {x} twice", "dup-pattern", frozenset((x,))))
@@ -450,17 +465,11 @@ def _violations(t: Term) -> list[Violation]:
                     names = ", ".join(sorted(shared))
                     bad.append((f"variable(s) {names} occur in both scrutinee and body",
                                 "shared", frozenset(shared)))
-            case Rec(scrut=s, base=u, step=v, update=w):
-                _disjointness(
-                    [("scrutinee", s), ("base", u), ("step", v), ("update", w)], bad)
-            case Iter(count=c, base=u, step=v):
-                _disjointness([("count", c), ("base", u), ("step", v)], bad)
-            case Min(scrut=s, counter=u, fn=f):
-                _disjointness([("scrutinee", s), ("counter", u), ("function", f)], bad)
+            case _ if type(node) in _PARTS:
+                _disjointness(_PARTS[type(node)], kids, bad)
         if bad:
             path = _render(cell)
             out += (Violation(path, *v) for v in bad)
-        kids = children(node)
         for i in range(len(kids) - 1, -1, -1):
             work.append((kids[i], [cell, i, None]))
     return out
@@ -500,15 +509,8 @@ def _subst(t: Term, x: str, s: Term) -> Term:
         return Lam(t.binder, _subst(t.body, x, s))
     if cls is Suc:
         # peel S chains iteratively, they can be very tall
-        depth = 0
-        inner = t
-        while type(inner) is Suc:
-            inner = inner.body
-            depth += 1
-        inner = _subst(inner, x, s)
-        for _ in range(depth):
-            inner = Suc(inner)
-        return inner
+        n, inner = _peel(t)
+        return _sucs(n, _subst(inner, x, s))
     if cls is Pair:
         l, r = t.left, t.right
         return Pair(_subst(l, x, s) if x in l.fv else l,
@@ -518,12 +520,6 @@ def _subst(t: Term, x: str, s: Term) -> Term:
         if x in sc.fv:
             return LetPair(_subst(sc, x, s), t.x, t.y, t.body)
         return LetPair(sc, t.x, t.y, _subst(t.body, x, s))
-    if cls is Rec:
-        sc, u, v, w = t.scrut, t.base, t.step, t.update
-        return Rec(_subst(sc, x, s) if x in sc.fv else sc,
-                   _subst(u, x, s) if x in u.fv else u,
-                   _subst(v, x, s) if x in v.fv else v,
-                   _subst(w, x, s) if x in w.fv else w)
     return rebuild(t, [_subst(k, x, s) if x in k.fv else k
                        for k in children(t)])
 
@@ -686,19 +682,8 @@ def alpha_eq(t: Term, u: Term) -> bool:
             ea[a.x] = eb[b.x] = fresh - 1
             ea[a.y] = eb[b.y] = fresh
             push((a.body, b.body))
-        elif cls is Rec:
-            push((a.scrut, b.scrut))
-            push((a.base, b.base))
-            push((a.step, b.step))
-            push((a.update, b.update))
-        elif cls is Iter:
-            push((a.count, b.count))
-            push((a.base, b.base))
-            push((a.step, b.step))
-        elif cls is Min:
-            push((a.scrut, b.scrut))
-            push((a.counter, b.counter))
-            push((a.fn, b.fn))
+        elif cls in _CHILDREN:
+            work += zip(children(a), children(b))
         else:
             return False
     return True
@@ -708,22 +693,32 @@ def alpha_eq(t: Term, u: Term) -> bool:
 # numerals and tuple sugar
 
 
-def numeral(n: int) -> Term:
-    if n < 0:
-        raise ValueError("numerals are naturals")
-    t: Term = Zero()
+def _peel(t: Term) -> tuple[int, Term]:
+    """(n, inner) with t = S^n inner and inner not an S."""
+    n = 0
+    while type(t) is Suc:
+        t = t.body
+        n += 1
+    return n, t
+
+
+def _sucs(n: int, t: Term) -> Term:
+    """S^n t."""
     for _ in range(n):
         t = Suc(t)
     return t
 
 
+def numeral(n: int) -> Term:
+    if n < 0:
+        raise ValueError("numerals are naturals")
+    return _sucs(n, Zero())
+
+
 def numeral_value(t: Term) -> int | None:
     """The n with t = S^n 0, or None when t is not a numeral."""
-    n = 0
-    while isinstance(t, Suc):
-        t = t.body
-        n += 1
-    return n if isinstance(t, Zero) else None
+    n, t = _peel(t)
+    return n if type(t) is Zero else None
 
 
 def read_numeral(t: Term, fuel: int | Fuel,
@@ -815,17 +810,8 @@ def freshen(t: Term) -> Term:
         if cls is Zero:
             return node
         if cls is Suc:
-            depth = 0
-            inner = node
-            while type(inner) is Suc:
-                inner = inner.body
-                depth += 1
-            inner = go(inner)
-            for _ in range(depth):
-                inner = Suc(inner)
-            return inner
-        if cls is Pair:
-            return Pair(go(node.left), go(node.right))
+            n, inner = _peel(node)
+            return _sucs(n, go(inner))
         if cls is LetPair:
             ns = go(node.scrut)
             x, y = node.x, node.y
@@ -837,12 +823,8 @@ def freshen(t: Term) -> Term:
             restore_scope(env, y, outer_y)
             restore_scope(env, x, outer_x)
             return LetPair(ns, nx, ny, body)
-        if cls is Rec:
-            return Rec(go(node.scrut), go(node.base), go(node.step), go(node.update))
-        if cls is Iter:
-            return Iter(go(node.count), go(node.base), go(node.step))
-        if cls is Min:
-            return Min(go(node.scrut), go(node.counter), go(node.fn))
+        if cls in _CHILDREN:
+            return rebuild(node, [go(k) for k in children(node)])
         raise AssertionError(f"unhandled node {cls.__name__}")
 
     return go(t)

@@ -127,7 +127,7 @@ EXPECTED = {
             "operand\n", 1),
     "check shadow.lrec": ("?a -o ?a\n", "", 0),
     "check dup_let.lrec": (
-        "", "syntax: at root: pattern variable a unused in the body\n", 1),
+        "", "syntax: line 1, col 9: pattern binds a twice\n", 1),
     # a printing command names each definition once it is parsed
     "normalize defs.lrec": ("0\n", "", 0),
     "normalize --trace defs.lrec": (

@@ -397,6 +397,8 @@ def test_stdlib_unknown_and_missing_type(capsys):
     assert code == 1 and out == "" and "nosuch" in err
     code, out, err = run_cli(capsys, "stdlib", "Y")
     assert code == 1 and "--type" in err
+    code, out, err = run_cli(capsys, "stdlib", "add", "--type", "Nat")
+    assert (code, out, err) == (1, "", "catalog entry 'add' takes no --type\n")
 
 
 @pytest.mark.parametrize("name", ["I", "Y"])

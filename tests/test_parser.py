@@ -50,6 +50,12 @@ def test_end_of_input_column_counts_a_trailing_comment():
     assert str(e.value) == "line 1, col 27: expected ')', found 'end of input'"
 
 
+def test_a_pattern_that_binds_one_name_twice_is_a_syntax_error():
+    with pytest.raises(ParseError) as e:
+        parse("let <a, a> = <0, 0> in a")
+    assert str(e.value) == "line 1, col 9: pattern binds a twice"
+
+
 def test_linearity_error_names_three_violations():
     with pytest.raises(LinearityError) as e:
         parse("\\x. " * 10 + "x")

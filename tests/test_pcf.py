@@ -63,6 +63,16 @@ def test_parse_errors():
         parse_pcf("1 2 )")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1, col 1: unexpected 'end of input'"),
+    ("fun x : ", "line 1, col 9: expected a type, found 'end of input'"),
+], ids=["empty", "no-type"])
+def test_parse_errors_name_the_end_of_input(text, message):
+    with pytest.raises(ParseError) as e:
+        parse_pcf_defs(text)
+    assert str(e.value) == message
+
+
 def test_parse_defs():
     defs, prog = parse_pcf_defs("""
         two = 2;

@@ -167,6 +167,37 @@ def test_violation_paths():
     assert any(v.kind == "unused" and v.names == {"x"} for v in out)
 
 
+class _Fields:
+    """Stands for a node of any class: each field is a variable of its name."""
+
+    def __getattr__(self, name):
+        return Var(name)
+
+
+# the classes whose parts must share no variable; LetPair has its own
+# case, since its body holds what its pattern binds
+_SPLIT = [cls for cls, parts in terms._CHILDREN.items()
+          if cls is not LetPair and len(parts(_Fields())) > 1]
+
+
+def test_the_label_table_covers_the_classes_with_parts():
+    assert set(terms._PARTS) == set(_SPLIT)
+
+
+@pytest.mark.parametrize("cls", _SPLIT, ids=lambda cls: cls.__name__)
+def test_a_shared_variable_is_reported_with_the_labels_of_its_parts(cls):
+    # a class without labels would fail certification with no violation
+    # listed to say why
+    labels = terms._PARTS[cls]
+    n = len(terms._CHILDREN[cls](_Fields()))
+    assert len(labels) == n
+    t = cls(Var("z"), *(Var(f"x{i}") for i in range(1, n - 1)), Var("z"))
+    assert terms._certified(t) is False
+    assert terms._violations(t) == [terms.Violation(
+        "", f"variable(s) z occur in both {labels[0]} and {labels[-1]}",
+        "shared", frozenset({"z"}))]
+
+
 def test_subst_closed_payload():
     t = App(Var("f"), numeral(2))
     got = subst(t, "f", lam("x", Suc(Var("x"))))
