@@ -48,7 +48,7 @@ from .parser import LinearityError, ParseError, parse_defs, parse_type
 from .pcf import (NumConst, PcfTerm, compile_pcf, parse_pcf_defs, pcf_check,
                   pcf_eval, pcf_pretty, pcf_type_pretty)
 from .reduction import normalize
-from .stdlib import catalog_lookup, catalog_names
+from .stdlib import catalog_lookup, catalog_misuse, catalog_names
 from .terms import (ContractViolation, Fuel, FuelExhausted, Lam, Pair, Stuck,
                     Term, alpha_eq, freshen, numeral_value, pretty)
 from .types import (EnvDomainError, Lolli, MetaVar, Nat, Tensor, TypingError,
@@ -215,13 +215,11 @@ def cmd_stdlib(args) -> int:
     a = parse_type(args.type) if args.type is not None else None
     t = catalog_lookup(args.name, a)
     if t is None:
-        if a is not None and catalog_lookup(args.name) is not None:
-            return _fail(f"catalog entry {args.name!r} takes no --type", 1)
-        return _fail(
-            f"unknown catalog entry {args.name!r}"
-            + (" (this entry needs --type)" if a is None
-               and catalog_lookup(args.name, Nat()) is not None else "")
-            + f"; available: {', '.join(catalog_names())}", 1)
+        misuse = catalog_misuse(args.name, a is not None)
+        if misuse:
+            return _fail(f"catalog entry {args.name!r} {misuse} --type", 1)
+        return _fail(f"unknown catalog entry {args.name!r}; available: "
+                     f"{', '.join(catalog_names())}", 1)
     print(pretty(t))
     return 0
 

@@ -18,10 +18,9 @@ import re
 from collections import namedtuple
 from collections.abc import Callable
 
-from .stdlib import catalog_lookup
+from .stdlib import catalog_lookup, catalog_misuse
 from .terms import (App, Iter, Lam, LetPair, Min, Rec, Suc, Term, Var,
-                    Violation, _certified, check_linear, freshen, mk_tuple,
-                    numeral)
+                    Violation, check_linear, freshen, mk_tuple, numeral)
 from .types import LinType, Lolli, NAT, Tensor, type_pretty
 
 
@@ -166,18 +165,23 @@ class _Parser(TokenStream):
 
     # -- terms -------------------------------------------------------------
 
+    def binder(self, what: str) -> str:
+        """A binder or pattern variable, refused at its token if a keyword."""
+        t = self.expect("ident", what)
+        if t.text in _KEYWORDS:
+            raise ParseError(f"{t.text!r} is a keyword", t.line, t.col)
+        return t.text
+
     def term(self) -> Term:
         t = self.peek()
         if t.kind == "lambda":
             self.next()
-            binders = [self.expect("ident", "a binder name").text]
+            binders = [self.binder("a binder name")]
             while self.peek().kind == "ident":
-                binders.append(self.next().text)
+                binders.append(self.binder("a binder name"))
             self.expect("dot", "'.'")
             body = self.term()
             for b in reversed(binders):
-                if b in _KEYWORDS:
-                    raise ParseError(f"{b!r} is a keyword", t.line, t.col)
                 body = Lam(b, body)
             return body
         return self.app()
@@ -239,8 +243,18 @@ class _Parser(TokenStream):
             if term is None:
                 term = catalog_lookup(name, a)
             if term is None:
-                shown = name if a is None else f"{name}[{type_pretty(a)}]"
-                raise ParseError(f"unknown reference @{shown}", t.line, t.col)
+                # an earlier definition, like a plain entry, takes no type
+                typed = a is not None
+                misuse = ("takes no" if typed and self.resolve(name) is not None
+                          else catalog_misuse(name, typed))
+                if misuse == "needs":
+                    msg = f"@{name} needs a type argument"
+                elif misuse == "takes no":
+                    msg = f"@{name} takes no type argument"
+                else:
+                    shown = name if a is None else f"{name}[{type_pretty(a)}]"
+                    msg = f"unknown reference @{shown}"
+                raise ParseError(msg, t.line, t.col)
             return term
         if t.kind == "ident":
             word = t.text
@@ -250,11 +264,11 @@ class _Parser(TokenStream):
             if word == "let":
                 self.next()
                 self.expect("langle", "'<'")
-                x = self.expect("ident", "a pattern variable").text
+                x = self.binder("a pattern variable")
                 self.expect("comma", "','")
                 if self.peek().text == x:
                     self.fail(f"pattern binds {x} twice")
-                y = self.expect("ident", "a pattern variable").text
+                y = self.binder("a pattern variable")
                 self.expect("rangle", "'>'")
                 self.expect("eq", "'='")
                 scrut = self.term()
@@ -308,9 +322,10 @@ class _Parser(TokenStream):
 
 
 def _certify(t: Term) -> Term:
-    """Certify one definition as written. A violation is reported on
-    the named term, so its message shows the binders as printed."""
-    if not _certified(t):
+    """Certify one definition as written, by its `linear` flag. A
+    violation is reported on the named term, so its message shows the
+    binders as printed."""
+    if not t.linear:
         raise LinearityError(check_linear(freshen(t)))
     return t
 

@@ -204,6 +204,15 @@ def catalog_names() -> list[str]:
     return sorted(_PLAIN) + sorted(f"{n}[T]" for n in _TYPED)
 
 
+def catalog_misuse(name: str, typed: bool) -> str | None:
+    """Why a reference with a type argument (typed) or without one found
+    no entry, when one has its name: the entry "needs" a type argument,
+    or "takes no" type argument. None when no entry has the name."""
+    if typed:
+        return "takes no" if name in _PLAIN else None
+    return "needs" if name in _TYPED else None
+
+
 def catalog_lookup(name: str, a: LinType | None = None) -> Term | None:
     """Resolve a catalog reference; type-indexed entries need a."""
     if a is None:

@@ -8,13 +8,17 @@ are closed, or a binder does not occur), and every closed node holds
 the one `EMPTY`, so a union or difference is built only when it makes
 a new set. No term forms a cycle either, so reference counting frees
 it and the cyclic collector finds nothing in it (see `cli.GC_GEN0`).
-A node holds nothing else besides its fields, and no engine writes
-into one, so a term can be shared by any number of calls and engines.
-Linearity is *checkable*, not enforced by constructors: ill-formed
-terms can be built (and reported on) by check_linear, but the parser
-and every engine operation only produce terms for which check_linear
-returns no violations. It decides on the term as written, whatever its
-binder names; `freshen` renames binders only for the printed text.
+Every node also caches whether it is linear. Each condition of the
+grammar is local to one constructor (a binder occurs in its body; the
+parts of an application, pair, let or call share no free variable), so
+`linear` follows at construction from the node's own test, made on its
+children's sets, and their flags. A node holds nothing else besides its
+fields, and no engine writes into one, so a term can be shared by any
+number of calls and engines. Linearity is *checkable*, not enforced by
+constructors: ill-formed terms can be built (and reported on) by
+check_linear, but the parser and every engine operation only produce
+terms whose flag is set. It decides on the term as written, whatever
+its binder names; `freshen` renames binders only for the printed text.
 
 The same node classes serve both calculi: Rec belongs to the recursor
 calculus, Iter and Min to the minimiser calculus. Engines guard the
@@ -172,10 +176,23 @@ def _join(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
     return (a | b if b else a) if a else b
 
 
+def _split(fv: frozenset[str], *parts: Term) -> bool:
+    """Whether the parts are linear and share no free variable: their
+    sets, whose union is fv, are as large together as fv."""
+    n = len(fv)
+    for p in parts:
+        if not p.linear:
+            return False
+        n -= len(p.fv)
+    return n == 0
+
+
 class Term:
-    # fv: cached free variables, the only slot besides a node's fields
-    __slots__ = ("fv",)
+    # the only slots besides a node's fields: the cached free variables,
+    # and whether the term is linear (see check_linear)
+    __slots__ = ("fv", "linear")
     fv: frozenset[str]
+    linear: bool
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {pretty(self)!r}>"
@@ -186,6 +203,7 @@ class Zero(Term):
 
     def __init__(self):
         self.fv = EMPTY
+        self.linear = True
 
 
 class Suc(Term):
@@ -194,6 +212,7 @@ class Suc(Term):
     def __init__(self, body: Term):
         self.body = body
         self.fv = body.fv
+        self.linear = body.linear
 
 
 class Var(Term):
@@ -202,6 +221,7 @@ class Var(Term):
     def __init__(self, name: str):
         self.name = name
         self.fv = frozenset((name,))
+        self.linear = True
 
 
 class App(Term):
@@ -210,8 +230,13 @@ class App(Term):
     def __init__(self, fun: Term, arg: Term):
         self.fun = fun
         self.arg = arg
-        f, a = fun.fv, arg.fv  # _join, inlined: the most built node
-        self.fv = (f | a if a else f) if f else a
+        f, a = fun.fv, arg.fv  # _join and _split, inlined: the most built node
+        if f and a:
+            self.fv = f | a
+            self.linear = fun.linear and arg.linear and f.isdisjoint(a)
+        else:
+            self.fv = f or a
+            self.linear = fun.linear and arg.linear
 
 
 class Lam(Term):
@@ -221,7 +246,12 @@ class Lam(Term):
         self.binder = binder
         self.body = body
         fv = body.fv
-        self.fv = (fv - {binder} or EMPTY) if binder in fv else fv
+        if binder in fv:
+            self.fv = fv - {binder} or EMPTY
+            self.linear = body.linear
+        else:
+            self.fv = fv
+            self.linear = False
 
 
 class Pair(Term):
@@ -230,7 +260,13 @@ class Pair(Term):
     def __init__(self, left: Term, right: Term):
         self.left = left
         self.right = right
-        self.fv = _join(left.fv, right.fv)
+        l, r = left.fv, right.fv  # as in App
+        if l and r:
+            self.fv = l | r
+            self.linear = left.linear and right.linear and l.isdisjoint(r)
+        else:
+            self.fv = l or r
+            self.linear = left.linear and right.linear
 
 
 class LetPair(Term):
@@ -244,9 +280,12 @@ class LetPair(Term):
         self.y = y
         self.body = body
         fv = body.fv
+        linear = x != y and x in fv and y in fv
         if x in fv or y in fv:
             fv = fv - {x, y} or EMPTY
         self.fv = _join(scrut.fv, fv)
+        self.linear = (linear and scrut.linear and body.linear
+                       and len(self.fv) == len(scrut.fv) + len(fv))
 
 
 class Rec(Term):
@@ -259,7 +298,9 @@ class Rec(Term):
         self.base = base
         self.step = step
         self.update = update
-        self.fv = _join(_join(scrut.fv, base.fv), _join(step.fv, update.fv))
+        fv = self.fv = _join(_join(scrut.fv, base.fv),
+                             _join(step.fv, update.fv))
+        self.linear = _split(fv, scrut, base, step, update)
 
 
 class Iter(Term):
@@ -271,7 +312,8 @@ class Iter(Term):
         self.count = count
         self.base = base
         self.step = step
-        self.fv = _join(_join(count.fv, base.fv), step.fv)
+        fv = self.fv = _join(_join(count.fv, base.fv), step.fv)
+        self.linear = _split(fv, count, base, step)
 
 
 class Min(Term):
@@ -283,7 +325,8 @@ class Min(Term):
         self.scrut = scrut
         self.counter = counter
         self.fn = fn
-        self.fv = _join(_join(scrut.fv, counter.fv), fn.fv)
+        fv = self.fv = _join(_join(scrut.fv, counter.fv), fn.fv)
+        self.linear = _split(fv, scrut, counter, fn)
 
 
 Outcome = Term | FuelExhausted | Stuck  # of an engine whose result is a term
@@ -374,79 +417,20 @@ def check_linear(t: Term) -> list[Violation]:
     """Every constraint of the term grammar, at every subterm.
 
     Returns the empty list when the term is syntactically linear,
-    whatever its binder names. An exact walk that builds no message
-    decides that; only a term with a violation takes the full walk,
-    which lists each violation with its path.
+    whatever its binder names: its `linear` flag says so, and no node is
+    walked. Otherwise a walk lists each violation with its path, going
+    down only into the subterms that are not linear themselves.
     """
-    return [] if _certified(t) else _violations(t)
-
-
-def _certified(t: Term) -> bool:
-    """True exactly when `_violations(t)` is empty, without its messages
-    or paths. A let's or a call's parts share no free variable exactly
-    when its set, the union of theirs (less the pattern), is as large as
-    theirs together."""
-    work = [t]
-    pop, push = work.pop, work.append
-    while work:
-        node = pop()
-        cls = type(node)
-        if cls is App:
-            f, a = node.fun, node.arg
-            if not f.fv.isdisjoint(a.fv):
-                return False
-            push(a)
-            push(f)
-        elif cls is Lam:
-            if node.binder not in node.body.fv:
-                return False
-            push(node.body)
-        elif cls is Suc:
-            node = node.body
-            while type(node) is Suc:
-                node = node.body
-            push(node)
-        elif cls is Pair:
-            l, r = node.left, node.right
-            if not l.fv.isdisjoint(r.fv):
-                return False
-            push(r)
-            push(l)
-        elif cls is LetPair:
-            x, y, s, b = node.x, node.y, node.scrut, node.body
-            if (x == y or x not in b.fv or y not in b.fv
-                    or len(node.fv) != len(s.fv) + len(b.fv) - 2):
-                return False
-            push(b)
-            push(s)
-        elif cls is not Var and cls is not Zero:
-            kids = children(node)
-            if len(node.fv) != sum(len(k.fv) for k in kids):
-                return False
-            work += kids
-    return True
-
-
-def _render(cell: list | None) -> str:
-    """The dotted path of a walk cell [parent cell, child index, text],
-    caching the text on every cell it renders."""
-    pending = []
-    while cell is not None and cell[2] is None:
-        pending.append(cell)
-        cell = cell[0]
-    text = "" if cell is None else cell[2]
-    for c in reversed(pending):
-        text = f"{text}.{c[1]}" if text else str(c[1])
-        c[2] = text
-    return text
+    return [] if t.linear else _violations(t)
 
 
 def _violations(t: Term) -> list[Violation]:
-    # the full walk; a node's path is rendered only when it has a violation
+    # pre-order from t, each node with its path; a linear child holds no
+    # violation, so only the children whose flag is False are entered
     out: list[Violation] = []
-    work: list[tuple[Term, list | None]] = [(t, None)]
+    work: list[tuple[Term, str]] = [(t, "")]
     while work:
-        node, cell = work.pop()
+        node, path = work.pop()
         bad: list[tuple[str, str, frozenset[str]]] = []
         kids = children(node)
         match node:
@@ -467,11 +451,10 @@ def _violations(t: Term) -> list[Violation]:
                                 "shared", frozenset(shared)))
             case _ if type(node) in _PARTS:
                 _disjointness(_PARTS[type(node)], kids, bad)
-        if bad:
-            path = _render(cell)
-            out += (Violation(path, *v) for v in bad)
+        out += (Violation(path, *v) for v in bad)
         for i in range(len(kids) - 1, -1, -1):
-            work.append((kids[i], [cell, i, None]))
+            if not kids[i].linear:
+                work.append((kids[i], f"{path}.{i}" if path else str(i)))
     return out
 
 

@@ -2,7 +2,7 @@
 that print a term name its binders.
 
 Linearity is decided on the cached free-variable sets, so it needs no
-renaming: `terms._certified` is exact, true precisely when the full walk
+renaming: a node's `linear` flag is exact, true precisely when the walk
 `_violations` finds nothing, whatever the binder names. `parse_defs`
 keeps each definition as written and splices an earlier one named, so
 `freshen` of its program is the named program. `check` reads and parses
@@ -46,8 +46,8 @@ def _generated(n: int = 300) -> list[Term]:
 
 
 def test_shadowing_certifies_as_written():
-    assert [terms._certified(t) for t in SHADOWED] == [True, True]
-    assert [terms._certified(t) for t in MUTANTS] == [False] * 3
+    assert [t.linear for t in SHADOWED] == [True, True]
+    assert [t.linear for t in MUTANTS] == [False] * 3
 
 
 @pytest.mark.parametrize("source", ["corpus", "generated", "hand-built"])
@@ -56,7 +56,7 @@ def test_certification_is_exact(source):
               "hand-built": lambda: SHADOWED + MUTANTS}[source]()
     assert inputs
     for t in inputs:
-        assert terms._certified(t) == (terms._violations(t) == []), pretty(t)
+        assert t.linear == (terms._violations(t) == []), pretty(t)
 
 
 # ------------------------------------------------------ printed names

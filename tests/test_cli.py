@@ -396,7 +396,7 @@ def test_stdlib_unknown_and_missing_type(capsys):
     code, out, err = run_cli(capsys, "stdlib", "nosuch")
     assert code == 1 and out == "" and "nosuch" in err
     code, out, err = run_cli(capsys, "stdlib", "Y")
-    assert code == 1 and "--type" in err
+    assert (code, out, err) == (1, "", "catalog entry 'Y' needs --type\n")
     code, out, err = run_cli(capsys, "stdlib", "add", "--type", "Nat")
     assert (code, out, err) == (1, "", "catalog entry 'add' takes no --type\n")
 
@@ -653,6 +653,9 @@ def test_difftest_skips_an_open_pcf_program(capsys, tmp_path):
     ("main = @Y[];", "line 1, col 11: expected a type"),
     ("@Y[Nat -o Nat ; ]", "line 1, col 15: expected ']', found ';'"),
     ("main = @nope[(Nat)];", "line 1, col 8: unknown reference @nope[Nat]"),
+    ("main = @dup 3;", "line 1, col 8: @dup needs a type argument"),
+    ("main = @pred[Nat] 3;", "line 1, col 8: @pred takes no type argument"),
+    ("f = \\x. x;\nmain = @f[Nat] 0;", "line 2, col 8: @f takes no type argument"),
 ])
 def test_type_argument_diagnostics_point_into_the_file(capsys, tmp_path,
                                                        text, message):

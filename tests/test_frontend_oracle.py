@@ -1,8 +1,8 @@
 """The one-pass front end against verbatim copies of the code it replaced.
 
-`lex` is one compiled regex loop; `check_linear` certifies a term with
-one walk and runs the full walk, which now renders a path only for a
-violation, only when certification fails; `freshen` and inference keep
+`lex` is one compiled regex loop; `check_linear` reads the `linear`
+flag each node sets when it is built, and walks only when that flag is
+False, into the subterms whose flag is False; `freshen` and inference keep
 one scoped environment instead of copying it at every binder; `_unify`
 dispatches on type instead of comparing whole type trees. Below are the
 earlier `lex`, `check_linear`, `freshen`, unifier and constraint
@@ -29,6 +29,7 @@ from lrec.cli import _load_pcf, main
 from lrec.gen import random_closed
 from lrec.parser import ParseError, parse, parse_defs
 from lrec.pcf import compile_pcf
+from lrec.stdlib import pred_enc
 from lrec.terms import (App, Iter, Lam, LetPair, Min, Pair, Rec, Suc, Term,
                         Var, Violation, Zero, children, mk_tuple, numeral,
                         pretty)
@@ -572,8 +573,8 @@ def test_violations_match(inputs):
     for t in inputs:
         want = check_linear(t)
         assert terms.check_linear(t) == want, pretty(t)
-        # certification is exact: it alone decides every input
-        assert terms._certified(t) == (want == []), pretty(t)
+        # the flag is exact: it alone decides every input
+        assert t.linear == (terms._violations(t) == []) == (want == []), pretty(t)
         if not want:
             certified += 1
             # a linear term that reuses names certifies as written
@@ -662,8 +663,8 @@ def _nest(depth: int) -> str:
 
 
 def test_well_formed_input_never_takes_the_full_walk(monkeypatch, tmp_path, capsys):
-    """Parsing and checking the corpus and the 2000-deep nest certifies
-    every term: the path-building walk never runs."""
+    """Checking the corpus and the 2000-deep nest reads each term's flag:
+    the walk that lists violations never runs."""
     walks = [0]
     full = terms._violations
 
@@ -682,3 +683,33 @@ def test_well_formed_input_never_takes_the_full_walk(monkeypatch, tmp_path, caps
     with pytest.raises(parser.LinearityError):
         parse("\\x. \\x. x")
     assert walks[0] == 1
+
+
+def test_the_walk_visits_only_the_path_to_a_violation(monkeypatch):
+    """The 2000-deep nest with (\\x. x x) 0 at the bottom: the walk enters
+    each node down to the shared x and no linear subterm beside it."""
+    x = Var("x")
+    bottom = App(Lam("x", App(x, x)), Zero())
+    t = bottom
+    for _ in range(2000):
+        t = App(pred_enc(), t)
+    path = []
+    node = t
+    while node is not bottom:
+        path.append(node)
+        node = node.arg
+    path += [bottom, bottom.fun, bottom.fun.body]
+    seen = []
+    full = terms.children
+
+    def recording(node):
+        seen.append(node)
+        return full(node)
+
+    monkeypatch.setattr(terms, "children", recording)
+    got = terms.check_linear(t)
+    assert len(seen) == len(path) == 2003
+    assert all(a is b for a, b in zip(seen, path))
+    assert got == [terms.Violation(
+        "1." * 2000 + "0.0", "variable(s) x occur in both operator and operand",
+        "shared", frozenset({"x"}))]

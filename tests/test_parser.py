@@ -56,6 +56,18 @@ def test_a_pattern_that_binds_one_name_twice_is_a_syntax_error():
     assert str(e.value) == "line 1, col 9: pattern binds a twice"
 
 
+@pytest.mark.parametrize("src, message", [
+    ("\\S. S", "line 1, col 2: 'S' is a keyword"),
+    ("\\x S. x", "line 1, col 4: 'S' is a keyword"),
+    ("let <S, b> = <0, 0> in b", "line 1, col 6: 'S' is a keyword"),
+    ("let <a, in> = <0, 0> in a", "line 1, col 9: 'in' is a keyword"),
+])
+def test_a_keyword_binder_is_refused_at_its_token(src, message):
+    with pytest.raises(ParseError) as e:
+        parse(src)
+    assert str(e.value) == message
+
+
 def test_linearity_error_names_three_violations():
     with pytest.raises(LinearityError) as e:
         parse("\\x. " * 10 + "x")

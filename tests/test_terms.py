@@ -36,7 +36,7 @@ def test_a_node_takes_no_attribute_beyond_its_fields():
              LetPair(x, "a", "b", x), Rec(x, x, x, x), Iter(x, x, x),
              Min(x, x, x)]
     assert {type(n) for n in nodes} == set(Term.__subclasses__())
-    assert Term.__slots__ == ("fv",)
+    assert Term.__slots__ == ("fv", "linear")
     for node in nodes:
         assert not hasattr(node, "__dict__")
         for name in ("nf", "nfm", "memo", "redex_free"):
@@ -186,13 +186,13 @@ def test_the_label_table_covers_the_classes_with_parts():
 
 @pytest.mark.parametrize("cls", _SPLIT, ids=lambda cls: cls.__name__)
 def test_a_shared_variable_is_reported_with_the_labels_of_its_parts(cls):
-    # a class without labels would fail certification with no violation
-    # listed to say why
+    # a class without labels would not be linear with no violation listed
+    # to say why
     labels = terms._PARTS[cls]
     n = len(terms._CHILDREN[cls](_Fields()))
     assert len(labels) == n
     t = cls(Var("z"), *(Var(f"x{i}") for i in range(1, n - 1)), Var("z"))
-    assert terms._certified(t) is False
+    assert t.linear is False
     assert terms._violations(t) == [terms.Violation(
         "", f"variable(s) z occur in both {labels[0]} and {labels[-1]}",
         "shared", frozenset({"z"}))]
