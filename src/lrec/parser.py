@@ -131,11 +131,9 @@ class TokenStream:
         self.resolve = resolve
 
     def peek(self, ahead: int = 0) -> Token:
-        # the list ends with "eof", which next() never passes
-        try:
-            return self.toks[self.pos + ahead]
-        except IndexError:
-            return self.toks[-1]
+        # the list ends with "eof", which next() never passes; the one
+        # look-ahead, in definitions(), is made from an identifier
+        return self.toks[self.pos + ahead]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -272,10 +270,8 @@ class _Parser(TokenStream):
                 self.expect("rangle", "'>'")
                 self.expect("eq", "'='")
                 scrut = self.term()
-                kw = self.expect("ident", "'in'")
-                if kw.text != "in":
-                    raise ParseError(f"expected 'in', found {kw.text!r}",
-                                     kw.line, kw.col)
+                # term() stops only before 'in' among identifiers
+                self.expect("ident", "'in'")
                 body = self.term()
                 return LetPair(scrut, x, y, body)
             if word in _CALLS:

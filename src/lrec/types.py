@@ -197,11 +197,8 @@ class _Gen:
         A binder is bound in env for its body and then restored, so a
         successful call leaves env as it found it."""
         cls = type(t)
-        if cls is Var:
-            try:
-                return env[t.name]
-            except KeyError:
-                raise TypingError(f"unbound variable {t.name}") from None
+        if cls is Var:  # bound: _domain gave env t's free variables
+            return env[t.name]
         if cls is App:
             tf = self.go(t.fun, env)
             tu = self.go(t.arg, env)

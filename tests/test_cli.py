@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,10 +16,11 @@ import pytest
 import lrec.cli
 from lrec.cli import main
 from lrec.evaluation import eval_cbn, eval_cbv, force_numeral
+from lrec.gen import random_closed
 from lrec.machine import machine_force_numeral, run
 from lrec.parser import MAX_NAT, ParseError, lex, parse, parse_type
-from lrec.terms import (App, Fuel, Lam, LetPair, Pair, Term, Var, alpha_eq,
-                        numeral)
+from lrec.terms import (App, Fuel, FuelExhausted, Lam, LetPair, Pair, Term,
+                        Var, alpha_eq, numeral, pretty)
 from lrec.types import NAT, check
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -494,6 +496,47 @@ def test_difftest_names_the_counterexample(capsys, tmp_path, monkeypatch):
     assert code == 1
     assert "disagreement" in err
     assert "(\\x. x) 0" in err     # the offending term, verbatim
+
+
+def _nine(t, fuel, **kwargs):
+    return numeral(9)
+
+
+def _out_of_fuel(t, fuel, **kwargs):
+    return FuelExhausted(t)
+
+
+def _a_lambda(t, fuel, **kwargs):
+    return Lam("x", Var("x"))
+
+
+@pytest.mark.parametrize("faults, complaint", [
+    ({"run": _out_of_fuel}, "machine and eval_cbn disagree on convergence"),
+    ({"normalize": _a_lambda},
+     "normal form \\x. x does not match the shape of type Nat"),
+    ({"run": _nine, "eval_report": _nine},
+     "eval_cbn value does not rejoin the normal form"),
+])
+def test_difftest_names_each_kind_of_fault(capsys, tmp_path, monkeypatch,
+                                           faults, complaint):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    (d / "one.lrec").write_text("(\\x. x) 0")
+    for name, fault in faults.items():
+        monkeypatch.setattr(f"lrec.cli.{name}", fault)
+    code, _, err = run_cli(capsys, "difftest", str(d), "--n", "0")
+    assert code == 1
+    assert err.startswith(f"disagreement: one.lrec: {complaint}: (\\x. x) 0\n")
+
+
+def test_difftest_names_a_generated_counterexample(capsys, tmp_path,
+                                                   monkeypatch):
+    monkeypatch.setattr("lrec.cli.run", _out_of_fuel)
+    code, _, err = run_cli(capsys, "difftest", str(tmp_path), "--n", "1")
+    t = pretty(random_closed(random.Random(42))[0])
+    assert code == 1
+    assert err.startswith("disagreement: generated #0 (seed 42): machine and "
+                          f"eval_cbn disagree on convergence: {t}\n")
 
 
 def test_difftest_pcf_records_report_fuel(capsys, tmp_path):

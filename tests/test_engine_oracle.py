@@ -22,6 +22,7 @@ from lrec.machine import LetK, MachineConfig, Plain, RecK, RecK2
 from lrec.minext import lin_pred
 from lrec.parser import parse
 from lrec.pcf import compile_pcf
+from lrec.reduction import _normalize_with
 from lrec.terms import (App, ContractViolation, Fuel, FuelExhausted, Iter,
                         Lam, LetPair, Min, OutOfFuel, Pair, Rec, Stuck, Suc,
                         Term, Var, Zero, alpha_eq, children, drive, is_value,
@@ -327,6 +328,18 @@ def test_generated_terms_agree():
     for k in range(300):
         t = random_closed(rng)[0]
         _check(f"generated #{k}", t, 2_000, rng)
+
+
+def test_an_open_update_agrees():
+    # the update's free y puts it in a shared %w cell (terms.recur)
+    t = parse("(\\y. rec(<3, 0>, 0, \\k. S k, "
+              "\\p. let <a, b> = p in <a, y b>)) (\\z. z)")
+    _check("open update", t, 1_000, random.Random(6))
+    for cbv in (False, True):
+        assert evaluation.force_numeral(t, 1_000, cbv) == 3
+    assert machine.machine_force_numeral(t, 1_000) == 3
+    # the zipper substitutes, so its 3 is an independent witness
+    assert pretty(_normalize_with(t, 1_000, None, closed=False)) == "3"
 
 
 def test_stuck_and_faulting_terms_agree():

@@ -3,6 +3,7 @@
 import pytest
 
 from lrec import parser
+from lrec.cli import main
 from lrec.evaluation import force_numeral
 from lrec.parser import LinearityError, ParseError, parse, parse_defs, parse_type
 from lrec.stdlib import dup, fix
@@ -54,6 +55,14 @@ def test_a_pattern_that_binds_one_name_twice_is_a_syntax_error():
     with pytest.raises(ParseError) as e:
         parse("let <a, a> = <0, 0> in a")
     assert str(e.value) == "line 1, col 9: pattern binds a twice"
+
+
+def test_a_one_component_pair_is_a_syntax_error(capsys, tmp_path):
+    path = tmp_path / "one.lrec"
+    path.write_text("<0>")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "syntax: line 1, col 1: a pair needs at least two components\n")
 
 
 @pytest.mark.parametrize("src, message", [
