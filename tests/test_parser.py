@@ -155,6 +155,12 @@ def test_calculus_gating():
     assert isinstance(mn, Min)
 
 
+def test_an_unknown_calculus_is_refused():
+    with pytest.raises(ValueError) as e:
+        parse("0", "foo")
+    assert str(e.value) == "unknown calculus 'foo'"
+
+
 @pytest.mark.parametrize("src, calculus, message", [
     ("<0, rec(<0,0>, 0, \\x. x, \\p. p)>", "llcim",
      "line 1, col 5: rec is not part of this calculus"),

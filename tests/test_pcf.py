@@ -217,6 +217,21 @@ def test_eval_fuel_and_contracts():
         pcf_subst(PVar("x"), "x", PVar("y"))  # open payload
 
 
+@pytest.mark.parametrize("src, message", [
+    ("succ (fun x : Nat . x)", "succ applied to a non-number value"),
+    ("pred (fun x : Nat . x)", "pred applied to a non-number value"),
+    ("iszero (fun x : Nat . x)", "iszero applied to a non-number value"),
+    ("cond[Nat] (fun x : Nat . x) 1 2", "cond applied to a non-number value"),
+    ("1 2", "applied a non-function value: 1"),
+], ids=["succ", "pred", "iszero", "cond", "apply-number"])
+def test_an_ill_typed_term_faults_at_run_time(src, message):
+    # pcf_eval does not type-check first: on an ill-typed term it meets
+    # the fault at run time and names it
+    with pytest.raises(ContractViolation) as e:
+        pcf_eval(parse_pcf(src), F)
+    assert str(e.value) == message
+
+
 def test_subst_shadowing():
     t = parse_pcf("fun x : Nat . x")
     assert pcf_subst(PApp(t, PVar("x")), "x", NumConst(1)) == \

@@ -7,8 +7,9 @@ import pytest
 from lrec.parser import parse
 from lrec.reduction import (FuelExhausted, enumerate_redexes, normalize,
                             step_at, step_lo, step_random, step_root)
-from lrec.terms import (App, Lam, LetPair, Pair, Rec, Suc, Var, Zero,
-                        alpha_eq, check_linear, is_value, numeral, subst)
+from lrec.terms import (App, ContractViolation, Lam, LetPair, Pair, Rec, Suc,
+                        Var, Zero, alpha_eq, check_linear, is_value, numeral,
+                        subst)
 
 ID = "(\\i. i)"
 ADD = "(\\m n. rec(<m, 0>, n, \\x. S x, \\p. p))"
@@ -139,6 +140,12 @@ def test_enumerate_and_step_at():
     inner, rule = step_at(t, (1,))
     assert rule == "Beta"
     assert alpha_eq(inner, parse("(\\x. x) 0"))
+
+
+def test_step_at_refuses_a_position_without_a_redex():
+    with pytest.raises(ContractViolation) as e:
+        step_at(parse("\\x. x"), ())
+    assert str(e.value) == "no redex at the given position"
 
 
 def test_step_random_confluent_on_small_term():

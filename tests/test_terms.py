@@ -430,6 +430,11 @@ def test_numeral_roundtrip():
     assert numeral_value(Suc(Var("x"))) is None
 
 
+def test_a_numeral_is_a_natural():
+    with pytest.raises(ValueError):
+        numeral(-1)
+
+
 def test_mk_tuple_shape():
     a, b, c = Var("a"), Var("b"), Var("c")
     t = mk_tuple([a, b, c])
