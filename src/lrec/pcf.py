@@ -6,6 +6,14 @@ compiles to the linear type of the same shape, with -> read as -o, so
 an annotation goes to the encodings as it is. Only the printer
 (pcf_type_pretty) speaks PCF's syntax.
 
+The constants succ, pred, iszero, cond[T] and Y[T] are one node,
+PConst, and one table, CONSTANTS, says what each is: whether it takes a
+type argument, its type, its encoding into the linear calculus and, for
+the arithmetic ones, its reference rule. The checker, the compiler, the
+reference evaluator, the printer and the parser read that table; only
+the evaluator's rules for cond and Y, which are not functions of one
+number, name those two constants.
+
 The reference semantics is big-step call-by-name over closed terms; a
 value is a number, an abstraction, a constant, or a partially applied
 conditional. The compiler is type-directed: binders carry annotations,
@@ -19,7 +27,7 @@ those name sets bottom-up, walking each node of its result at most once,
 so its walks are linear (up to a log factor for merging sets) in the
 size of the result, however many times the variable is used.
 
-`Succ` compiles to a recursor, not to λx.S x: S does not reduce under
+`succ` compiles to a recursor, not to λx.S x: S does not reduce under
 itself, so the literal abstraction would turn divergent arguments into
 values and change what terminates.
 """
@@ -27,6 +35,7 @@ values and change what terminates.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 
 from .parser import ParseError, TokenStream, definitions, lex
 from .stdlib import (cond_enc, dup, erase_term, fix, identity, iszero_enc,
@@ -57,26 +66,40 @@ class NumConst(PcfTerm):
         self.n = n
 
 
-class Succ(PcfTerm):
-    __slots__ = ()
+class PConst(PcfTerm):
+    """A constant: `name` is a key of CONSTANTS, and `a` is the type
+    argument of cond and Y, else None."""
+    __slots__ = ("name", "a")
+    name: str
+    a: LinType | None
+
+    def __init__(self, name: str, a: LinType | None = None):
+        if name not in CONSTANTS:
+            raise ContractViolation(f"unknown PCF constant {name!r}")
+        if CONSTANTS[name].typed != (a is not None):
+            why = "needs a" if a is None else "takes no"
+            raise ContractViolation(f"{name} {why} type argument")
+        self.name = name
+        self.a = a
 
 
-class Pred(PcfTerm):
-    __slots__ = ()
-
-
-class IsZero(PcfTerm):
-    __slots__ = ()
-
-
-class Cond(PcfTerm):
-    __slots__ = ("a",)
-    a: LinType
-
-
-class YComb(PcfTerm):
-    __slots__ = ("a",)
-    a: LinType
+# what a constant is, by name: whether it takes a type argument, its type
+# and its encoding as functions of that argument (None when it takes
+# none), and for succ, pred and iszero the reference rule on a number
+Constant = namedtuple("Constant", "typed type encoding rule")
+CONSTANTS = {
+    "succ": Constant(False, lambda a: Lolli(NAT, NAT), lambda a: Lam(
+        "n", Rec(Pair(Var("n"), Zero()), Suc(Zero()),
+                 Lam("x", Suc(Var("x"))), identity())), lambda n: n + 1),
+    "pred": Constant(False, lambda a: Lolli(NAT, NAT),
+                     lambda a: pred_enc(dup(NAT)), lambda n: max(n - 1, 0)),
+    "iszero": Constant(False, lambda a: Lolli(NAT, NAT),
+                       lambda a: iszero_enc(dup(NAT)),
+                       lambda n: 0 if n == 0 else 1),
+    "cond": Constant(True, lambda a: Lolli(NAT, Lolli(a, Lolli(a, a))),
+                     cond_enc, None),
+    "Y": Constant(True, lambda a: Lolli(Lolli(a, a), a), fix, None),
+}
 
 
 class PVar(PcfTerm):
@@ -138,16 +161,10 @@ def pcf_pretty(t: PcfTerm, level: int = 0) -> str:
     match t:
         case NumConst(n=n):
             return str(n)
-        case Succ():
-            return "succ"
-        case Pred():
-            return "pred"
-        case IsZero():
-            return "iszero"
-        case Cond(a=a):
-            return f"cond[{pcf_type_pretty(a)}]"
-        case YComb(a=a):
-            return f"Y[{pcf_type_pretty(a)}]"
+        case PConst(name=n, a=None):
+            return n
+        case PConst(name=n, a=a):
+            return f"{n}[{pcf_type_pretty(a)}]"
         case PVar(name=n):
             return n
         case PLam(binder=b, annot=a, body=u):
@@ -168,12 +185,8 @@ def pcf_check(t: PcfTerm, env: dict[str, LinType]) -> LinType:
     match t:
         case NumConst():
             return NAT
-        case Succ() | Pred() | IsZero():
-            return Lolli(NAT, NAT)
-        case Cond(a=a):
-            return Lolli(NAT, Lolli(a, Lolli(a, a)))
-        case YComb(a=a):
-            return Lolli(Lolli(a, a), a)
+        case PConst(name=n, a=a):
+            return CONSTANTS[n].type(a)
         case PVar(name=n):
             if n not in env:
                 raise TypingError(f"unbound variable {n}")
@@ -205,11 +218,9 @@ def pcf_check(t: PcfTerm, env: dict[str, LinType]) -> LinType:
 def pcf_is_value(t: PcfTerm) -> bool:
     """Numbers, abstractions, constants, partially applied conditionals."""
     match t:
-        case NumConst() | PLam() | Succ() | Pred() | IsZero() | Cond() | YComb():
+        case NumConst() | PLam() | PConst():
             return True
-        case PApp(fun=Cond()):
-            return True
-        case PApp(fun=PApp(fun=Cond())):
+        case PApp(fun=PConst(name="cond") | PApp(fun=PConst(name="cond"))):
             return True
     return False
 
@@ -244,26 +255,19 @@ def _peval(t: PcfTerm, fuel: Fuel) -> PcfTerm:
             fuel.tick()
             return t
         match t:
-            case PApp(fun=PApp(fun=PApp(fun=Cond(), arg=c), arg=u), arg=v):
+            case PApp(fun=PApp(fun=PApp(fun=PConst(name="cond"), arg=c),
+                               arg=u), arg=v):
                 n = _num_of(_peval(c, fuel), "cond")
                 fuel.tick()
                 t = u if n == 0 else v
-            case PApp(fun=Succ(), arg=u):
-                n = _num_of(_peval(u, fuel), "succ")
+            case PApp(fun=PConst(name=name), arg=u) if CONSTANTS[name].rule:
+                n = _num_of(_peval(u, fuel), name)
                 fuel.tick()
-                return NumConst(n + 1)
-            case PApp(fun=Pred(), arg=u):
-                n = _num_of(_peval(u, fuel), "pred")
-                fuel.tick()
-                return NumConst(max(n - 1, 0))
-            case PApp(fun=IsZero(), arg=u):
-                n = _num_of(_peval(u, fuel), "iszero")
-                fuel.tick()
-                return NumConst(0 if n == 0 else 1)
+                return NumConst(CONSTANTS[name].rule(n))
             case PApp(fun=PLam(binder=b, body=body), arg=u):
                 fuel.tick()
                 t = pcf_subst(body, b, u)
-            case PApp(fun=YComb() as y, arg=f):
+            case PApp(fun=PConst(name="Y") as y, arg=f):
                 fuel.tick()
                 t = PApp(f, PApp(y, f))
             case PApp(fun=s, arg=u) if not pcf_is_value(s):
@@ -386,17 +390,8 @@ def compile_body(t: PcfTerm, tenv: dict[str, LinType]) -> Term:
     match t:
         case NumConst(n=n):
             return numeral(n)
-        case Succ():
-            return Lam("n", Rec(Pair(Var("n"), Zero()), Suc(Zero()),
-                                Lam("x", Suc(Var("x"))), identity()))
-        case Pred():
-            return pred_enc(dup(NAT))
-        case IsZero():
-            return iszero_enc(dup(NAT))
-        case Cond(a=a):
-            return cond_enc(a)
-        case YComb(a=a):
-            return fix(a)
+        case PConst(name=n, a=a):
+            return CONSTANTS[n].encoding(a)
         case PVar(name=n):
             return Var(n)
         case PApp(fun=f, arg=u):
@@ -437,7 +432,7 @@ def compile_pcf(t: PcfTerm, env: list[tuple[str, LinType]]) -> Term:
 
 # ---------------------------------------------------------------- syntax
 
-_RESERVED = {"fun", "succ", "pred", "iszero", "cond", "Y", "Nat"}
+_RESERVED = {"fun", "Nat", *CONSTANTS}
 
 
 class _PcfParser(TokenStream):
@@ -480,17 +475,13 @@ class _PcfParser(TokenStream):
                                  name.line, name.col)
             return t
         if tok.kind == "ident":
-            if tok.text == "succ":
-                return Succ()
-            if tok.text == "pred":
-                return Pred()
-            if tok.text == "iszero":
-                return IsZero()
-            if tok.text in ("cond", "Y"):
-                self.expect("lbracket", "'[' with a type argument")
-                a = self.type_()
-                self.expect("rbracket", "']'")
-                return Cond(a) if tok.text == "cond" else YComb(a)
+            if tok.text in CONSTANTS:
+                a = None
+                if CONSTANTS[tok.text].typed:
+                    self.expect("lbracket", "'[' with a type argument")
+                    a = self.type_()
+                    self.expect("rbracket", "']'")
+                return PConst(tok.text, a)
             if tok.text in _RESERVED:
                 raise ParseError(f"{tok.text!r} cannot appear here",
                                  tok.line, tok.col)

@@ -21,8 +21,8 @@ from lrec import parser, pcf
 from lrec.cli import _load
 from lrec.gen import random_closed
 from lrec.parser import parse
-from lrec.pcf import (Cond, NumConst, PApp, PLam, PVar, Pred, Succ,
-                      compile_pcf, parse_pcf, parse_pcf_defs, pcf_check)
+from lrec.pcf import (NumConst, PApp, PConst, PLam, PVar, compile_pcf,
+                      parse_pcf, parse_pcf_defs, pcf_check)
 from lrec.stdlib import dup
 from lrec.terms import (App, ContractViolation, Iter, Lam, LetPair, Min, Pair,
                         Rec, Suc, Term, Var, Zero, _subst, children,
@@ -207,7 +207,8 @@ class _Programs:
         if pick < 0.6:
             return PApp(self.fun(env, depth - 1), self.nat(env, depth - 1))
         if pick < 0.75:
-            return PApp(PApp(PApp(Cond(NAT), self.nat(env, depth - 1)),
+            return PApp(PApp(PApp(PConst("cond", NAT),
+                                  self.nat(env, depth - 1)),
                              self.nat(env, depth - 1)),
                         self.nat(env, depth - 1))
         # a bound name, possibly shadowing: (fun n : a . body) arg
@@ -223,7 +224,7 @@ class _Programs:
         if depth <= 0 or rng.random() < 0.4:
             if names and rng.random() < 0.8:
                 return PVar(rng.choice(names))
-            return rng.choice((Succ(), Pred()))
+            return rng.choice((PConst("succ"), PConst("pred")))
         name = rng.choice(("x", "y"))
         return PLam(name, NAT,
                     self.nat(self.bind(env, name, NAT), depth - 1))
@@ -237,7 +238,8 @@ def _seeded_programs(n: int):
     for _ in range(n):
         body = gen.nat(dict(env), 6)
         closed = PLam("f", NAT_NAT, PLam("g", NAT_NAT, PLam("x", NAT, body)))
-        closed = PApp(PApp(PApp(closed, Succ()), Pred()), NumConst(2))
+        closed = PApp(PApp(PApp(closed, PConst("succ")), PConst("pred")),
+                      NumConst(2))
         pcf_check(closed, {})
         out.append((closed, body, env))
     return out, gen.shadowed

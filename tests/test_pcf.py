@@ -7,10 +7,10 @@ import pytest
 from lrec import pcf
 from lrec.cli import _load_pcf
 from lrec.evaluation import eval_cbn, force_numeral
-from lrec.pcf import (Cond, IsZero, NumConst, PApp, PLam, PVar, Pred, Succ,
-                      YComb, close_var, compile_body, compile_pcf, parse_pcf,
-                      parse_pcf_defs, pcf_check, pcf_eval, pcf_fv,
-                      pcf_is_value, pcf_pretty, pcf_subst)
+from lrec.pcf import (NumConst, PApp, PConst, PLam, PVar, close_var,
+                      compile_body, compile_pcf, parse_pcf, parse_pcf_defs,
+                      pcf_check, pcf_eval, pcf_fv, pcf_is_value, pcf_pretty,
+                      pcf_subst)
 from lrec.parser import ParseError
 from lrec.reduction import FuelExhausted, normalize
 from lrec.stdlib import identity
@@ -38,16 +38,16 @@ def test_parse_shapes():
     assert parse_pcf("fun x : Nat . x") == PLam("x", NAT, PVar("x"))
     assert parse_pcf("f 1 2") == PApp(PApp(PVar("f"), NumConst(1)),
                                       NumConst(2))
-    assert parse_pcf("cond[Nat]") == Cond(NAT)
-    assert parse_pcf("Y[Nat -> Nat]") == YComb(Lolli(NAT, NAT))
+    assert parse_pcf("cond[Nat]") == PConst("cond", NAT)
+    assert parse_pcf("Y[Nat -> Nat]") == PConst("Y", Lolli(NAT, NAT))
     assert parse_pcf("Y[(Nat -> Nat) -> Nat]") == \
-        YComb(Lolli(Lolli(NAT, NAT), NAT))
+        PConst("Y", Lolli(Lolli(NAT, NAT), NAT))
     t = parse_pcf("fun f : Nat -> Nat . f 2")
     assert t == PLam("f", Lolli(NAT, NAT),
                      PApp(PVar("f"), NumConst(2)))
     # fun extends right; as an argument it needs parens
     assert parse_pcf("succ (fun x : Nat . x) 1") == \
-        PApp(PApp(Succ(), PLam("x", NAT, PVar("x"))), NumConst(1))
+        PApp(PApp(PConst("succ"), PLam("x", NAT, PVar("x"))), NumConst(1))
 
 
 def test_parse_errors():
@@ -83,7 +83,7 @@ def test_parse_defs():
     v = pcf_eval(prog, F)
     assert v == NumConst(4)
     _, bare = parse_pcf_defs("succ 0")
-    assert bare == PApp(Succ(), NumConst(0))
+    assert bare == PApp(PConst("succ"), NumConst(0))
     with pytest.raises(ParseError):
         parse_pcf_defs("a = 1; a = 2;")
     with pytest.raises(ParseError):
@@ -101,11 +101,22 @@ def test_pretty_round_trip():
 # ----------------------------------------------------------------- typing
 
 def test_constant_types():
-    assert pcf_check(Succ(), {}) == Lolli(NAT, NAT)
-    assert pcf_check(IsZero(), {}) == Lolli(NAT, NAT)
-    assert pcf_check(Cond(NAT), {}) == \
+    assert pcf_check(PConst("succ"), {}) == Lolli(NAT, NAT)
+    assert pcf_check(PConst("iszero"), {}) == Lolli(NAT, NAT)
+    assert pcf_check(PConst("cond", NAT), {}) == \
         Lolli(NAT, Lolli(NAT, Lolli(NAT, NAT)))
-    assert pcf_check(YComb(NAT), {}) == Lolli(Lolli(NAT, NAT), NAT)
+    assert pcf_check(PConst("Y", NAT), {}) == Lolli(Lolli(NAT, NAT), NAT)
+
+
+@pytest.mark.parametrize("name, a, message", [
+    ("fix", None, "unknown PCF constant 'fix'"),
+    ("succ", NAT, "succ takes no type argument"),
+    ("cond", None, "cond needs a type argument"),
+], ids=["unknown", "plain-given-a-type", "typed-without-one"])
+def test_a_constant_is_checked_against_its_table(name, a, message):
+    with pytest.raises(ContractViolation) as e:
+        PConst(name, a)
+    assert str(e.value) == message
 
 
 def test_typing_terms():
@@ -244,7 +255,7 @@ def test_compile_numeral_and_succ_shape():
     assert alpha_eq(compile_body(NumConst(3), {}), numeral(3))
     want = Lam("n", Rec(Pair(Var("n"), Zero()), Suc(Zero()),
                         Lam("x", Suc(Var("x"))), identity()))
-    assert alpha_eq(compile_body(Succ(), {}), want)
+    assert alpha_eq(compile_body(PConst("succ"), {}), want)
 
 
 def test_compiled_constants_work():
@@ -403,6 +414,9 @@ def test_simulation_on_ground_programs():
 
 # -------------------------------------------- compiler lemmas, randomised
 
+ARITH = [PConst("succ"), PConst("pred"), PConst("iszero")]
+
+
 def _rand_pcf(rng: random.Random, a, env: dict, depth: int):
     """Random well-typed PCF term of type a over env (Nat and Nat->Nat)."""
     here = [x for x, b in env.items() if b == a]
@@ -413,10 +427,9 @@ def _rand_pcf(rng: random.Random, a, env: dict, depth: int):
             return NumConst(rng.randrange(3))
         roll = rng.random()
         if roll < 0.25:
-            return PApp(rng.choice([Succ(), Pred(), IsZero()]),
-                        _rand_pcf(rng, NAT, env, depth - 1))
+            return PApp(rng.choice(ARITH), _rand_pcf(rng, NAT, env, depth - 1))
         if roll < 0.5:
-            return PApp(PApp(PApp(Cond(NAT),
+            return PApp(PApp(PApp(PConst("cond", NAT),
                                   _rand_pcf(rng, NAT, env, depth - 1)),
                              _rand_pcf(rng, NAT, env, depth - 1)),
                         _rand_pcf(rng, NAT, env, depth - 1))
@@ -426,7 +439,7 @@ def _rand_pcf(rng: random.Random, a, env: dict, depth: int):
         return NumConst(rng.randrange(3))
     # a == Nat -> Nat
     if depth <= 0 or rng.random() < 0.5:
-        return rng.choice([Succ(), Pred(), IsZero()])
+        return rng.choice(ARITH)
     b = f"y{rng.randrange(1000)}"
     return PLam(b, NAT, _rand_pcf(rng, NAT, {**env, b: NAT}, depth - 1))
 
@@ -437,8 +450,8 @@ def test_substitution_lemma_property():
         a = rng.choice([NAT, Lolli(NAT, NAT)])
         t = _rand_pcf(rng, NAT, {"x": a}, 3)
         u = NumConst(rng.randrange(4)) if a == NAT else \
-            rng.choice([Succ(), Pred(),
-                        PLam("w", NAT, PApp(Succ(), PVar("w")))])
+            rng.choice([PConst("succ"), PConst("pred"),
+                        PLam("w", NAT, PApp(PConst("succ"), PVar("w")))])
         lhs = compile_body(pcf_subst(t, "x", u), {})
         rhs = subst(compile_body(t, {"x": a}), "x", compile_body(u, {}))
         assert alpha_eq(lhs, rhs), pcf_pretty(t)
@@ -454,7 +467,8 @@ def test_bracket_abstraction_reduction_property():
             continue
         body = compile_body(t, {"x": a})
         u = compile_body(
-            NumConst(rng.randrange(4)) if a == NAT else Succ(), {})
+            NumConst(rng.randrange(4)) if a == NAT else PConst("succ"),
+            {})
         lhs = normalize(subst(close_var("x", body, a), "x", u),
                         50_000)
         rhs = normalize(subst(body, "x", u), 50_000)
@@ -505,7 +519,7 @@ def _rand_raw(rng: random.Random, depth: int):
     roll = rng.random()
     if depth <= 0 or roll < 0.2:
         return rng.choice([PVar("x"), PVar("y"), PVar("z"), NumConst(1),
-                           Succ(), Cond(NAT)])
+                           PConst("succ"), PConst("cond", NAT)])
     if roll < 0.6:
         return PLam(rng.choice("xyz"), NAT, _rand_raw(rng, depth - 1))
     return PApp(_rand_raw(rng, depth - 1), _rand_raw(rng, depth - 1))
