@@ -383,47 +383,51 @@ def close_var(x: str, t: Term, a: LinType,
     return rebuild(t, kids)
 
 
-def compile_body(t: PcfTerm, tenv: dict[str, LinType]) -> Term:
-    """The type-directed clauses; output is nonlinear in the free
-    variables of t (same set, possibly many occurrences each). tenv is
-    scoped in place, as in pcf_check."""
+def compile_body(t: PcfTerm,
+                 tenv: dict[str, LinType]) -> tuple[Term, LinType]:
+    """The type-directed clauses, returning t's code and its type, so
+    that each subterm is typed once, as it is compiled. t must already
+    pass pcf_check in tenv; the clauses do not check types again. The
+    code is nonlinear in the free variables of t (same set, possibly
+    many occurrences each). tenv is scoped in place, as in pcf_check."""
     match t:
         case NumConst(n=n):
-            return numeral(n)
+            return numeral(n), NAT
         case PConst(name=n, a=a):
-            return CONSTANTS[n].encoding(a)
+            return CONSTANTS[n].encoding(a), CONSTANTS[n].type(a)
         case PVar(name=n):
-            return Var(n)
+            return Var(n), tenv[n]
         case PApp(fun=f, arg=u):
-            return App(compile_body(f, tenv), compile_body(u, tenv))
+            cf, tf = compile_body(f, tenv)
+            return App(cf, compile_body(u, tenv)[0]), tf.cod
         case PLam(binder=x, annot=a, body=b):
             outer = tenv.get(x)
             tenv[x] = a
             try:
                 # the compiled body keeps the source's free variables
-                inner = compile_body(b, tenv)
-                if x not in inner.fv:
-                    tb = pcf_check(b, tenv)
+                inner, tb = compile_body(b, tenv)
             finally:
                 restore_scope(tenv, x, outer)
             if x in inner.fv:
-                return Lam(x, close_var(x, inner, a))
+                return Lam(x, close_var(x, inner, a)), Lolli(a, tb)
             # discarded binder: consume x with erasers under a recursor
             # on zero, so a divergent argument still never runs
             y = fresh_name({x}, "y")
             eraser = Lam(y, erase_term(
                 App(erase_term(Var(y), Lolli(tb, tb)), Var(x)), a))
             wrap = Rec(Pair(Zero(), Zero()), identity(), eraser, identity())
-            return Lam(x, App(wrap, inner))
+            return Lam(x, App(wrap, inner)), Lolli(a, tb)
     raise ContractViolation(f"not a PCF term: {t!r}")
 
 
 def compile_pcf(t: PcfTerm, env: list[tuple[str, LinType]]) -> Term:
-    """Bracket abstraction folded over compile_body, innermost variable
-    first; the result keeps fv(t) free, each exactly once."""
+    """Check t once with pcf_check, which raises TypingError on
+    ill-typed input, then fold bracket abstraction over compile_body's
+    code, innermost variable first; the result keeps fv(t) free, each
+    exactly once."""
     tenv = dict(env)
     pcf_check(t, tenv)
-    body = compile_body(t, tenv)
+    body = compile_body(t, tenv)[0]
     for name, a in reversed(env):
         if name in body.fv:
             body = close_var(name, body, a)

@@ -7,6 +7,10 @@ several positions of one result (the identity, a caller's function, a
 duplicator): linearity constrains variables only, and a closed subterm
 contributes none. That splicing is the calculus's sole copying
 mechanism at construction time.
+
+The type-directed builders need a fully determined type: erase_term and
+maker fault on the first type variable (MetaVar) their recursion meets,
+and dup, fix and cond_enc go through them, so none walks its type first.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from .terms import (App, ContractViolation, Iter, Lam, LetPair, Pair, Rec,
                     Suc, Term, Var, Zero, _PARTS, _disjointness, fresh_name,
                     numeral)
-from .types import NAT, LinType, Lolli, Nat, Tensor, _meta_ids
+from .types import NAT, LinType, Lolli, Nat, Tensor
 
 
 def identity() -> Term:
@@ -93,15 +97,12 @@ def min_enc(fbar: Term) -> Term:
                Lam("k", Suc(Var("k"))), update)
 
 
-def _require_ground(a: LinType):
-    if _meta_ids(a):
-        raise ContractViolation(
-            "erasure and makers need a fully determined type")
+_UNDETERMINED = "erasure and makers need a fully determined type"
 
 
 def erase_term(t: Term, a: LinType) -> Term:
-    """A term that consumes t (at type a) and reduces to the identity."""
-    _require_ground(a)
+    """A term that consumes t (at type a) and reduces to the identity.
+    Faults on the first type variable it reaches in a."""
     match a:
         case Nat():
             return Rec(Pair(t, Zero()), identity(), identity(), identity())
@@ -112,12 +113,12 @@ def erase_term(t: Term, a: LinType) -> Term:
                            App(erase_term(Var(x), l), erase_term(Var(y), r)))
         case Lolli(dom=d, cod=c):
             return erase_term(App(t, maker(d)), c)
-    raise ContractViolation(f"no erasure at {a!r}")
+    raise ContractViolation(_UNDETERMINED)
 
 
 def maker(a: LinType) -> Term:
-    """A canonical closed inhabitant of a."""
-    _require_ground(a)
+    """A canonical closed inhabitant of a. Faults on the first type
+    variable it reaches in a."""
     match a:
         case Nat():
             return Zero()
@@ -125,14 +126,14 @@ def maker(a: LinType) -> Term:
             return Pair(maker(l), maker(r))
         case Lolli(dom=d, cod=c):
             return Lam("x", App(erase_term(Var("x"), d), maker(c)))
-    raise ContractViolation(f"no maker at {a!r}")
+    raise ContractViolation(_UNDETERMINED)
 
 
 def dup(a: LinType) -> Term:
     """a to a*a: two rec steps, the first pairing the input with a
     canonical inhabitant, the second erasing that inhabitant against a
-    second copy... seen from the outside, D t reduces to <t,t>."""
-    _require_ground(a)
+    second copy... seen from the outside, D t reduces to <t,t>. Its
+    erase_term and maker calls fault on a type variable in a."""
     step = Lam("y", LetPair(Var("y"), "z", "w",
                             App(erase_term(Var("z"), a),
                                 Pair(Var("w"), Var("x")))))
@@ -142,8 +143,8 @@ def dup(a: LinType) -> Term:
 
 def fix(a: LinType) -> Term:
     """Y at result type a: one pending rec step that the update
-    immediately restores, so each unfolding re-arms the next."""
-    _require_ground(a)
+    immediately restores, so each unfolding re-arms the next. Its maker
+    call faults on a type variable in a."""
     update = Lam("x", LetPair(Var("x"), "y", "z",
                               Pair(Suc(Var("y")), Var("z"))))
     return Lam("f", Rec(Pair(numeral(1), Zero()), maker(a), Var("f"), update))
@@ -163,8 +164,8 @@ def factorial_enc() -> Term:
 
 def cond_enc(a: LinType) -> Term:
     """if t = 0 then u else v, at branch type a. The taken branch's rec
-    discards the pending recursion by erasing it."""
-    _require_ground(a)
+    discards the pending recursion by erasing it. Its erase_term call
+    faults on a type variable in a."""
     discard = Lam("x", App(Rec(Pair(Zero(), Zero()), identity(),
                                erase_term(Var("x"), a), identity()),
                            Var("v")))

@@ -21,7 +21,7 @@ from lrec.gen import random_closed
 from lrec.machine import LetK, MachineConfig, Plain, RecK, RecK2
 from lrec.minext import lin_pred
 from lrec.parser import parse
-from lrec.pcf import compile_pcf
+from lrec.pcf import compile_body, compile_pcf, pcf_check
 from lrec.reduction import _normalize_with
 from lrec.terms import (App, ContractViolation, Fuel, FuelExhausted, Iter,
                         Lam, LetPair, Min, OutOfFuel, Pair, Rec, Stuck, Suc,
@@ -311,7 +311,10 @@ def test_corpus_lrec_agrees():
 def test_compiled_corpus_pcf_agrees():
     rng = random.Random(2)
     for path in sorted(CORPUS.glob("*.pcf")):
-        t = compile_pcf(_load_pcf(str(path))[0], [])
+        prog = _load_pcf(str(path))[0]
+        # the compiler types each subterm as it goes, as pcf_check does
+        assert compile_body(prog, {})[1] == pcf_check(prog, {}), path.name
+        t = compile_pcf(prog, [])
         _check(path.name, t, 40_000, rng)
 
 

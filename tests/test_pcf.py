@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from pathlib import Path
@@ -15,7 +16,8 @@ from lrec.parser import ParseError
 from lrec.reduction import FuelExhausted, normalize
 from lrec.stdlib import identity
 from lrec.terms import (App, ContractViolation, Lam, LetPair, Pair, Rec, Suc,
-                        Var, Zero, alpha_eq, check_linear, numeral, subst)
+                        Var, Zero, alpha_eq, check_linear, numeral, pretty,
+                        subst)
 from lrec.types import Lolli, NAT, TypingError, check
 from test_types import check_nonlinear
 
@@ -142,9 +144,9 @@ def test_a_binder_stays_in_its_scope():
     with pytest.raises(TypingError):
         pcf_check(parse_pcf("fun y : Nat . y y"), env)
     assert env == {"y": NAT}
-    out = compile_body(parse_pcf(src), env)
+    out, _ = compile_body(parse_pcf(src), env)
     assert env == {"y": NAT}
-    want = compile_body(parse_pcf("fun z : Nat . y"), {"y": NAT})
+    want, _ = compile_body(parse_pcf("fun z : Nat . y"), {"y": NAT})
     assert alpha_eq(out.arg, want)
 
 
@@ -252,10 +254,10 @@ def test_subst_shadowing():
 # ------------------------------------------------------------ compilation
 
 def test_compile_numeral_and_succ_shape():
-    assert alpha_eq(compile_body(NumConst(3), {}), numeral(3))
+    assert alpha_eq(compile_body(NumConst(3), {})[0], numeral(3))
     want = Lam("n", Rec(Pair(Var("n"), Zero()), Suc(Zero()),
                         Lam("x", Suc(Var("x"))), identity()))
-    assert alpha_eq(compile_body(PConst("succ"), {}), want)
+    assert alpha_eq(compile_body(PConst("succ"), {})[0], want)
 
 
 def test_compiled_constants_work():
@@ -375,7 +377,8 @@ def test_compile_body_nonlinear_image_check():
     ]
     for src, env, want in cases:
         t = parse_pcf(src)
-        body = compile_body(t, dict(env))
+        body, typ = compile_body(t, dict(env))
+        assert typ == pcf_check(t, dict(env)) == want
         tenv = [(x, a) for x, a in env]
         got = check_nonlinear(body, tenv, pcf_fv(t))
         assert got == want
@@ -452,9 +455,13 @@ def test_substitution_lemma_property():
         u = NumConst(rng.randrange(4)) if a == NAT else \
             rng.choice([PConst("succ"), PConst("pred"),
                         PLam("w", NAT, PApp(PConst("succ"), PVar("w")))])
-        lhs = compile_body(pcf_subst(t, "x", u), {})
-        rhs = subst(compile_body(t, {"x": a}), "x", compile_body(u, {}))
+        t_u = pcf_subst(t, "x", u)
+        lhs, lhs_type = compile_body(t_u, {})
+        body, body_type = compile_body(t, {"x": a})
+        rhs = subst(body, "x", compile_body(u, {})[0])
         assert alpha_eq(lhs, rhs), pcf_pretty(t)
+        assert lhs_type == pcf_check(t_u, {}) == NAT, pcf_pretty(t)
+        assert body_type == pcf_check(t, {"x": a}) == NAT, pcf_pretty(t)
 
 
 def test_bracket_abstraction_reduction_property():
@@ -465,8 +472,9 @@ def test_bracket_abstraction_reduction_property():
         t = _rand_pcf(rng, NAT, {"x": a}, 3)
         if "x" not in pcf_fv(t):
             continue
-        body = compile_body(t, {"x": a})
-        u = compile_body(
+        body, body_type = compile_body(t, {"x": a})
+        assert body_type == pcf_check(t, {"x": a}), pcf_pretty(t)
+        u, _ = compile_body(
             NumConst(rng.randrange(4)) if a == NAT else PConst("succ"),
             {})
         lhs = normalize(subst(close_var("x", body, a), "x", u),
@@ -571,3 +579,21 @@ def test_compile_pcf_never_calls_pcf_fv(monkeypatch):
     assert calls == 0
     monkeypatch.undo()
     assert force_numeral(compile_pcf(progs[-1], []), F) == 3
+
+
+def test_compile_pcf_types_each_node_once(monkeypatch):
+    # a nest of 60 discarded binders has 63 source nodes; re-typing each
+    # discarded body made 1,892 pcf_check calls, for the same output
+    calls = 0
+
+    def counting(t, env):
+        nonlocal calls
+        calls += 1
+        return pcf_check(t, env)
+
+    prog = parse_pcf("(" + "fun x : Nat . " * 60 + "x) 1")
+    monkeypatch.setattr(pcf, "pcf_check", counting)
+    out = compile_pcf(prog, [])
+    assert calls == 63
+    assert hashlib.sha256(pretty(out).encode()).hexdigest() == (
+        "d7c6016424facc02896bb854641cf69feba5a92ae3138b5f647bb1ee8aadeebe")

@@ -1,7 +1,7 @@
 """Value records (`terms.Record`) behave as the frozen dataclasses they
 replaced: equality and hash over the fields, keyword and positional
 `match` patterns, no attribute beyond the fields, and the same `repr`
-text, which diagnostics such as stdlib's "no erasure at ..." print.
+text, which diagnostics such as pcf's "not a PCF term: ..." print.
 The expected repr strings were taken from the dataclass versions."""
 
 from __future__ import annotations

@@ -151,10 +151,18 @@ def test_maker_inhabits_its_type():
 
 
 def test_erase_rejects_metavars():
-    with pytest.raises(ContractViolation):
-        maker(Lolli(MetaVar(0), NAT))
-    with pytest.raises(ContractViolation):
-        erase_term(Zero(), MetaVar(1))
+    # every builder meets a type variable where its recursion reaches it,
+    # at the top, in a Lolli's domain or codomain, or inside a Tensor
+    builders = [lambda a: erase_term(Zero(), a), maker, dup, fix, cond_enc]
+    types = [MetaVar(1), Lolli(MetaVar(0), NAT), Lolli(NAT, MetaVar(2)),
+             Tensor(NAT, Tensor(MetaVar(3), NAT)),
+             Lolli(Tensor(NAT, NAT), Tensor(MetaVar(4), NAT))]
+    for build in builders:
+        for a in types:
+            with pytest.raises(ContractViolation,
+                               match="^erasure and makers need a fully "
+                                     "determined type$"):
+                build(a)
 
 
 def test_dup_copies():

@@ -2,7 +2,8 @@
 
 Every figure runs a fresh interpreter per sample, as a user starts one,
 and none is a gate. In order: the import time of lrec.cli, `check` of the
-two front-end nests with their peak resident memory, `normalize` of
+two front-end nests and `pcf compile` of the 200- and 400-deep nests
+of discarded binders, each with its peak resident memory, `normalize` of
 `@pred 100` and `@pred 200` (141,108 steps, over the default budget of
 10^5), and `normalize --trace`, which keeps to the zipper. Import time
 comes first, and its first sample of each kind is dropped: that one
@@ -84,6 +85,14 @@ def main() -> None:
             + " ".join(f"x{i}" for i in range(n + 1))))
         print(f"check of the n = {n} wide lambda nest: best wall "
               f"{wall:.2f} s of 3 runs, peak RSS {rss:.0f} MB")
+
+        # (fun x : Nat . (fun x : Nat . ... x)) 1: every binder discards
+        # its body, which the compiler types once, as it compiles it
+        for k in (200, 400):
+            wall, rss = best_of_three("pcf", "compile", source(
+                f"discard{k}.pcf", "(" + "fun x : Nat . " * k + "x) 1"))
+            print(f"pcf compile of the {k}-deep discarded nest: best wall "
+                  f"{wall:.2f} s of 3 runs, peak RSS {rss:.0f} MB")
 
         for n in (100, 200):
             wall, _ = best_of_three("normalize", "--fuel", "1000000",
