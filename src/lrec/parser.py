@@ -3,8 +3,8 @@
 One token stream serves both calculi and the type language. Input may
 reuse binder names. Each definition is certified linear as written;
 binder names matter only to printed text, so `parse` names its term,
-`parse_defs` names an earlier definition where it splices one, and a
-caller that prints names the program with `freshen`.
+`parse_defs` splices an earlier definition as written, and a caller
+that prints names the whole program once with `freshen`.
 
 References resolve during parsing. An untyped `@name` names an earlier
 definition of its file, or else a stdlib catalog entry; a typed one,
@@ -370,16 +370,9 @@ def parse_defs(text: str, calculus: str = "lrec"
     """Parse a definition file: `name = term;` entries, the last one being
     the program, or a single bare term. An untyped reference resolves
     against earlier definitions before the catalog. Each definition is
-    certified and kept as written; one is named the first time it is
-    spliced, so `freshen(program)` names the program."""
+    certified and kept as written, and an earlier one is spliced as
+    written, so `freshen(program)` names the whole program in one pass."""
     local: dict[str, Term] = {}
-    named: dict[str, Term] = {}
-
-    def resolve(name: str) -> Term | None:
-        if name not in named and name in local:
-            named[name] = freshen(local[name])
-        return named.get(name)
-
-    p = _Parser(lex(text), calculus, resolve)
+    p = _Parser(lex(text), calculus, local.get)
     program = definitions(p, lambda: _certify(p.term()), local)
     return list(local.items()), program

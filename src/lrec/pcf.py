@@ -230,6 +230,11 @@ def pcf_subst(t: PcfTerm, x: str, s: PcfTerm) -> PcfTerm:
     if pcf_fv(s):
         raise ContractViolation(
             f"substitution payload is open: free {sorted(pcf_fv(s))}")
+    return _pcf_subst(t, x, s)
+
+
+def _pcf_subst(t: PcfTerm, x: str, s: PcfTerm) -> PcfTerm:
+    # unchecked: the evaluator's payloads are closed, as its input is
     def go(u: PcfTerm) -> PcfTerm:
         match u:
             case PVar(name=n):
@@ -266,7 +271,7 @@ def _peval(t: PcfTerm, fuel: Fuel) -> PcfTerm:
                 return NumConst(CONSTANTS[name].rule(n))
             case PApp(fun=PLam(binder=b, body=body), arg=u):
                 fuel.tick()
-                t = pcf_subst(body, b, u)
+                t = _pcf_subst(body, b, u)
             case PApp(fun=PConst(name="Y") as y, arg=f):
                 fuel.tick()
                 t = PApp(f, PApp(y, f))

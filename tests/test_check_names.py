@@ -4,12 +4,14 @@ that print a term name its binders.
 Linearity is decided on the cached free-variable sets, so it needs no
 renaming: a node's `linear` flag is exact, true precisely when the walk
 `_violations` finds nothing, whatever the binder names. `parse_defs`
-keeps each definition as written and splices an earlier one named, so
-`freshen` of its program is the named program. `check` reads and parses
-its file once, hands the tree to inference unrenamed, and names it only
-to word a typing failure, so every message is the one the named term
-gives. The expected outputs below were recorded while `check` still
-named every definition before typing it.
+keeps each definition as written and splices an earlier one as written,
+so one `freshen` of its program is the named program. `check` reads and
+parses its file once, hands the tree to inference unrenamed, and names
+it only to word a typing failure, so every message is the one the named
+term gives. The expected outputs below were recorded while `check` still
+named every definition before typing it; the two that print a
+definition file's spliced binders were re-recorded as `freshen` of the
+program as written, once splices stopped being named one by one.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ FILES = {
     "pred_splice.lrec": "@pred (@pred 0 1)",
     "lin_err.lrec": "(\\x. x x) @pred",
     "defs.lrec": DEFS,
-    # failures inside definitions that splice earlier, named ones
+    # failures inside definitions that splice earlier ones as written
     "defs_type_err.lrec": DEFS.replace(" 0;", " 0 0;"),
     "defs_lin_err.lrec": ("f = (\\x. x) (\\x_1. x_1); g = \\x. \\x_1. @f x; "
                           "main = (\\x_1. @g x_1) 0 0;"),
@@ -118,8 +120,7 @@ EXPECTED = {
     "check defs.lrec": NAT,
     "check defs_type_err.lrec": (
         "", "typing: rule (App): cannot unify Nat with Nat -o ?a in "
-            "(\\x_1. (\\x. (\\x_1_1. x_1_1) (\\x_1_1_1. x_1_1_1) x) x_1) "
-            "0 0\n", 1),
+            "(\\x_1. (\\x. (\\x_2. x_2) (\\x_1_1. x_1_1) x) x_1) 0 0\n", 1),
     "check defs_lin_err.lrec": (
         "", "syntax: at 0: binder x_1 unused in the body\n", 1),
     "check defs_lin_err2.lrec": (
@@ -128,12 +129,12 @@ EXPECTED = {
     "check shadow.lrec": ("?a -o ?a\n", "", 0),
     "check dup_let.lrec": (
         "", "syntax: line 1, col 9: pattern binds a twice\n", 1),
-    # a printing command names each definition once it is parsed
+    # a printing command names the whole program once it is parsed
     "normalize defs.lrec": ("0\n", "", 0),
     "normalize --trace defs.lrec": (
-        "1 Beta root (\\x. (\\x_1_1. x_1_1) (\\x_1_1_1. x_1_1_1) x) 0\n"
-        "2 Beta root (\\x_1_1. x_1_1) (\\x_1_1_1. x_1_1_1) 0\n"
-        "3 Beta 0 (\\x_1_1_1. x_1_1_1) 0\n4 Beta root 0\n0\n", "", 0),
+        "1 Beta root (\\x. (\\x_2. x_2) (\\x_1_1. x_1_1) x) 0\n"
+        "2 Beta root (\\x_2. x_2) (\\x_1_1. x_1_1) 0\n"
+        "3 Beta 0 (\\x_1_1. x_1_1) 0\n4 Beta root 0\n0\n", "", 0),
 }
 
 

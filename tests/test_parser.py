@@ -1,5 +1,7 @@
 """Concrete syntax: parsing, printing, the round trip, and rejection."""
 
+import re
+
 import pytest
 
 from lrec import parser
@@ -202,13 +204,12 @@ def test_parse_defs_and_refs():
     assert alpha_eq(program, App(Lam("x", Var("x")), numeral(2)))
 
 
-def test_parse_defs_splices_named_and_keeps_the_program_as_written():
+def test_parse_defs_splices_and_keeps_the_program_as_written():
     _, program = parse_defs("f = (\\x. x) (\\x_1. x_1); g = \\x. @f x; "
                             "main = (\\x_1. @g x_1) 0;")
-    assert pretty(program) == ("(\\x_1. (\\x. (\\x_1. x_1) (\\x_1_1. x_1_1) "
-                               "x) x_1) 0")
+    assert pretty(program) == "(\\x_1. (\\x. (\\x. x) (\\x_1. x_1) x) x_1) 0"
     assert pretty(freshen(program)) == (
-        "(\\x_1. (\\x. (\\x_1_1. x_1_1) (\\x_1_1_1. x_1_1_1) x) x_1) 0")
+        "(\\x_1. (\\x. (\\x_2. x_2) (\\x_1_1. x_1_1) x) x_1) 0")
 
 
 def test_parse_defs_bare_term():
@@ -248,12 +249,21 @@ def test_ref_spliced_twice_stays_linear():
     assert alpha_eq(program, App(Lam("x", Var("x")), App(Lam("y", Var("y")), numeral(3))))
 
 
-def test_parse_defs_names_a_spliced_definition_once(monkeypatch):
+def test_parse_defs_names_nothing_so_naming_is_linear(monkeypatch):
     calls = []
     monkeypatch.setattr(parser, "freshen",
                         lambda t: calls.append(t) or freshen(t))
     _, program = parse_defs("id = \\x. x; unused = \\y. y; "
                             "main = @id (@id (@id 3));")
-    assert [pretty(t) for t in calls] == ["\\x. x"]
     assert alpha_eq(program, App(Lam("x", Var("x")), App(
         Lam("x", Var("x")), App(Lam("x", Var("x")), numeral(3)))))
+    # each definition splices the one before; naming each one where it
+    # is spliced would lengthen a binder by "_1" per level
+    _, program = parse_defs(
+        "d0 = \\x. x;\n"
+        + "".join(f"d{i} = \\x. @d{i - 1} x;\n" for i in range(1, 600))
+        + "main = @d599 0;\n")
+    assert calls == []
+    named = pretty(freshen(program))
+    assert len(named) < 10_000
+    assert max(map(len, re.findall(r"[A-Za-z_][\w']*", named))) <= 5

@@ -15,9 +15,9 @@ from lrec.pcf import (NumConst, PApp, PConst, PLam, PVar, close_var,
 from lrec.parser import ParseError
 from lrec.reduction import FuelExhausted, normalize
 from lrec.stdlib import identity
-from lrec.terms import (App, ContractViolation, Lam, LetPair, Pair, Rec, Suc,
-                        Var, Zero, alpha_eq, check_linear, numeral, pretty,
-                        subst)
+from lrec.terms import (App, ContractViolation, Fuel, Lam, LetPair, Pair, Rec,
+                        Suc, Var, Zero, alpha_eq, check_linear, numeral,
+                        pretty, subst)
 from lrec.types import Lolli, NAT, TypingError, check
 from test_types import check_nonlinear
 
@@ -243,6 +243,20 @@ def test_an_ill_typed_term_faults_at_run_time(src, message):
     with pytest.raises(ContractViolation) as e:
         pcf_eval(parse_pcf(src), F)
     assert str(e.value) == message
+
+
+def test_eval_checks_closedness_once(monkeypatch):
+    # call-by-name beta on a closed input substitutes closed arguments,
+    # so only the input is walked for free variables
+    calls = []
+    monkeypatch.setattr(pcf, "pcf_fv",
+                        lambda t: calls.append(t) or pcf_fv(t))
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    cell = Fuel(F)
+    assert pcf_eval(_load_pcf(str(corpus / "fact.pcf"))[0],
+                    cell) == NumConst(120)
+    assert F - cell.remaining == 14_944
+    assert len(calls) == 1
 
 
 def test_subst_shadowing():

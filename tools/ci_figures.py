@@ -2,13 +2,15 @@
 
 Every figure runs a fresh interpreter per sample, as a user starts one,
 and none is a gate. In order: the import time of lrec.cli, `check` of the
-two front-end nests and `pcf compile` of the 200- and 400-deep nests
-of discarded binders, each with its peak resident memory, `normalize` of
-`@pred 100` and `@pred 200` (141,108 steps, over the default budget of
-10^5), and `normalize --trace`, which keeps to the zipper. Import time
-comes first, and its first sample of each kind is dropped: that one
-writes the bytecode cache the later figures start with. Inputs live in a
-temporary directory that is removed at the end. Run it from anywhere:
+two front-end nests, `check` and `eval` of a chain of 600 definitions
+that each splice the one before, and `pcf compile` of the 200- and
+400-deep nests of discarded binders, each with its peak resident memory,
+`normalize` of `@pred 100` and `@pred 200` (141,108 steps, over the
+default budget of 10^5), and `normalize --trace`, which keeps to the
+zipper. Import time comes first, and its first sample of each kind is
+dropped: that one writes the bytecode cache the later figures start
+with. Inputs live in a temporary directory that is removed at the end.
+Run it from anywhere:
 
     python tools/ci_figures.py
 """
@@ -85,6 +87,16 @@ def main() -> None:
             + " ".join(f"x{i}" for i in range(n + 1))))
         print(f"check of the n = {n} wide lambda nest: best wall "
               f"{wall:.2f} s of 3 runs, peak RSS {rss:.0f} MB")
+
+        # d0 = \x. x; di = \x. @d(i-1) x; ...: each definition is spliced
+        # as written, and the program is named once
+        chain = source("chain600.lrec", "d0 = \\x. x;\n" + "".join(
+            f"d{i} = \\x. @d{i - 1} x;\n" for i in range(1, 600))
+            + "main = @d599 0;\n")
+        for command in ("check", "eval"):
+            wall, rss = best_of_three(command, chain)
+            print(f"{command} of the 600-definition chain: best wall "
+                  f"{wall:.2f} s of 3 runs, peak RSS {rss:.0f} MB")
 
         # (fun x : Nat . (fun x : Nat . ... x)) 1: every binder discards
         # its body, which the compiler types once, as it compiles it
