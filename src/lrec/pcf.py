@@ -21,11 +21,13 @@ numbers become Peano numerals, the constants map to the recursor
 encodings, and free variables of the nonlinear source are linearised
 afterwards by bracket abstraction (`close_var`), which splits shared
 variables with a duplicator and erases nothing — discarded binders are
-handled at the λ-clause itself. `close_var` names each duplicator's
-outputs apart from every name of the two sides it splits; it builds
-those name sets bottom-up, walking each node of its result at most once,
-so its walks are linear (up to a log factor for merging sets) in the
-size of the result, however many times the variable is used.
+handled at the λ-clause itself, and a body that is already linear
+needs no abstraction. `close_var` names each duplicator's outputs with
+one `terms.namer`, built at the topmost split of the variable over
+every name of the subterm there, so each split's two picks are apart
+from every name they could capture and from each other. The subterm is
+walked once for its names and each base's probe resumes where it
+stopped, so naming is linear in the uses of the variable.
 
 `succ` compiles to a recursor, not to λx.S x: S does not reduce under
 itself, so the literal abstraction would turn divergent arguments into
@@ -36,13 +38,14 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
+from collections.abc import Callable
 
 from .parser import ParseError, TokenStream, definitions, lex
 from .stdlib import (cond_enc, dup, erase_term, fix, identity, iszero_enc,
                      pred_enc)
 from .terms import (App, ContractViolation, Fuel, FuelExhausted, Lam, LetPair,
                     Pair, Rec, Record, Suc, Term, Var, Zero, _subst, children,
-                    drive, fresh_name, numeral, rebuild, restore_scope)
+                    drive, namer, numeral, rebuild, restore_scope)
 from .types import NAT, LinType, Lolli, TypingError, type_pretty
 
 
@@ -301,28 +304,8 @@ def pcf_eval(t: PcfTerm, fuel: int | Fuel) -> PcfTerm | FuelExhausted:
 _ACROSS = {Pair: "a pair", LetPair: "a let", Rec: "a recursor"}
 
 
-def _own_names(t: Term) -> tuple[str, ...]:
-    """The names a node carries itself: a variable's, or its binders."""
-    if isinstance(t, Var):
-        return (t.name,)
-    if isinstance(t, Lam):
-        return (t.binder,)
-    if isinstance(t, LetPair):
-        return (t.x, t.y)
-    return ()
-
-
-def _add_names(out: set[str], parts: list[Term]) -> None:
-    """Add every name in parts, free, bound or pattern, to out; the list
-    is used up."""
-    while parts:
-        cur = parts.pop()
-        out.update(_own_names(cur))
-        parts.extend(children(cur))
-
-
 def close_var(x: str, t: Term, a: LinType,
-              names: list[set[str]] | None = None) -> Term:
+              pick: Callable[[str], str] | None = None) -> Term:
     """Bracket abstraction [x]t: rebuild t so that x (of type a) occurs
     free exactly once, splitting shared uses with a duplicator.
 
@@ -331,25 +314,17 @@ def close_var(x: str, t: Term, a: LinType,
     part, which is where compiled code can put it. Two parts sharing x
     outside an application cannot come from the compiler and fault.
 
-    A shared application names the duplicator's outputs x1 and x2
-    (`fresh_name` from the bases x+"1" and x+"2") outside every name of
-    both rebuilt sides, so renaming x on each side cannot capture.
-    Invariant: when `names` is given, the call pushes onto it the set of
-    all names in the term it returns, free, bound and pattern variables.
-    Only a shared application asks, for its two sides. The sets are
-    built bottom-up: a rebuilt part brings its own, the untouched parts
-    are walked once, and the two sides' sets merge smaller into larger.
-    So each node of the result is walked at most once and each name is
-    copied O(log n) times, where re-walking both sides at every shared
-    application was quadratic in the number of uses of x. (`fresh_name`
-    still probes x+"1", x+"11", x+"12", … from the start at each split,
-    a quadratic term with a small constant.)
+    A shared application names the duplicator's outputs pick(x+"1") and
+    pick(x+"2") once both sides are rebuilt. `pick` is one `namer`,
+    built at the first application where both sides hold x over every
+    name of its subterm, free, bound and pattern, and passed down both
+    sides. Every pick is apart from those names and from every earlier
+    pick, so renaming x on either side cannot capture. Sibling splits
+    of x draw distinct names (x11, x21) from it.
     """
     if x not in t.fv:
         raise ContractViolation(f"{x} is not free in the term")
     if isinstance(t, Var):
-        if names is not None:
-            names.append({x})
         return t
     if not isinstance(t, (Suc, Lam, App, Pair, LetPair, Rec)):
         raise ContractViolation(
@@ -359,29 +334,27 @@ def close_var(x: str, t: Term, a: LinType,
     if isinstance(t, LetPair) and x in (t.x, t.y):
         hits = [0]  # the body's x is the pattern's
     if len(hits) == 2 and isinstance(t, App):
-        sides: list[set[str]] = []
-        left = close_var(x, t.fun, a, sides)
-        right = close_var(x, t.arg, a, sides)
-        small, seen = sorted(sides, key=len)
-        seen |= small  # every name of both sides, x among them
-        x1 = fresh_name(seen, x + "1")
-        seen.add(x1)
-        x2 = fresh_name(seen, x + "2")
-        seen.add(x2)
-        d = dup(a)
-        if names is not None:
-            _add_names(seen, [d])
-            names.append(seen)
-        return LetPair(App(d, Var(x)), x1, x2,
+        if pick is None:
+            # every name of t: its free ones, and each binder's below
+            used, work = set(t.fv), [t]
+            while work:
+                cur = work.pop()
+                work += children(cur)
+                if isinstance(cur, Lam):
+                    used.add(cur.binder)
+                elif isinstance(cur, LetPair):
+                    used.update((cur.x, cur.y))
+            pick = namer(used, "")
+        left = close_var(x, t.fun, a, pick)
+        right = close_var(x, t.arg, a, pick)
+        x1, x2 = pick(x + "1"), pick(x + "2")
+        return LetPair(App(dup(a), Var(x)), x1, x2,
                        App(_subst(left, x, Var(x1)),
                            _subst(right, x, Var(x2))))
     if len(hits) != 1:
         raise ContractViolation(f"{x} shared across {_ACROSS[type(t)]}")
     i = hits[0]
-    kid = close_var(x, kids[i], a, names)
-    if names is not None:
-        names[-1].update(_own_names(t))
-        _add_names(names[-1], kids[:i] + kids[i + 1:])
+    kid = close_var(x, kids[i], a, pick)
     if kid is kids[i]:
         return t  # x is used once below: nothing to rebuild
     kids[i] = kid
@@ -414,10 +387,12 @@ def compile_body(t: PcfTerm,
             finally:
                 restore_scope(tenv, x, outer)
             if x in inner.fv:
-                return Lam(x, close_var(x, inner, a)), Lolli(a, tb)
+                # a linear body already holds x exactly once
+                body = inner if inner.linear else close_var(x, inner, a)
+                return Lam(x, body), Lolli(a, tb)
             # discarded binder: consume x with erasers under a recursor
             # on zero, so a divergent argument still never runs
-            y = fresh_name({x}, "y")
+            y = namer({x}, "")("y")
             eraser = Lam(y, erase_term(
                 App(erase_term(Var(y), Lolli(tb, tb)), Var(x)), a))
             wrap = Rec(Pair(Zero(), Zero()), identity(), eraser, identity())

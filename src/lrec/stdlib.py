@@ -16,7 +16,7 @@ and dup, fix and cond_enc go through them, so none walks its type first.
 from __future__ import annotations
 
 from .terms import (App, ContractViolation, Iter, Lam, LetPair, Pair, Rec,
-                    Suc, Term, Var, Zero, _PARTS, _disjointness, fresh_name,
+                    Suc, Term, Var, Zero, _PARTS, _disjointness, namer,
                     numeral)
 from .types import NAT, LinType, Lolli, Nat, Tensor
 
@@ -107,8 +107,8 @@ def erase_term(t: Term, a: LinType) -> Term:
         case Nat():
             return Rec(Pair(t, Zero()), identity(), identity(), identity())
         case Tensor(left=l, right=r):
-            x = fresh_name(t.fv, "z")
-            y = fresh_name(t.fv | {x}, "w")
+            pick = namer(set(t.fv), "")
+            x, y = pick("z"), pick("w")
             return LetPair(t, x, y,
                            App(erase_term(Var(x), l), erase_term(Var(y), r)))
         case Lolli(dom=d, cod=c):

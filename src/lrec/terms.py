@@ -731,15 +731,6 @@ def _read_numeral(t: Term, cell: Fuel, whnf: Callable) -> int | None:
         t = v.body if env is None else (v.body, env)
 
 
-def fresh_name(avoid: set[str] | frozenset[str], base: str = "p") -> str:
-    if base not in avoid:
-        return base
-    i = 1
-    while f"{base}{i}" in avoid:
-        i += 1
-    return f"{base}{i}"
-
-
 def mk_tuple(ts: list[Term]) -> Term:
     """<t1, ..., tn> as right-nested pairs."""
     if len(ts) < 2:
@@ -751,28 +742,36 @@ def mk_tuple(ts: list[Term]) -> Term:
 
 
 # --------------------------------------------------------------------------
-# freshening (Barendregt's convention)
+# fresh names and freshening (Barendregt's convention)
+
+
+def namer(used: set[str], sep: str) -> Callable[[str], str]:
+    """The package's one name picker. pick(base) is base if that is not
+    in `used`, else the first free of base+sep+"1", base+sep+"2", …; each
+    pick joins `used`, which the caller hands over. `used` only grows,
+    so a base's suffixes below its last pick stay taken, and each base's
+    probe resumes where its last pick stopped."""
+    start: dict[str, int] = {}  # per base name, the next suffix to try
+
+    def pick(base: str) -> str:
+        if base not in used:
+            used.add(base)
+            return base
+        i = start.get(base, 1)
+        while f"{base}{sep}{i}" in used:
+            i += 1
+        new = f"{base}{sep}{i}"
+        used.add(new)
+        start[base] = i + 1
+        return new
+    return pick
 
 
 def freshen(t: Term) -> Term:
     """An alpha-variant whose binders are pairwise distinct and distinct
-    from every free variable."""
-    used = set(t.fv)
-    # `used` only grows, so a base's suffixes below its last pick stay taken
-    start: dict[str, int] = {}  # per base name, the next suffix to try
-
-    def pick(name: str) -> str:
-        if name not in used:
-            used.add(name)
-            return name
-        i = start.get(name, 1)
-        while f"{name}_{i}" in used:
-            i += 1
-        new = f"{name}_{i}"
-        used.add(new)
-        start[name] = i + 1
-        return new
-
+    from every free variable: each binder keeps its name where that is
+    free, else takes name_1, name_2, … from `namer`."""
+    pick = namer(set(t.fv), "_")
     env: dict[str, str] = {}  # bound name -> new name, restored on exit
 
     def go(node: Term) -> Term:

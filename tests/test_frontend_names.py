@@ -1,14 +1,20 @@
 """Freshening and bracket abstraction against their quadratic originals.
 
-`terms.freshen` starts each base name's suffix probe where the last pick
-left it, and `pcf.close_var` builds the name sets of its rebuilt sides
-bottom-up instead of re-walking both sides at every shared application.
-Neither may change a single name. The reference copies below are the
-earlier code, kept verbatim: `_ref_freshen` probes `name_1, name_2, …`
-from 1 for every binder, and `_ref_close_var` collects both sides' names
-with `_ref_all_names` and renames with the `occurs`-guarded `_ref_rename`.
-Every output is compared as printed text, so a different name anywhere
-fails.
+Both pick names with one `terms.namer`, which starts each base name's
+suffix probe where that base's last pick left it. `terms.freshen` may
+not change a single name. `pcf.close_var` builds one picker at the
+topmost split of a variable, over every name of the subterm there,
+instead of re-walking both rebuilt sides at every shared application;
+its names may change only where sibling subterms split one variable,
+which now draw distinct names (x11, x21) where the reference reuses
+x1, x2. The reference copies below are the earlier code, kept verbatim:
+`_ref_freshen` probes `name_1, name_2, …` from 1 for every binder,
+`fresh_name` probes `base1, base2, …` from 1 at every call, and
+`_ref_close_var` collects both sides' names with `_ref_all_names` and
+renames with the `occurs`-guarded `_ref_rename`. Outputs are compared as
+printed text, so a different name anywhere fails; the seeded programs,
+whose siblings split shared variables, are compared up to α-equivalence
+and their printed text is pinned by hash.
 """
 
 import hashlib
@@ -25,8 +31,8 @@ from lrec.pcf import (NumConst, PApp, PConst, PLam, PVar, compile_pcf,
                       parse_pcf, parse_pcf_defs, pcf_check)
 from lrec.stdlib import dup
 from lrec.terms import (App, ContractViolation, Iter, Lam, LetPair, Min, Pair,
-                        Rec, Suc, Term, Var, Zero, _subst, children,
-                        fresh_name, freshen, mk_tuple, pretty)
+                        Rec, Suc, Term, Var, Zero, _subst, alpha_eq, children,
+                        freshen, mk_tuple, namer, pretty)
 from lrec.types import NAT, Lolli
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -34,6 +40,15 @@ NAT_NAT = Lolli(NAT, NAT)
 
 
 # ------------------------------------------------------- reference copies
+
+def fresh_name(avoid: set[str] | frozenset[str], base: str = "p") -> str:
+    if base not in avoid:
+        return base
+    i = 1
+    while f"{base}{i}" in avoid:
+        i += 1
+    return f"{base}{i}"
+
 
 def _ref_freshen(t: Term) -> Term:
     used = set(t.fv)
@@ -285,6 +300,22 @@ def test_generated_terms_freshen_to_the_same_text():
             assert pretty(freshen(u)) == pretty(_ref_freshen(u))
 
 
+def test_namer_picks_as_fresh_name_over_the_growing_set():
+    """Successive picks of one namer equal the reference fresh_name,
+    each over the set grown by the picks before it."""
+    rng = random.Random(13)
+    bases = ["x", "x1", "x2", "x11", "y", "f1", "z"]
+    for _ in range(500):
+        used = {rng.choice(bases) + rng.choice(("", "1", "2", "11", "3"))
+                for _ in range(rng.randint(0, 12))}
+        pick = namer(set(used), "")
+        for _ in range(rng.randint(1, 30)):
+            base = rng.choice(bases)
+            want = fresh_name(used, base)
+            used.add(want)
+            assert pick(base) == want
+
+
 def test_nest_2000_prints_as_before():
     """The 2000-deep nest prints exactly as under the quadratic freshen
     (hash recorded with it, which took 60 s; this takes about 1 s)."""
@@ -342,17 +373,35 @@ def test_uses_compile_to_the_same_text(reference):
         assert pretty(compile_pcf(prog, [])) == want, k
 
 
-def test_seeded_programs_compile_to_the_same_text(reference):
+def test_uses_1600_prints_as_before():
+    """The 1,600-use chain prints exactly as under the reference (hash
+    recorded with it; the reference is cubic, so the comparison above
+    stops at 120 uses)."""
+    text = pretty(compile_pcf(parse_pcf(_uses(1600)), []))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "df7b70c2e5368b77e01ce1a224c6d6c550c6eb184ee50be37c135c33ef777e47"
+
+
+def test_seeded_programs_compile_alpha_equal_and_pinned(reference):
+    """Each compile is α-equal to the reference's and linear. Sibling
+    splits of one variable print other names than the reference's, so
+    the 400 printed texts are pinned by one hash, recorded with the one
+    picker per topmost split."""
     programs, shadowed = _seeded_programs(200)
     assert shadowed > 100  # inner binders shadow outer ones
     splits = 0
+    texts = []
     for closed, body, env in programs:
         for prog, e in ((closed, []), (body, env)):
-            want = pretty(reference(compile_pcf, prog, e))
-            got = pretty(compile_pcf(prog, e))
-            assert got == want, want
-        splits += want.count("let <")
+            want = reference(compile_pcf, prog, e)
+            got = compile_pcf(prog, e)
+            assert alpha_eq(got, want), pretty(want)
+            assert got.linear, pretty(got)
+            texts.append(pretty(got))
+        splits += texts[-1].count("let <")
     assert splits > 500  # shared variables are split many times
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == \
+        "584f3812bd0c3764707553f08f44e61e013826f84c29acdd9cb70f2c0ff31b5c"
 
 
 def test_close_var_walks_linearly_in_the_uses(monkeypatch):

@@ -611,3 +611,26 @@ def test_compile_pcf_types_each_node_once(monkeypatch):
     assert calls == 63
     assert hashlib.sha256(pretty(out).encode()).hexdigest() == (
         "d7c6016424facc02896bb854641cf69feba5a92ae3138b5f647bb1ee8aadeebe")
+
+
+def test_a_used_binder_nest_needs_no_bracket_abstraction(monkeypatch):
+    # fun x0 : Nat -> Nat . … fun x399 : Nat . x0 (x1 (… x399)): each
+    # body is linear, so no λ clause abstracts; walking the path to each
+    # binder through every inner λ made 160,399 close_var calls
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return close_var(*args)
+
+    k = 400
+    src = ("".join(f"fun x{i} : Nat -> Nat . " for i in range(k - 1))
+           + f"fun x{k - 1} : Nat . "
+           + " (".join(f"x{i}" for i in range(k)) + ")" * (k - 1))
+    prog = parse_pcf(src)
+    monkeypatch.setattr(pcf, "close_var", counting)
+    out = compile_pcf(prog, [])
+    assert calls <= k
+    assert hashlib.sha256(pretty(out).encode()).hexdigest() == (
+        "17ab5e28042b3be6b53fa660c57bac320243ce4e1519641213981fd25cc37837")

@@ -4,9 +4,10 @@ Every figure runs a fresh interpreter per sample, as a user starts one,
 and none is a gate. In order: the import time of lrec.cli, `check` of the
 two front-end nests, `check` and `eval` of a chain of 600 definitions
 that each splice the one before, and `pcf compile` of the 200- and
-400-deep nests of discarded binders, each with its peak resident memory,
-`normalize` of `@pred 100` and `@pred 200` (141,108 steps, over the
-default budget of 10^5), and `normalize --trace`, which keeps to the
+400-deep nests of discarded binders, of a variable used 1,600 times and
+of the 400-deep nest of used binders, each with its peak resident
+memory, `normalize` of `@pred 100` and `@pred 200` (141,108 steps, over
+the default budget of 10^5), and `normalize --trace`, which keeps to the
 zipper. Import time comes first, and its first sample of each kind is
 dropped: that one writes the bytecode cache the later figures start
 with. Inputs live in a temporary directory that is removed at the end.
@@ -105,6 +106,22 @@ def main() -> None:
                 f"discard{k}.pcf", "(" + "fun x : Nat . " * k + "x) 1"))
             print(f"pcf compile of the {k}-deep discarded nest: best wall "
                   f"{wall:.2f} s of 3 runs, peak RSS {rss:.0f} MB")
+
+        # (fun f : Nat -> Nat . f (f (… 0))) succ splits f 1,599 times;
+        # fun x0 : Nat -> Nat . … fun x399 : Nat . x0 (x1 (… x399)) has a
+        # linear body under every binder, so it needs no abstraction
+        k = 400
+        uses = ("(fun f : Nat -> Nat . " + "f (" * 1600 + "0"
+                + ")" * 1600 + ") succ")
+        nest = ("".join(f"fun x{i} : Nat -> Nat . " for i in range(k - 1))
+                + f"fun x{k - 1} : Nat . "
+                + " (".join(f"x{i}" for i in range(k)) + ")" * (k - 1))
+        for name, path in (("1,600-use chain", source("uses.pcf", uses)),
+                           (f"{k}-deep used-binder nest",
+                            source("used.pcf", nest))):
+            wall, rss = best_of_three("pcf", "compile", path)
+            print(f"pcf compile of the {name}: best wall {wall:.2f} s "
+                  f"of 3 runs, peak RSS {rss:.0f} MB")
 
         for n in (100, 200):
             wall, _ = best_of_three("normalize", "--fuel", "1000000",
