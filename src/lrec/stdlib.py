@@ -6,7 +6,11 @@ Builders return fresh closed terms. A closed term may be spliced into
 several positions of one result (the identity, a caller's function, a
 duplicator): linearity constrains variables only, and a closed subterm
 contributes none. That splicing is the calculus's sole copying
-mechanism at construction time.
+mechanism at construction time. `catalog_lookup` relies on it too: it
+builds each plain entry once and hands the same immutable term to every
+reference, so `@pred` spliced a thousand times is one term in memory,
+and `types.infer` walks it at most twice (closed reduction: Fernández,
+Mackie and Sinot, MSCS 15(2), 2005).
 
 The type-directed builders need a fully determined type: erase_term and
 maker fault on the first type variable (MetaVar) their recursion meets,
@@ -214,10 +218,24 @@ def catalog_misuse(name: str, typed: bool) -> str | None:
     return "needs" if name in _TYPED else None
 
 
+# plain entries built so far, by name: at most one term per row of _PLAIN
+_BUILT: dict[str, Term] = {}
+
+
 def catalog_lookup(name: str, a: LinType | None = None) -> Term | None:
-    """Resolve a catalog reference; type-indexed entries need a."""
+    """Resolve a catalog reference; type-indexed entries need a.
+
+    A plain entry is built on its first lookup and that same closed term
+    is returned by every later one, so a program that names it many
+    times holds one copy. A typed entry is built per call: its key is a
+    type, and types have no bound."""
     if a is None:
-        builder = _PLAIN.get(name)
-        return builder() if builder else None
+        term = _BUILT.get(name)
+        if term is None:
+            builder = _PLAIN.get(name)
+            if builder is None:
+                return None
+            term = _BUILT[name] = builder()
+        return term
     builder = _TYPED.get(name)
     return builder(a) if builder else None

@@ -9,6 +9,27 @@ read off the cached free-variable sets and never searched.
 Both entry points, infer and check, reject a non-linear term before
 typing it. Constraint generation keeps one environment, binding each
 binder on the way down and restoring what it shadowed on the way up.
+
+A closed subterm may sit at many positions of one term, as the one
+object (`stdlib.catalog_lookup` shares each plain entry). Its typing
+reads nothing from the environment, so every occurrence has the same
+principal type up to the names of its metavariables. Constraint
+generation therefore keeps a memo per call, keyed by node identity,
+over closed applications and abstractions. The first visit walks the
+node and marks it. The second walks it again and stores its type,
+zonked right after the walk and before the parent's constraint
+specialises it; that walk made every metavariable in it, so the type
+is principal. Every later visit returns a copy with fresh
+metavariables and walks nothing, and an error's text is the one a copy
+of the tree gives (hash-consing of closed subterms: Filliâtre and
+Conchon, ML Workshop 2006). Snapshotting on the first visit would zonk
+every closed node of a term with no sharing (a compiled PCF program
+has hundreds), which costs more than the memo saves. Every catalog
+entry is an abstraction. A shared closed node of another class (a
+pair, a split, a recursor) is walked at each visit, but only down to
+the closed applications and abstractions below it. The test sits in
+those two classes' own branches, so no other node pays for it, and no
+visit adds a frame.
 """
 
 from __future__ import annotations
@@ -173,10 +194,17 @@ def _zonk(a: LinType, sub: dict[int, LinType]) -> LinType:
 TypeEnv = list  # list of (name, LinType) pairs, ordered
 
 
+# a closed node seen once, in _Gen.closed
+_MARKED = object()
+
+
 class _Gen:
     def __init__(self):
         self.sub: dict[int, LinType] = {}
         self.next_meta = 0
+        # id of a closed application or abstraction -> _MARKED after
+        # its first visit, its principal type after its second
+        self.closed: dict[int, object] = {}
 
     def fresh(self) -> MetaVar:
         m = MetaVar(self.next_meta)
@@ -195,24 +223,41 @@ class _Gen:
     def go(self, t: Term, env: dict[str, LinType]) -> LinType:
         """The type of t; env maps the variables in scope to their types.
         A binder is bound in env for its body and then restored, so a
-        successful call leaves env as it found it."""
+        successful call leaves env as it found it. A closed application
+        or abstraction met a third time or later is not walked (see the
+        module docstring)."""
         cls = type(t)
         if cls is Var:  # bound: _domain gave env t's free variables
             return env[t.name]
         if cls is App:
+            key = None if t.fv else id(t)
+            seen = None if key is None else self.closed.get(key)
+            if seen is not None and seen is not _MARKED:
+                return self.instance(seen, {})
             tf = self.go(t.fun, env)
             tu = self.go(t.arg, env)
             out = self.fresh()
             self.want(tf, Lolli(tu, out), "App", t)
+            if key is not None:
+                self.closed[key] = (_MARKED if seen is None
+                                    else _zonk(out, self.sub))
             return out
         if cls is Lam:
+            key = None if t.fv else id(t)
+            seen = None if key is None else self.closed.get(key)
+            if seen is not None and seen is not _MARKED:
+                return self.instance(seen, {})
             x = t.binder
             a = self.fresh()
             outer = env.get(x)
             env[x] = a
             body = self.go(t.body, env)
             restore_scope(env, x, outer)
-            return Lolli(a, body)
+            out = Lolli(a, body)
+            if key is not None:
+                self.closed[key] = (_MARKED if seen is None
+                                    else _zonk(out, self.sub))
+            return out
         if cls is Zero:
             return NAT
         if cls is Suc:
@@ -252,6 +297,25 @@ class _Gen:
             self.want(self.go(t.fn, env), Lolli(NAT, NAT), "Min", t)
             return NAT
         raise AssertionError(f"unhandled node {cls.__name__}")
+
+    def instance(self, a: LinType, fresh: dict[int, MetaVar]) -> LinType:
+        """A copy of a stored type, each of its metavariables replaced by
+        a fresh one (the same one wherever it recurs: fresh). The stored
+        metavariables are read as they stood when it was stored, not
+        through sub, where later constraints may have bound them."""
+        cls = type(a)
+        if cls is MetaVar:
+            m = fresh.get(a.id)
+            if m is None:
+                m = fresh[a.id] = self.fresh()
+            return m
+        if cls is Lolli:
+            return Lolli(self.instance(a.dom, fresh),
+                         self.instance(a.cod, fresh))
+        if cls is Tensor:
+            return Tensor(self.instance(a.left, fresh),
+                          self.instance(a.right, fresh))
+        return a
 
 
 def _env_map(env: TypeEnv) -> dict[str, LinType]:

@@ -764,6 +764,23 @@ def test_main_runs_a_command_under_its_threshold_and_restores_the_callers(
         gc.set_threshold(*callers)
 
 
+def test_check_of_deep_pred_nests_as_a_user_runs_it(tmp_path):
+    """Typing a shared splice once adds no frame, so the parser sets the
+    depth limit: a fresh `lrec check` types the 6,000-deep @pred nest
+    and rejects the 8,000-deep one."""
+    src = str(Path(lrec.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for k, code, out, err in ((6_000, 0, "Nat\n", ""),
+                              (8_000, 1, "", "invalid input: nested too "
+                                             "deeply\n")):
+        f = write(tmp_path, f"nest{k}.lrec", "@pred (" * k + "0" + ")" * k)
+        got = subprocess.run(
+            [sys.executable, "-m", "lrec.cli", "check", f],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path})
+        assert (got.returncode, got.stdout, got.stderr) == (code, out, err)
+
+
 # ---------------------------------------------------------------- entry
 
 def test_console_entry_point():

@@ -47,6 +47,17 @@ def test_import_loads_no_dataclasses_typing_hashlib_or_json():
     assert _stages() == ["import"]
 
 
+def test_import_builds_no_catalog_entry():
+    """Plain catalog entries are built on first lookup, never at import,
+    which every command line pays for."""
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import lrec.cli; "
+         "from lrec import stdlib; print(len(stdlib._BUILT))", str(SRC)],
+        capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout == "0\n"
+
+
 def test_a_run_without_a_record_loads_neither_hashlib_nor_json():
     assert _stages(["check", str(CORPUS / "add23.lrec")],
                    ["normalize", str(CORPUS / "mult34.lrec")]) == [

@@ -6,12 +6,14 @@ import pytest
 from lrec.evaluation import eval_cbn, force_numeral
 from lrec.parser import parse_type
 from lrec.reduction import FuelExhausted, normalize, step_lo
-from lrec.stdlib import (add_enc, catalog_lookup, catalog_names, cond_enc,
-                         copy_nat, delta, dup, erase_term, factorial_enc,
-                         fix, fst_enc, identity, iszero_enc, iter_enc,
-                         maker, min_enc, mult_enc, pred_enc, snd_enc)
+from lrec.stdlib import (_PLAIN, add_enc, catalog_lookup, catalog_names,
+                         cond_enc, copy_nat, delta, dup, erase_term,
+                         factorial_enc, fix, fst_enc, identity, iszero_enc,
+                         iter_enc, maker, min_enc, mult_enc, pred_enc,
+                         snd_enc)
 from lrec.terms import (App, ContractViolation, Lam, LetPair, Pair, Rec, Suc,
-                        Term, Var, Zero, alpha_eq, check_linear, numeral)
+                        Term, Var, Zero, alpha_eq, check_linear, numeral,
+                        pretty)
 from lrec.types import Lolli, MetaVar, NAT, Tensor, check, infer
 
 F = 100_000
@@ -254,3 +256,26 @@ def test_catalog():
     assert catalog_lookup("nope") is None
     assert catalog_lookup("Y") is None  # needs a type argument
     assert "factorial" in catalog_names() and "Y[T]" in catalog_names()
+
+
+def test_plain_entries_are_built_once_and_shared():
+    for name, builder in _PLAIN.items():
+        t = catalog_lookup(name)
+        assert catalog_lookup(name) is t, name
+        assert pretty(t) == pretty(builder()), name
+
+
+@pytest.mark.parametrize("name,builder,shape", [
+    ("dup", dup, lambda a: Lolli(a, Tensor(a, a))),
+    ("Y", fix, lambda a: Lolli(Lolli(a, a), a)),
+    ("cond", cond_enc, lambda a: Lolli(NAT, Lolli(a, Lolli(a, a)))),
+    ("maker", maker, lambda a: a)])
+def test_typed_entries_are_built_per_type(name, builder, shape):
+    built = []
+    for a in (NAT, NN, Lolli(NAT, NN)):
+        t = catalog_lookup(name, a)
+        assert catalog_lookup(name, a) is not t
+        assert pretty(t) == pretty(builder(a))
+        assert check(t, [], shape(a)) == shape(a)
+        built.append(pretty(t))
+    assert len(set(built)) == 3

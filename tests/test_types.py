@@ -1,9 +1,14 @@
 """Type inference, checking, and the relaxed checker."""
 
+import random
+
 import pytest
 
-from lrec.parser import parse
-from lrec.terms import App, Lam, Pair, Term, Var, check_linear, numeral
+from lrec.gen import random_closed
+from lrec.parser import parse, parse_defs
+from lrec.stdlib import catalog_lookup
+from lrec.terms import (App, Lam, Pair, Term, Var, Zero, check_linear,
+                        children, freshen, numeral, rebuild)
 from lrec.types import (EnvDomainError, LinType, Lolli, MetaVar, NAT, Tensor,
                         TypeEnv, TypingError, _env_map, _Gen, _zonk, check,
                         infer, type_pretty)
@@ -145,3 +150,115 @@ def test_check_nonlinear_still_guards_binders():
     t = Lam("y", Pair(Var("y"), Var("y")))
     with pytest.raises(TypingError):
         check_nonlinear(t, [], {"x"})
+
+
+# ------------------------------------------------- shared closed subterms
+# A catalog splice puts one closed object at every position that names
+# it, and inference walks such an object at most twice. Its answers must
+# be those of a tree in which no two positions hold the same node.
+
+
+def _tree_copy(t: Term) -> Term:
+    """t with every compound node rebuilt, names kept: nothing shared."""
+    kids = children(t)
+    return rebuild(t, [_tree_copy(k) for k in kids]) if kids else t
+
+
+def _shares(t: Term) -> bool:
+    """Whether some compound node of t sits at two positions."""
+    seen: set[int] = set()
+    work = [t]
+    while work:
+        node = work.pop()
+        kids = children(node)
+        if kids:
+            if id(node) in seen:
+                return True
+            seen.add(id(node))
+            work += kids
+    return False
+
+
+def _pred_nest(k: int) -> Term:
+    return parse_defs("@pred (" * k + "0" + ")" * k)[1]
+
+
+@pytest.mark.parametrize("text,want", [
+    ("<@I 0, @I <0, 0>>", "Nat * Nat * Nat"),
+    # the third @I is typed from the type stored at the second, whose
+    # metavariable the second's context has bound to Nat since
+    ("<@I 0, <@I 1, @I <0, 0>>>", "Nat * Nat * Nat * Nat"),
+    ("@I @I 0", "Nat"),
+    ("<@I, <@I, @I>>", "(?a -o ?a) * (?b -o ?b) * (?c -o ?c)"),
+    ("\\f. <@I f, @I>", "?a -o ?a * (?b -o ?b)"),
+    ("<@pred 1, <@pred 2, @pred (@pred 3)>>", "Nat * Nat * Nat"),
+    ("d = <@I, @I>; main = <@d, <@d, @d>>;", None),
+    ("d = \\f. \\x. f x; main = <@d @I 0, @d @add 1 2>;", "Nat * Nat")])
+def test_a_shared_closed_term_types_as_its_tree_copy(text, want):
+    t = parse_defs(text)[1]
+    assert _shares(t)
+    got = type_pretty(infer(t, []))
+    assert got == type_pretty(infer(freshen(t), []))
+    assert want is None or got == want
+
+
+def test_shared_random_closed_terms_type_as_their_tree_copies():
+    ident = catalog_lookup("I")
+    for seed in range(40):
+        t, a = random_closed(random.Random(seed))
+        for u in (Pair(t, t), Pair(App(ident, t), App(ident, t)),
+                  App(ident, Pair(t, Pair(App(ident, t), t)))):
+            assert type_pretty(infer(u, [])) == \
+                type_pretty(infer(freshen(u), [])), seed
+        assert check(Pair(t, t), [], Tensor(a, a)) == Tensor(a, a)
+
+
+@pytest.mark.parametrize("text,want", [
+    ("<@pred 0, @pred <0, 0>>", None),
+    # fails at the third @pred, which is typed from the stored type
+    ("<@pred 0, <@pred 1, @pred <0, 0>>>", None),
+    ("<@I 0, <@I 1, @I @I>>", Tensor(NAT, Tensor(NAT, NAT)))])
+def test_a_shared_closed_term_fails_as_its_tree_copy(text, want):
+    t = parse_defs(text)[1]
+    assert _shares(t)
+    errors = []
+    for u in (t, _tree_copy(t)):
+        with pytest.raises(TypingError) as e:
+            infer(u, []) if want is None else check(u, [], want)
+        errors.append(str(e.value))
+    assert errors[0] == errors[1]
+
+
+def test_a_shared_entry_is_walked_at_most_twice(monkeypatch):
+    """Metavariables drawn while inferring the k-deep @pred nest: two
+    walks of pred_enc, then a constant per level, however large the
+    entry is. Without the memo every level walks it again."""
+    calls = [0]
+    fresh = _Gen.fresh
+
+    def counting(self):
+        calls[0] += 1
+        return fresh(self)
+
+    monkeypatch.setattr(_Gen, "fresh", counting)
+    infer(catalog_lookup("pred"), [])
+    walk = calls[0]
+    assert walk > 20
+    counts = []
+    for k in (100, 200):
+        calls[0] = 0
+        assert infer(_pred_nest(k), []) == NAT
+        counts.append(calls[0])
+    per_level = (counts[1] - counts[0]) / 100
+    assert per_level <= 2
+    assert counts[0] <= 2 * walk + per_level * 100
+
+
+def test_the_memo_adds_no_frame_per_level():
+    """The 15,000-deep nest of one shared @pred fits the 20,000-frame
+    recursion limit only at one frame per level."""
+    pred = catalog_lookup("pred")
+    t = Zero()
+    for _ in range(15_000):
+        t = App(pred, t)
+    assert infer(t, []) == NAT

@@ -2,16 +2,16 @@
 
 Every figure runs a fresh interpreter per sample, as a user starts one,
 and none is a gate. In order: the import time of lrec.cli, `check` of the
-two front-end nests, `check` and `eval` of a chain of 600 definitions
-that each splice the one before, and `pcf compile` of the 200- and
-400-deep nests of discarded binders, of a variable used 1,600 times and
-of the 400-deep nest of used binders, each with its peak resident
-memory, `normalize` of `@pred 100` and `@pred 200` (141,108 steps, over
-the default budget of 10^5), and `normalize --trace`, which keeps to the
-zipper. Import time comes first, and its first sample of each kind is
-dropped: that one writes the bytecode cache the later figures start
-with. Inputs live in a temporary directory that is removed at the end.
-Run it from anywhere:
+2,000- and 5,000-deep `@pred` nests and of the wide lambda nest, `check`
+and `eval` of a chain of 600 definitions that each splice the one
+before, and `pcf compile` of the 200- and 400-deep nests of discarded
+binders, of a variable used 1,600 times and of the 400-deep nest of
+used binders, each with its peak resident memory, `normalize` of
+`@pred 100` and `@pred 200` (141,108 steps, over the default budget of
+10^5), and `normalize --trace`, which keeps to the zipper. Import time
+comes first, and its first sample of each kind is dropped: that one
+writes the bytecode cache the later figures start with. Inputs live in
+a temporary directory that is removed at the end. Run it from anywhere:
 
     python tools/ci_figures.py
 """
@@ -76,10 +76,13 @@ def main() -> None:
             path.write_text(text)
             return str(path)
 
-        wall, rss = best_of_three(
-            "check", source("deep.lrec", "@pred (" * 2000 + "0" + ")" * 2000))
-        print(f"check of the 2000-deep @pred nest: best wall {wall:.2f} s "
-              f"of 3 runs, peak RSS {rss:.0f} MB")
+        # one shared @pred per level, typed from the second level on
+        # without a walk: time grows with depth, not with pred's size
+        for k in (2000, 5000):
+            wall, rss = best_of_three("check", source(
+                f"deep{k}.lrec", "@pred (" * k + "0" + ")" * k))
+            print(f"check of the {k}-deep @pred nest: best wall "
+                  f"{wall:.2f} s of 3 runs, peak RSS {rss:.0f} MB")
         # \x0. ... \x2000. x0 x1 ... x2000: every node's free-variable set
         # holds up to n names, so time and memory grow faster than the term
         n = 2000
