@@ -18,13 +18,13 @@ The command tree is one table, `COMMANDS`: a row's words, help text,
 handler and arguments; `_build_parser` builds argparse from it. The
 default fuel is 10^5 rule instances, overridable with LREC_FUEL;
 `_fuel` alone checks a budget, and one that is not a run of ASCII
-digits is bad input. Every engine run, PCF's reference evaluator and
-difftest's records included, goes through `_engine`, which runs it on a
-fresh `Fuel` cell and turns its outcome into a record, an exit code and
-a message, printed or streamed. difftest gives the compiled side of PCF
-comparisons 100x the fuel: the encodings spend a recursor loop per
-source step, so equal budgets would misreport slow-but-sound
-compilations as divergent.
+digits, or has more digits than a budget can hold, is bad input. Every
+engine run, PCF's reference evaluator and difftest's records included,
+goes through `_engine`, which runs it on a fresh `Fuel` cell and turns
+its outcome into a record, an exit code and a message, printed or
+streamed. difftest gives the compiled side of PCF comparisons 100x the
+fuel: the encodings spend a recursor loop per source step, so equal
+budgets would misreport slow-but-sound compilations as divergent.
 
 `main` runs a command with generation 0 of the cyclic collector
 waiting for `GC_GEN0` net allocations instead of the default 700, and
@@ -57,17 +57,20 @@ from .types import (EnvDomainError, Lolli, MetaVar, Nat, Tensor, TypingError,
 
 def _fuel(given: str | None) -> int:
     """The budget: --fuel, else LREC_FUEL, else 10^5. It must be a run
-    of ASCII digits."""
+    of ASCII digits that int() converts; a message about a bad one shows
+    its first 40 characters."""
     where, value = "--fuel", given
     if given is None:
         where, value = "LREC_FUEL", os.environ.get("LREC_FUEL", "100000")
-    try:
-        if value.isascii() and value.isdigit():  # as the lexer reads a numeral
+    if value.isascii() and value.isdigit():  # as the lexer reads a numeral
+        try:
             return int(value)
-    except ValueError:  # more digits than int() converts
-        pass
-    raise ContractViolation(
-        f"{where} must be a non-negative integer, got {value!r}")
+        except ValueError:  # more digits than int() converts
+            fault = f"has {len(value):,} digits, more than a budget can hold"
+    else:
+        fault = "must be a non-negative integer"
+    raise ContractViolation(f"{where} {fault}, got {value[:40]!r}" + (
+        f"... ({len(value):,} characters)" if len(value) > 40 else ""))
 
 
 def _fail(msg: str, code: int) -> int:

@@ -9,17 +9,22 @@ push a frame, which their value pops. That is the evaluator
 defunctionalised, and so a stack machine (Ager, Biernacki, Danvy and
 Midtgaard, PPDP 2003): the machine (see `machine`) is this loop on
 another engine row, the costs of a value and a push plus how a stopped
-run is reported, and an untraced `reduction.normalize` runs each closed
-subterm on a third, which reports a stop as the machine does. The loop
-tests costs, never the engine. `top_frame` reads its stack, for the
-machine's configurations.
+run is reported, and an untraced `reduction.normalize` or
+`minext.normalize_m` runs each closed subterm on a third, which reports
+a stop as the machine does. That third row alone also runs the
+minimiser calculus: an Iter or Min node pushes a frame while its count
+or scrutinee is evaluated, and the pop fires IterZero or IterSuc,
+MinZero or MinSuc. The loop tests costs and that one flag, never the
+engine. `top_frame` reads its stack, for the machine's configurations.
 
 The loop substitutes nothing. It runs a term under a linear environment
 (see `terms`): where a rule substitutes, it binds a closure in a cell,
 and a variable's one lookup moves the closure out and clears the cell.
 Rec2 goes through `terms.recur`, which shares the cells under the step
-and update it reuses. `terms.unload` rebuilds a term only where one is
-seen: the value, and where a run stops.
+and update it reuses, and IterSuc and MinSuc through `terms.iterate`
+and `terms.minimise`, which do the same for what they reuse.
+`terms.unload` rebuilds a term only where one is seen: the value, and
+where a run stops.
 
 The evaluators charge one unit of one `terms.Fuel` per rule instance:
 Val when a value is reached, before a frame tests it; App once the
@@ -27,27 +32,30 @@ operator is a λ, before CBV evaluates the argument; Let once the
 scrutinee is a pair; Rec1 or Rec2 once the number is 0 or S. A lookup
 costs nothing. A constructor mismatch (applying a pair, splitting a
 number) is the shared `terms.Stuck` outcome; an open input, or a node of
-the minimiser calculus, is a caller bug and faults. An exhausted run
-carries nothing, so `drive` reports the input. The entry points follow
-the engines' contract (see `terms`).
+the minimiser calculus, is a caller bug and faults; the machine's row
+is stuck on such a node instead. An exhausted run carries nothing, so
+`drive` reports the input. The entry points follow the engines'
+contract (see `terms`).
 """
 
 from __future__ import annotations
 
-from .terms import (VALUES, App, ContractViolation, Fuel, FuelExhausted, Lam,
-                    LetPair, OutOfFuel, Outcome, Pair, Rec, Stuck, Suc, Term,
-                    Var, Zero, bind, drive, read_numeral, recur,
-                    require_closed, take, unload)
+from .terms import (VALUES, App, ContractViolation, Fuel, FuelExhausted,
+                    Iter, Lam, LetPair, Min, OutOfFuel, Outcome, Pair, Rec,
+                    Stuck, Suc, Term, Var, Zero, bind, drive, iterate,
+                    minimise, read_numeral, recur, require_closed, take,
+                    unload)
 
 # Frames, on a cons list of cells (kind, p, penv, rest), p under penv a
 # closure: an operator under way (p: the argument), a CBV argument under
 # way (p: the λ), a split's or a recursor's scrutinee under way (p: the
-# node), and the number in a recursor's scrutinee under way (p: the
-# recursor, on a cell holding the scrutinee's right component).
-APP, ARG, LET, REC, HEAD = _KINDS = range(5)
+# node), the number in a recursor's scrutinee under way (p: the
+# recursor, on a cell holding the scrutinee's right component), and an
+# iterator's count or a minimiser's scrutinee under way (p: the node).
+APP, ARG, LET, REC, HEAD, ITER, MIN = _KINDS = range(7)
 
 _VALUES = frozenset(VALUES)  # a set tests a class faster than a tuple
-_CLASSES = (Var, Lam, Pair, Zero, Suc, App, LetPair, Rec)
+_CLASSES = (Var, Lam, Pair, Zero, Suc, App, LetPair, Rec, Iter, Min)
 
 
 def top_frame(stack):
@@ -69,10 +77,11 @@ def _stuck(reason: str | None, t: Term, env, stack):
 
 # An engine row: the fuel a value and a push cost, then exhausted(t, env,
 # stack) and stuck(reason, t, env, stack), the exception to raise at
-# (t, env) over the stack before the transition. The pop of an APP, LET
-# or HEAD frame costs 1, of a REC frame what a push does, of CBV's ARG
-# frame nothing.
-EVALUATOR = (1, 0, lambda t, env, stack: OutOfFuel(), _stuck)
+# (t, env) over the stack before the transition, and whether it runs the
+# minimiser calculus's Iter and Min nodes. The pop of an APP, LET, HEAD,
+# ITER or MIN frame costs 1, of a REC frame what a push does, of CBV's
+# ARG frame nothing.
+EVALUATOR = (1, 0, lambda t, env, stack: OutOfFuel(), _stuck, False)
 
 
 def whnf(t: Term, fuel: Fuel, engine: tuple = EVALUATOR, cbv: bool = False,
@@ -84,13 +93,14 @@ def whnf(t: Term, fuel: Fuel, engine: tuple = EVALUATOR, cbv: bool = False,
     step began at and, if that is a value's, kind the frame it popped.
     The loop looks variables up and binds them as terms.take and
     terms.bind do, inline where it is hot."""
-    val, push, exhausted, stuck = engine
+    val, push, exhausted, stuck, minimiser = engine
     t, env = t if type(t) is tuple else (t, None)
     frames = kind = None
     remaining = fuel.remaining
     # names read at every step, as locals: they are faster than globals
-    Var_, Lam_, Pair_, Zero_, Suc_, App_, LetPair_, Rec_ = _CLASSES
-    values, (APP, ARG, LET, REC, HEAD) = _VALUES, _KINDS
+    Var_, Lam_, Pair_, Zero_, Suc_, App_, LetPair_, Rec_, Iter_, Min_ = \
+        _CLASSES
+    values, (APP, ARG, LET, REC, HEAD, ITER, MIN) = _VALUES, _KINDS
     try:
         while True:
             cls = type(t)
@@ -158,6 +168,22 @@ def whnf(t: Term, fuel: Fuel, engine: tuple = EVALUATOR, cbv: bool = False,
                         env = bind(p.y, t.right, env,
                                    bind(p.x, t.left, env, penv))
                         t = p.body
+                elif kind >= ITER:  # the normaliser's row only
+                    if cls is not Zero_ and cls is not Suc_:
+                        raise stuck("counted on a non-number", t, env, top)
+                    if remaining < 1:
+                        raise exhausted(t, env, top)
+                    remaining -= 1  # rule IterZero, IterSuc, MinZero or MinSuc
+                    if kind == ITER:
+                        if cls is Zero_:
+                            t, env = p.base, penv
+                        else:  # v applied to the next iterator
+                            t, env, p, penv = iterate(p, penv, t.body, env)
+                            frames = (APP, p, penv, frames)
+                    elif cls is Zero_:
+                        t, env = p.counter, penv
+                    else:  # the next minimiser, the witness dropped
+                        t, env = minimise(p, penv)
                 else:  # ARG, a CBV argument's value: no rule
                     env = [p.binder, t, env if t.fv else None, penv, False]
                     t = p.body
@@ -175,6 +201,15 @@ def whnf(t: Term, fuel: Fuel, engine: tuple = EVALUATOR, cbv: bool = False,
                     remaining -= push
                 frames = (LET if cls is LetPair_ else REC, t, env, frames)
                 t = t.scrut
+            elif minimiser and (cls is Iter_ or cls is Min_):
+                if push:
+                    if remaining < push:
+                        raise exhausted(t, env, frames)
+                    remaining -= push
+                if cls is Iter_:
+                    frames, t = (ITER, t, env, frames), t.count
+                else:
+                    frames, t = (MIN, t, env, frames), t.scrut
             else:
                 raise stuck(None, t, env, frames)
             if observe is not None:

@@ -18,15 +18,19 @@ The observable `MachineConfig`, whose code and top-first tuple of
 markers hold terms rebuilt by `terms.unload`, is made only when someone
 looks: an `on_step` observer, which converts only the top entry after a
 transition, and the configuration a run stops at, which is also how the
-normaliser's loop (`reduction.NORMALIZER`) reports a stop.
+normaliser's loop (`reduction.NORMALIZER`) reports a stop. That loop
+alone runs the minimiser calculus, so two more markers stand for its
+ITER and MIN frames: an iterator (`IterK`) or a minimiser (`MinK`)
+waiting for its count or scrutinee to become a number. The machine
+itself has no transition for an Iter or Min node and is stuck there.
 """
 
 from __future__ import annotations
 
-from .evaluation import APP, HEAD, LET, REC, top_frame, whnf
+from .evaluation import APP, HEAD, ITER, LET, REC, top_frame, whnf
 from .terms import (App, Fuel, FuelExhausted, Lam, LetPair, OutOfFuel, Outcome,
-                    Rec, Record, Stuck, Term, Zero, drive, read_numeral,
-                    require_closed, unload)
+                    Rec, Record, Stuck, Term, Zero, children, drive,
+                    read_numeral, require_closed, unload)
 
 
 class ExtTerm(Record):
@@ -60,6 +64,18 @@ class RecK2(ExtTerm):
     update: Term
 
 
+class IterK(ExtTerm):
+    __slots__ = ("base", "step")
+    base: Term
+    step: Term
+
+
+class MinK(ExtTerm):
+    __slots__ = ("counter", "fn")
+    counter: Term
+    fn: Term
+
+
 Stack = tuple  # of ExtTerm, top first
 
 
@@ -80,11 +96,12 @@ def _frame(kind, p, penv, q, qenv) -> ExtTerm:
     if kind == LET:  # x and y stay free in the body
         body = unload(Lam(p.x, Lam(p.y, p.body)), penv).body.body
         return LetK(p.x, p.y, body)
-    parts = (unload(p.base, penv), unload(p.step, penv),
-             unload(p.update, penv))
+    parts = [unload(k, penv) for k in children(p)[1:]]
     if kind == REC:
         return RecK(*parts)
-    return RecK2(unload(q, qenv), *parts)
+    if kind == HEAD:
+        return RecK2(unload(q, qenv), *parts)
+    return (IterK if kind == ITER else MinK)(*parts)
 
 
 def _observe(stack) -> Stack:
@@ -118,7 +135,8 @@ def _follow(seen: Stack, stack, cls, kind) -> tuple[str, Stack]:
 MACHINE = (0, 1,  # see evaluation.EVALUATOR
            lambda code, env, stack: OutOfFuel(_config(code, env, stack)),
            lambda reason, code, env, stack: Stuck("no transition applies",
-                                                  _config(code, env, stack)))
+                                                  _config(code, env, stack)),
+           False)
 
 
 def _run(code: Term, fuel: Fuel, on_step=None) -> Term:

@@ -7,9 +7,11 @@ set once and the rules keep it closed. What is here is that guard
 (check_mterm), the typing entry (mtype) and the encodings built from
 iter and min. The rules themselves, IterZero/IterSuc and MinZero/MinSuc,
 live in reduction.step_root beside Beta and Let, which pick them by the
-node's class. Evaluation is leftmost-outermost closed reduction
-(normalize_m); there is no dedicated big-step evaluator for this
-calculus.
+node's class, and in the environment loop, evaluation.whnf, where only
+the normaliser's engine row runs them. Evaluation is leftmost-outermost
+closed reduction (normalize_m): untraced, it runs each closed subterm
+on the loop, as reduction.normalize does; traced, it keeps to the
+zipper. There is no dedicated big-step evaluator for this calculus.
 """
 
 from __future__ import annotations
@@ -33,10 +35,13 @@ def check_mterm(t: Term):
 
 def normalize_m(t: Term, fuel: int | Fuel,
                 on_step=None) -> Term | FuelExhausted:
-    """reduction's leftmost-outermost normaliser on a guarded term, on
-    the zipper alone: the environment loop has no Iter or Min rule."""
+    """reduction's leftmost-outermost normaliser on a guarded term.
+    Untraced, every closed subterm that is not a value runs on the
+    environment loop; a traced run keeps to the zipper."""
     check_mterm(t)
-    return _normalize_with(t, fuel, on_step, closed=False)
+    # not reduction.normalize: the tracer times each binding of that
+    # name as reduction's, and this run as minext's
+    return _normalize_with(t, fuel, on_step, closed=on_step is None)
 
 
 def mtype(t: Term, env: list) -> LinType:

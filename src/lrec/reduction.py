@@ -37,18 +37,21 @@ stays redex-free. A debug-mode assertion checks that each contraction
 keeps the free variables. The walk keeps no state between calls and
 writes none into the term.
 
-`normalize` hands each closed App, LetPair and Rec node to the
-evaluators' environment loop, `evaluation.whnf`, which substitutes
-nothing. In a closed term every subterm on the head spine (operators,
-scrutinees, and the number in a recursor's pair: always child 0) is
-closed, and so is every part a rule at its end needs, so the head
-redex's side condition holds. It is also the first redex in pre-order:
-the spine's nodes come before all others, and each node above the
-head redex lacks the value its rule needs in child 0. So the
-leftmost-outermost steps of a closed term, up to its weak head normal
-form, are call by name's App, Let, Rec1 and Rec2, in that order. The
-loop runs on its own engine row, which charges only those four, so
-fuel and step counts are the zipper's. The handoff:
+An untraced `normalize`, and so `minext.normalize_m`, hands each closed
+App, LetPair, Rec, Iter and Min node to the evaluators' environment
+loop, `evaluation.whnf`, which substitutes nothing. In a closed term
+every subterm on the head spine (operators, scrutinees, an iterator's
+count, and the number in a recursor's pair: always child 0) is closed,
+and so is every part a rule at its end needs, so the head redex's side
+condition holds. It is also the first redex in pre-order: the spine's
+nodes come before all others, and each node above the head redex lacks
+the value its rule needs in child 0. So the leftmost-outermost steps of
+a closed term, up to its weak head normal form, are call by name's App,
+Let, Rec1 and Rec2, and the minimiser calculus's IterZero, IterSuc,
+MinZero and MinSuc, in that order. The loop runs them on its own engine
+row, which charges only those rules, one unit each, so fuel and step
+counts are the zipper's; no other row runs an Iter or Min node. The
+handoff:
 
 - The zipper enters such a node, or a part of a value the loop
   returned that is no value, and the loop runs it to a value. Where
@@ -59,18 +62,19 @@ fuel and step counts are the zipper's. The handoff:
   rebuilt, since its body is open.
 - The loop reports a stop as the machine does, with its configuration
   (`machine.MachineConfig`): the code, and the markers of its stack,
-  which stand for the nodes above the code. Exhausted fuel stops the
-  loop before the rule it cannot pay for, and the normaliser reports
-  the whole term there, as the zipper would.
+  which stand for the nodes above the code (`IterK` and `MinK` for the
+  iterators and minimisers only this row pushes). Exhausted fuel stops
+  the loop before the rule it cannot pay for, and the normaliser
+  reports the whole term there, as the zipper would.
 - Where the loop has no rule (it applies a pair, splits a number, or
-  meets an Iter or Min node), the code it stopped at and the nodes
-  above it become the zipper's focus and frames. That node is a value,
-  an Iter or a Min, none of which the zipper hands to the loop, so the
-  zipper walks on from it and hands on the closed subterms it meets.
+  recurses, iterates or minimises on something that is not a number),
+  the code it stopped at and the nodes above it become the zipper's
+  focus and frames. That node is a value, which the zipper does not
+  hand to the loop, so the zipper walks on from it and hands on the
+  closed subterms it meets.
 
-A traced run (one with `on_step`) and `normalize_m` keep to the zipper:
-a traced step builds the whole term anyway, so the loop saves nothing
-there, and the loop has no Iter or Min rule.
+A traced run (one with `on_step`) keeps to the zipper: a traced step
+builds the whole term anyway, so the loop saves nothing there.
 """
 
 from __future__ import annotations
@@ -78,7 +82,8 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .evaluation import whnf
-from .machine import MACHINE, LetK, MachineConfig, Plain, RecK, RecK2
+from .machine import (MACHINE, IterK, LetK, MachineConfig, MinK, Plain, RecK,
+                      RecK2)
 from .terms import (VALUES, App, ContractViolation, Fuel, FuelExhausted,
                     Iter, Lam, LetPair, Min, OutOfFuel, Pair, Rec, Record,
                     Stuck, Suc, Term, Var, Zero, children, pretty, rebuild,
@@ -184,15 +189,15 @@ def _climb(stack: list[Frame]) -> int:
 
 
 _WHNF = "whnf"  # what _seek returns with a subterm for the loop
-_LOOP = frozenset((App, LetPair, Rec))  # the non-values the loop reduces
+_LOOP = frozenset((App, LetPair, Rec, Iter, Min))  # the loop's non-values
 
 
 def _seek(stack: list[Frame], focus, closed: bool = False):
     """Walk on in pre-order from focus, which the frames place in the
     whole term, to the next redex: return it and its contraction. On
     reaching the end, return the whole term (the frames are used up)
-    and None. With closed, stop first at a closed App, LetPair or Rec
-    node, or at a closure that is not a value, and return it and _WHNF;
+    and None. With closed, stop first at a closed node of a class in
+    _LOOP, or at a closure that is not a value, and return it and _WHNF;
     a closure that is a pair or S is entered part by part."""
     while True:
         if closed:
@@ -266,6 +271,10 @@ def _enclose(config: MachineConfig) -> list[Term]:
                 focus = Pair(focus, q)
                 nodes.append(focus)
                 focus = Rec(focus, u, v, w)
+            case IterK(u, v):
+                focus = Iter(focus, u, v)
+            case MinK(u, f):
+                focus = Min(focus, u, f)
         nodes.append(focus)
     return nodes
 
@@ -273,8 +282,8 @@ def _enclose(config: MachineConfig) -> list[Term]:
 # The engine row of a closed subterm (see evaluation.EVALUATOR): values
 # and pushes are free, so the loop charges just the rules it shares with
 # leftmost-outermost reduction, and a stop carries the machine's
-# configuration there.
-NORMALIZER = (0, 0) + MACHINE[2:]
+# configuration there. It alone runs Iter and Min nodes.
+NORMALIZER = (0, 0, *MACHINE[2:4], True)
 
 
 OnStep = Callable[[int, str, str, Term], None]
@@ -283,7 +292,7 @@ OnStep = Callable[[int, str, str, Term], None]
 def _normalize_with(t: Term, fuel: int | Fuel, on_step: OnStep | None,
                     closed: bool = True) -> Term | FuelExhausted:
     """Leftmost-outermost reduction on the zipper; with closed, every
-    closed App, LetPair and Rec node runs on the environment loop, whose
+    closed node of a class in _LOOP runs on the environment loop, whose
     steps on_step does not see."""
     cell = Fuel.of(fuel)
     budget = cell.remaining

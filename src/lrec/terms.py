@@ -516,8 +516,9 @@ def _subst(t: Term, x: str, s: Term) -> Term:
 # closure out and clears the cell. Closed reduction never needs a
 # consumed binding again, so nothing is put back when fuel runs out, and
 # an exhausted readback reports what `drive` does (see read_numeral).
-# The cells under a recursor's step and update, which Rec2 reuses, are
-# shared instead: read, never cleared.
+# The cells under what a rule reuses are shared instead: read, never
+# cleared. Rec2 reuses a recursor's step and update, IterSuc an
+# iterator's step, and MinSuc a minimiser's counter and function.
 
 
 def take(name: str, env) -> tuple[Term, object]:
@@ -595,15 +596,55 @@ def recur(rec: Rec, env, n: Term, nenv, q: Term, qenv):
     else:
         v, w, tail = rec.step, rec.update, None
         if w.fv:
-            share(w, env)
-            w, tail = _W, ["%w", w, env, tail, True]
+            w, tail = _W, _shared("%w", w, env, tail)
         if v.fv:
-            share(v, env)
-            v, tail = _V, ["%v", v, env, tail, True]
+            v, tail = _V, _shared("%v", v, env, tail)
         new = Rec(App(w, _NQ), _U, v, w)
     cells = bind("%n", n, nenv, bind("%q", q, qenv, tail))
     v, venv = (tail[1], tail[2]) if new.step is _V else (new.step, None)
     return v, venv, new, bind("%u", rec.base, env, cells)
+
+
+# The minimiser calculus's rules reuse nodes the same way: the iterator
+# IterSuc builds names its count %n, its base %u and an open step %v,
+# and the minimiser MinSuc builds applies %f to the next counter, S %c.
+_N, _C, _F = Var("%n"), Var("%c"), Var("%f")
+_MIN = Min(App(_F, Suc(_C)), Suc(_C), _F)
+
+
+def iterate(it: Iter, env, n: Term, nenv):
+    """Rule IterSuc for it under env and the count S n: (v, venv, it',
+    env'), the step to apply to it' = iter(n, base, v). The step is
+    reused, so its cells are shared, as in `recur`. Nothing else holds
+    the base's cell, so a later IterSuc keeps it as it is."""
+    if it.count is _N:
+        new, cells = it, env[3]
+        tail = cells[3]
+    else:
+        v, tail = it.step, None
+        if v.fv:
+            v, tail = _V, _shared("%v", v, env, None)
+        new, cells = Iter(_N, _U, v), bind("%u", it.base, env, tail)
+    v, venv = (tail[1], tail[2]) if new.step is _V else (new.step, None)
+    return v, venv, new, bind("%n", n, nenv, cells)
+
+
+def minimise(m: Min, env):
+    """Rule MinSuc for m under env, once its scrutinee is S of a witness,
+    which it drops: (m', env') with m' = min(f (S u), S u, f). The
+    counter u and the function f are each used twice, so each goes into
+    a shared cell."""
+    tail = env[3] if m is _MIN else _shared("%f", m.fn, env, None)
+    return _MIN, _shared("%c", m.counter, env, tail)
+
+
+def _shared(name: str, t: Term, env, parent) -> list:
+    """parent with name bound to (t, env) on a shared cell, and the cells
+    under it shared too."""
+    share(t, env)
+    if type(t) is Var:
+        t, env = take(t.name, env)
+    return [name, t, env if t.fv else None, parent, True]
 
 
 # --------------------------------------------------------------------------

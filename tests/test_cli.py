@@ -143,16 +143,16 @@ def test_fuel_env_override(capsys, monkeypatch):
 def test_negative_fuel_is_bad_input(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err.count("\n") == 1 and "--fuel" in err
+    assert err.count("\n") == 1 and "--fuel" in err and len(err) < 200
 
 
 @pytest.mark.parametrize("value", ["abc", "-3", "", "١٢", "1_000", " 7 ",
-                                   "+9"])
+                                   "+9", "9" * 5000])
 def test_bad_fuel_env_is_bad_input(capsys, monkeypatch, value):
     monkeypatch.setenv("LREC_FUEL", value)
     code, out, err = run_cli(capsys, "eval", str(CORPUS / "add23.lrec"))
     assert (code, out) == (1, "")
-    assert err.count("\n") == 1 and "LREC_FUEL" in err
+    assert err.count("\n") == 1 and "LREC_FUEL" in err and len(err) < 200
     # commands without a budget never read it
     assert run_cli(capsys, "check", str(CORPUS / "add23.lrec"))[0] == 0
     # an explicit budget wins over it

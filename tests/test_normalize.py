@@ -28,7 +28,7 @@ import pytest
 from lrec import reduction
 from lrec.cli import _load
 from lrec.gen import random_closed
-from lrec.minext import lin_pred, mu_enc, normalize_m
+from lrec.minext import lin_copy, lin_pred, mu_enc, normalize_m
 from lrec.parser import parse
 from lrec.reduction import (FuelExhausted, _normalize_with, enumerate_redexes,
                             normalize, step_at, step_lo, step_root)
@@ -85,12 +85,12 @@ def _zipper(engine, t, fuel: int):
     return lines, _outcome(out)
 
 
-def _untraced(t, fuel: int):
-    """An untraced normalize, which runs closed subterms on the loop:
-    its outcome and the fuel it spent, to match the oracle's outcome and
-    step count."""
+def _untraced(t, fuel: int, engine=normalize):
+    """An untraced normalize, or normalize_m, which runs closed subterms
+    on the loop: its outcome and the fuel it spent, to match the
+    oracle's outcome and step count."""
     cell = Fuel(fuel)
-    out = normalize(t, cell)
+    out = engine(t, cell)
     return _outcome(out), fuel - cell.remaining
 
 
@@ -118,14 +118,10 @@ def _inputs():
 def test_normalize_matches_the_first_redex_oracle():
     checked, exhausted = 0, set()
     for name, make, fuel, calculus in _inputs():
-        if calculus == "llcim":
-            want = _oracle(make(), fuel)
-            got = _zipper(normalize_m, make(), fuel)
-        else:
-            want = _oracle(make(), fuel)
-            got = _zipper(normalize, make(), fuel)
-        assert got == want, name
-        assert _untraced(make(), fuel) == _matches(want), name
+        engine = normalize_m if calculus == "llcim" else normalize
+        want = _oracle(make(), fuel)
+        assert _zipper(engine, make(), fuel) == want, name
+        assert _untraced(make(), fuel, engine) == _matches(want), name
         checked += 1
         if want[1][0] == "fuel-exhausted":
             exhausted.add(name)
@@ -251,11 +247,11 @@ def test_fuel_cell_holds_the_steps_taken():
     assert 1000 - cell.remaining == steps[-1] == len(steps)
 
 
-def _budgets(make):
+def _budgets(make, cap: int = 10**6):
     """(fuel, the oracle's outcome) for every budget from 0 to the steps
-    the term takes, read off one oracle run: a budget of k stops at the
-    term after k steps."""
-    lines, end = _oracle(make(), 10**6)
+    the term takes, or to cap for one that takes more, read off one
+    oracle run: a budget of k stops at the term after k steps."""
+    lines, end = _oracle(make(), cap)
     terms = [pretty(make())] + [line[3] for line in lines]
     for fuel in range(len(lines)):
         yield fuel, (lines[:fuel], ("fuel-exhausted", terms[fuel]))
@@ -263,14 +259,17 @@ def _budgets(make):
 
 
 # closed terms the loop gets stuck on: it applies a pair, splits a
-# number, recurses on a λ
+# number, recurses on a λ, iterates a pair, minimises a λ, and applies a
+# number in an iterator's count
 STUCK = ["<(\\x. x) 0, 1> 2", "let <a, b> = 0 in <a, b>",
          "rec(<\\x. x, 0>, 0, \\y. y, \\z. z)"]
+STUCK_M = ["iter(<0, 0>, 0, \\x. x)", "min(\\x. x, 0, \\x. x)",
+           "iter(0 0, 0, \\x. x)"]
 
 
 def test_every_fuel_budget_stops_where_the_oracle_does():
-    # the budgets run out in APP, LET, REC and HEAD frames, and right
-    # after Rec2
+    # the budgets run out in APP, LET, REC, HEAD, ITER and MIN frames,
+    # and right after Rec2, IterSuc and MinSuc
     makers = [(name, lambda name=name: _load(str(CORPUS / name), "lrec")[0])
               for name in ("add23.lrec", "fact4.lrec", "mult34.lrec")]
     makers += [(f"@pred {n}", lambda n=n: _pred(n)) for n in range(3, 7)]
@@ -279,6 +278,19 @@ def test_every_fuel_budget_stops_where_the_oracle_does():
         for fuel, want in _budgets(make):
             assert _zipper(normalize, make(), fuel) == want, (name, fuel)
             assert _untraced(make(), fuel) == _matches(want), (name, fuel)
+    # the minimiser calculus; mu_enc of a constant 1 never ends, so its
+    # budgets stop at 60
+    makers = [(f"lin_pred {n}", lambda n=n: App(lin_pred(), numeral(n)))
+              for n in range(3, 6)]
+    makers += [("lin_copy 3", lambda: App(lin_copy(), numeral(3))),
+               ("mu_enc 1", lambda: mu_enc(Lam("x", Iter(
+                   Var("x"), numeral(1), Lam("i", Var("i"))))))]
+    makers += [(src, lambda src=src: parse(src, "llcim")) for src in STUCK_M]
+    for name, make in makers:
+        for fuel, want in _budgets(make, 60 if name == "mu_enc 1" else 10**6):
+            assert _zipper(normalize_m, make(), fuel) == want, (name, fuel)
+            assert _untraced(make(), fuel, normalize_m) == _matches(want), \
+                (name, fuel)
 
 
 def test_long_numerals_match_the_oracle():

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from lrec.machine import LetK, MachineConfig, Plain, RecK, RecK2
+from lrec.machine import IterK, LetK, MachineConfig, MinK, Plain, RecK, RecK2
 from lrec.pcf import NumConst, PApp, PConst, PLam, PVar
 from lrec.reduction import Stepped
 from lrec.terms import FuelExhausted, Record, Var, Violation
@@ -45,6 +45,8 @@ CASES = [
     (RecK2(x, x, x, x), ("second", "base", "step", "update"),
      "RecK2(second=<Var 'x'>, base=<Var 'x'>, step=<Var 'x'>, "
      "update=<Var 'x'>)"),
+    (IterK(x, x), ("base", "step"), "IterK(base=<Var 'x'>, step=<Var 'x'>)"),
+    (MinK(x, x), ("counter", "fn"), "MinK(counter=<Var 'x'>, fn=<Var 'x'>)"),
     (MachineConfig(x, (Plain(x),)), ("code", "stack"),
      "MachineConfig(code=<Var 'x'>, stack=(Plain(term=<Var 'x'>),))"),
     (FuelExhausted(x), ("at",), "FuelExhausted(at=<Var 'x'>)"),

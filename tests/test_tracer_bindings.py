@@ -50,7 +50,8 @@ CASES = [
 SUBST_FREE = [["eval", "{add23}"],
               ["eval", "--strategy", "cbv", "--force-nat", "{add23}"],
               ["machine", "--force-nat", "{add23}"],
-              ["normalize", "{add23}"]]
+              ["normalize", "{add23}"],
+              ["normalize", "--calculus", "llcim", "{lin}"]]
 
 
 def _tracer_module():

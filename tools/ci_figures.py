@@ -8,10 +8,12 @@ before, and `pcf compile` of the 200- and 400-deep nests of discarded
 binders, of a variable used 1,600 times and of the 400-deep nest of
 used binders, each with its peak resident memory, `normalize` of
 `@pred 100` and `@pred 200` (141,108 steps, over the default budget of
-10^5), and `normalize --trace`, which keeps to the zipper. Import time
-comes first, and its first sample of each kind is dropped: that one
-writes the bytecode cache the later figures start with. Inputs live in
-a temporary directory that is removed at the end. Run it from anywhere:
+10^5), `normalize --calculus llcim` of `lin_pred 100` and `lin_pred 200`
+(101,108 steps), and `normalize --trace`, which keeps to the zipper.
+Import time comes first, and its first sample of each kind is dropped:
+that one writes the bytecode cache the later figures start with. Inputs
+live in a temporary directory that is removed at the end. Run it from
+anywhere:
 
     python tools/ci_figures.py
 """
@@ -130,6 +132,17 @@ def main() -> None:
             wall, _ = best_of_three("normalize", "--fuel", "1000000",
                                     source(f"pred{n}.lrec", f"@pred {n}"))
             print(f"normalize @pred {n}: best wall {wall:.2f} s of 3 runs")
+
+        # the minimiser calculus's iterator on the same loop
+        for n in (100, 200):
+            text = child("-c", "from lrec.minext import lin_pred; "
+                         "from lrec.terms import App, numeral, pretty; "
+                         f"print(pretty(App(lin_pred(), numeral({n}))))")[2]
+            wall, _ = best_of_three("normalize", "--calculus", "llcim",
+                                    "--fuel", "1000000",
+                                    source(f"lin_pred{n}.lrec", text))
+            print(f"normalize --calculus llcim lin_pred {n}: best wall "
+                  f"{wall:.2f} s of 3 runs")
 
         for name, path in (("fact4.lrec", str(ROOT / "corpus" / "fact4.lrec")),
                            ("@pred 30", source("pred30.lrec", "@pred 30"))):
